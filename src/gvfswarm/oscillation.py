@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 logger = logging.getLogger(__name__)
 
@@ -180,6 +179,10 @@ def average_parametric_velocity(speed: float, w_gamma: float, amplitude: float) 
     quadrature. This is the authoritative route; the closed form below
     must agree with it. Domain: 0 <= amplitude <= v/w.
     """
+    # scipy is imported here, its only user, so that importing the
+    # package (and every simulation or consensus path) does not load it
+    from scipy.integrate import quad
+
     _check_amplitude_domain(speed, w_gamma, amplitude)
     if amplitude == 0.0:
         return speed

@@ -11,6 +11,10 @@ import time
 import numpy as np
 import pytest
 
+# the quadrature route imports scipy on first use; load it with the
+# module so the wall budgets below time quadrature, not that import
+import scipy.integrate  # noqa: F401
+
 import gvfswarm.oscillation as osc
 from gvfswarm.consensus import SaturationParams, integrate_consensus
 from gvfswarm.graph import DEMO_TREE_EDGES, Graph
@@ -24,6 +28,12 @@ TREE8 = Graph.from_one_based(8, DEMO_TREE_EDGES)
 
 # exact period-average progress speed at v = 16, w = 0.6, A = 15
 EXPECTED_AVG_VELOCITY = 14.647240241529
+
+# telemetry SHA-256 of each bundled scenario run at full length
+BUNDLED_DIGESTS = {
+    "eight_drones.scn": "da252a676bb89e61a3f02e2545e02677f5c8d5158197b1465ab479d82cc2add5",
+    "two_drones.scn": "760a997e38b31ea60875cc01fae020eb6bd2d6b30b50f6f2435b3bdafe313328",
+}
 
 
 @pytest.fixture
@@ -310,6 +320,19 @@ def test_runs_are_reproducible_and_parallel_safe(report, formation_run, scenario
         ok,
         f"sequential, repeat and workers=4 digests all equal "
         f"({res.telemetry_digest[:16]}...)" if ok else f"digests differ: {digests}",
+    )
+
+
+def test_bundled_digests_are_pinned(report, formation_run, scenario_dir):
+    res, _ = formation_run
+    pair = run(build_scenario(load_mapping(scenario_dir / "two_drones.scn")), compute_digest=True)
+    digests = {"eight_drones.scn": res.telemetry_digest, "two_drones.scn": pair.telemetry_digest}
+    ok = digests == BUNDLED_DIGESTS
+    report(
+        "bundled-telemetry-digests",
+        ok,
+        ", ".join(f"{name} {digest[:16]}..." for name, digest in digests.items())
+        + " equal the pinned SHA-256" if ok else f"got {digests}, pinned {BUNDLED_DIGESTS}",
     )
 
 

@@ -23,6 +23,13 @@ from gvfswarm.graph import DEMO_TREE_EDGES, Graph
 TREE8 = Graph.from_one_based(8, DEMO_TREE_EDGES)
 CHAIN5 = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (2, 0)))
+STAR8 = Graph(8, tuple((0, i) for i in range(1, 8)))  # hub of degree 7
+
+
+def disagreement_node_major(x, idx, mask):
+    """Reference reduction: one inner sum over the D slots of each node."""
+    x = np.asarray(x, dtype=float)
+    return np.sum((x[..., idx] - x[..., None]) * mask, axis=-1)
 
 
 class TestSaturation:
@@ -231,6 +238,32 @@ class TestNeighborOps:
         for b in range(6):
             assert np.allclose(out[b], neighbor_disagreement(x[b], idx, mask), atol=0)
 
+    @pytest.mark.parametrize("graph", [TREE8, CHAIN5, STAR8], ids=["tree8", "chain5", "star8"])
+    def test_bitwise_equal_to_node_major_below_eight_slots(self, graph):
+        idx, mask = neighbor_gather(graph)
+        assert idx.shape[1] < 8
+        rng = np.random.default_rng(11)
+        batch = rng.uniform(-100.0, 100.0, (64, graph.n_nodes))
+        for x in (batch, batch[0], batch.reshape(4, 16, graph.n_nodes)):
+            got = neighbor_disagreement(x, idx, mask)
+            want = disagreement_node_major(x, idx, mask)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_close_to_node_major_from_eight_slots(self):
+        # numpy sums 8 or more inner elements pairwise, so on a wide
+        # node the two reductions may differ in the last bits
+        rng = np.random.default_rng(12)
+        n = 40
+        edges = [(0, i) for i in range(1, 10)]
+        edges += [(int(rng.integers(0, i)), i) for i in range(10, n)]
+        idx, mask = neighbor_gather(Graph(n, tuple(edges)))
+        assert idx.shape[1] >= 8
+        x = rng.uniform(-10.0, 10.0, (32, n))
+        got = neighbor_disagreement(x, idx, mask)
+        want = disagreement_node_major(x, idx, mask)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
     def test_padding_is_inert(self):
         # padded slots gather the node itself with zero mask weight
         idx, mask = neighbor_gather(TREE8)
@@ -312,6 +345,34 @@ class TestIntegrateConsensus:
         base = integrate_consensus(TREE8, x0, self.PARAMS, 0.01, 40.0)
         shifted = integrate_consensus(TREE8, x0 + 64.0, self.PARAMS, 0.01, 40.0)
         assert np.max(np.abs(shifted.final_state - base.final_state - 64.0)) < 1e-9
+
+    def test_bitwise_equal_to_five_evaluation_rk4(self):
+        # reference loop evaluates the disagreement afresh for k1, the
+        # Lyapunov record and the final input; the integrator reuses eta
+        idx, mask = neighbor_gather(TREE8)
+        rng = np.random.default_rng(13)
+        x0 = rng.uniform(-30.0, 30.0, (4, 8))
+        dt, n_steps = 0.01, 2000
+        run = integrate_consensus(TREE8, x0, self.PARAMS, dt, n_steps * dt, record_states=True)
+
+        def rate(state):
+            return sat(disagreement_node_major(state, idx, mask), self.PARAMS)
+
+        x = x0.copy()
+        states = [x]
+        lyap = [lyapunov_value(disagreement_node_major(x, idx, mask), self.PARAMS)]
+        for _ in range(n_steps):
+            k1 = rate(x)
+            k2 = rate(x + 0.5 * dt * k1)
+            k3 = rate(x + 0.5 * dt * k2)
+            k4 = rate(x + dt * k3)
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            states.append(x)
+            lyap.append(lyapunov_value(disagreement_node_major(x, idx, mask), self.PARAMS))
+        assert np.array_equal(run.states, np.array(states))
+        assert np.array_equal(run.lyapunov, np.array(lyap))
+        assert np.array_equal(run.final_state, x)
+        assert np.array_equal(run.final_input, rate(x))
 
     def test_record_shapes(self):
         run = integrate_consensus(

@@ -1,10 +1,15 @@
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import gvfswarm
 from gvfswarm.oscillation import (
     OscillationConfig,
     OscillationState,
@@ -163,6 +168,23 @@ class TestAverageParametricVelocity:
         assert average_parametric_velocity(V, 0.3, 20.0) == pytest.approx(
             average_parametric_velocity(V, 0.6, 10.0), abs=1e-10
         )
+
+    def test_package_import_leaves_scipy_unloaded(self):
+        # quadrature is the only scipy user and imports it on first use;
+        # checked in a fresh interpreter since this test session has
+        # loaded scipy already
+        src = str(Path(gvfswarm.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        code = (
+            "import sys, gvfswarm; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]"
 
 
 class TestEpsilon:
