@@ -115,6 +115,17 @@ class WindowAverager:
     averages over everything seen so far ([0, t]); the first sample is
     returned as is.
 
+    ``push`` computes the trapezoid term of the interval it closes,
+    dt * (x_k + x_{k-1}) / 2, once, and writes it to both rows j and
+    j + capacity of a mirrored term ring, so the newest terms are
+    always one contiguous slice in chronological order. ``average``
+    sums that slice along time: one pass, and no allocation of window
+    size. Each term is the expression ``np.trapezoid(y, dx=dt)``
+    evaluates and the slice has the shape and strides of its
+    temporary, so the reduction runs in the same order; the output is
+    bitwise equal to ``np.trapezoid`` over the retained samples, plus
+    the lerped sliver, in warm-up and over the full window.
+
     Values may be any fixed trailing shape (one slot per drone); the
     average is taken elementwise over time.
     """
@@ -129,9 +140,16 @@ class WindowAverager:
         self.window = float(window)
         self.dt = float(dt)
         self.shape = tuple(shape)
-        # floor(window/dt) full intervals, one partial, one spare slot
-        self._capacity = int(math.floor(window / dt + 1e-9)) + 3
+        w = self.window / self.dt
+        self._k = int(math.floor(w + 1e-9))  # full intervals in the window
+        fr = w - self._k  # the partial interval, as a fraction of dt
+        self._fr = fr if fr >= 1e-9 else 0.0
+        # k full intervals, one partial, one spare slot
+        self._capacity = self._k + 3
         self._buffer = np.zeros((self._capacity,) + self.shape)
+        # the term of the interval ending at sample slot j sits at rows
+        # j and j + capacity
+        self._terms = np.zeros((2 * self._capacity,) + self.shape)
         self._head = 0  # next write slot
         self._count = 0  # total samples pushed
 
@@ -150,6 +168,10 @@ class WindowAverager:
         value = np.asarray(value, dtype=float)
         if value.shape != self.shape:
             raise ValueError(f"expected shape {self.shape}, got {value.shape}")
+        if self._count:
+            term = self.dt * (value + self._buffer[self._head - 1]) / 2.0
+            self._terms[self._head] = term
+            self._terms[self._head + self._capacity] = term
         self._buffer[self._head] = value
         self._head = (self._head + 1) % self._capacity
         self._count += 1
@@ -165,28 +187,24 @@ class WindowAverager:
         """Current windowed (or warm-up) average."""
         if self._count == 0:
             raise ValueError("no samples pushed yet")
-        samples = self.retained()
         if self._count == 1:
-            out = samples[-1]
+            out = self._buffer[0]
             return float(out) if out.ndim == 0 else out.copy()
+        # one past the newest term's row in the upper half of the ring
+        end = (self._head - 1) % self._capacity + self._capacity + 1
         elapsed = (self._count - 1) * self.dt
         if elapsed < self.window:
             # warm-up: plain trapezoid over [0, elapsed]
-            integral = np.trapezoid(samples, dx=self.dt, axis=0)
+            integral = self._terms[end - (self._count - 1):end].sum(axis=0)
             out = integral / elapsed
             return float(out) if out.ndim == 0 else out
-        w = self.window / self.dt
-        k = int(math.floor(w + 1e-9))
-        fr = w - k
-        if fr < 1e-9:
-            fr = 0.0
-        newest = samples[-(k + 1):]
-        integral = np.trapezoid(newest, dx=self.dt, axis=0)
+        integral = self._terms[end - self._k:end].sum(axis=0)
+        fr = self._fr
         if fr > 0.0:
             # window start falls inside the next-older interval; take
             # the sliver [start, t_{-(k+1)}] with a lerped left value
-            left = samples[-(k + 2)]
-            right = samples[-(k + 1)]
+            left = self._buffer[(self._head - self._k - 2) % self._capacity]
+            right = self._buffer[(self._head - self._k - 1) % self._capacity]
             x_start = left + (1.0 - fr) * (right - left)
             integral = integral + fr * self.dt * 0.5 * (x_start + right)
         out = integral / self.window

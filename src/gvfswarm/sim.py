@@ -45,6 +45,10 @@ __all__ = ["SimulationResult", "run", "TELEMETRY_FLOAT_FORMAT"]
 
 TELEMETRY_FLOAT_FORMAT = "%.9g"
 
+# headings per block of the summary's ground-speed pass: 32-64 KiB
+# temporaries, which malloc serves from its heap, not from fresh pages
+_SUMMARY_BLOCK = 1 << 12
+
 # per-drone telemetry column stems, in row order
 _DRONE_COLUMNS = (
     "p{i}_x_m", "p{i}_y_m", "theta{i}_rad", "phi{i}_m", "gamma{i}_m",
@@ -298,6 +302,9 @@ def run(
         if fh is not None:
             fh.close()
 
+    # free the averager's rings and the snapshot queue, so the summary's
+    # temporaries do not add to them at peak memory
+    del averager, snapshots
     hist.telemetry_digest = digest.hexdigest() if digest is not None else None
     hist.summary = _summarize(hist, workers=workers, overrides=overrides)
     return hist
@@ -311,10 +318,17 @@ def _summarize(hist: SimulationResult, workers: int | None, overrides) -> dict:
     else:
         max_edge = np.zeros(len(hist.times))
     conv_idx = _first_sustained_below(max_edge, sc.convergence_threshold)
-    vel = sc.speed * np.stack(
-        [np.cos(hist.headings), np.sin(hist.headings)], axis=-1
-    ) + sc.wind
-    ground_speed = np.linalg.norm(vel, axis=-1)
+    # ground-speed extremes over blocks of ticks, so the (ticks, N, 2)
+    # velocity stack never exists whole; norms are per row, so the
+    # extremes are the same values
+    ground_min, ground_max = np.inf, -np.inf
+    rows = max(1, _SUMMARY_BLOCK // sc.n_drones)
+    for lo in range(0, len(hist.times), rows):
+        headings = hist.headings[lo:lo + rows]
+        vel = sc.speed * np.stack([np.cos(headings), np.sin(headings)], axis=-1) + sc.wind
+        ground_speed = np.linalg.norm(vel, axis=-1)
+        ground_min = np.minimum(ground_min, ground_speed.min())
+        ground_max = np.maximum(ground_max, ground_speed.max())
     return {
         "name": sc.name,
         "overrides": [str(o) for o in overrides],
@@ -333,8 +347,8 @@ def _summarize(hist: SimulationResult, workers: int | None, overrides) -> dict:
         "final_max_amplitude_m": float(hist.amplitudes[-1].max()),
         "final_max_abs_phi_m": float(np.abs(hist.phis[-1]).max()),
         "max_abs_heading_rate_rad_s": float(np.abs(hist.omegas).max()),
-        "ground_speed_min_mps": float(ground_speed.min()),
-        "ground_speed_max_mps": float(ground_speed.max()),
+        "ground_speed_min_mps": float(ground_min),
+        "ground_speed_max_mps": float(ground_max),
         "lyapunov_final": float(hist.lyapunov[-1]),
         "telemetry_sha256": hist.telemetry_digest,
     }

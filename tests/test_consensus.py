@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,32 @@ def disagreement_node_major(x, idx, mask):
     """Reference reduction: one inner sum over the D slots of each node."""
     x = np.asarray(x, dtype=float)
     return np.sum((x[..., idx] - x[..., None]) * mask, axis=-1)
+
+
+def trapezoid_window_average(av):
+    """Reference average: np.trapezoid over the retained samples plus the
+    lerped sliver of the partial interval."""
+    samples = av.retained()
+    if av.count == 1:
+        out = samples[-1]
+        return float(out) if out.ndim == 0 else out.copy()
+    elapsed = (av.count - 1) * av.dt
+    if elapsed < av.window:
+        out = np.trapezoid(samples, dx=av.dt, axis=0) / elapsed
+        return float(out) if out.ndim == 0 else out
+    w = av.window / av.dt
+    k = int(math.floor(w + 1e-9))
+    fr = w - k
+    if fr < 1e-9:
+        fr = 0.0
+    integral = np.trapezoid(samples[-(k + 1):], dx=av.dt, axis=0)
+    if fr > 0.0:
+        left = samples[-(k + 2)]
+        right = samples[-(k + 1)]
+        x_start = left + (1.0 - fr) * (right - left)
+        integral = integral + fr * av.dt * 0.5 * (x_start + right)
+    out = integral / av.window
+    return float(out) if out.ndim == 0 else out
 
 
 class TestSaturation:
@@ -219,6 +246,46 @@ class TestWindowAverager:
         # summation order along the time axis differs between the 1-d
         # and 2-d reductions, so agreement is to rounding, not bitwise
         assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(), (1,), (3,), (512,)], ids=["scalar", "n1", "n3", "n512"])
+    @pytest.mark.parametrize(
+        "window, dt",
+        [(2.0 * math.pi / 0.6, 0.02), (1.0, 0.1), (0.02, 0.02)],
+        ids=["fractional", "whole", "one-interval"],
+    )
+    def test_bitwise_equal_to_trapezoid_formula(self, shape, window, dt):
+        av = WindowAverager(window, dt, shape=shape)
+        capacity = int(window / dt) + 3  # samples the ring holds
+        rng = np.random.default_rng(11)
+        walk = np.cumsum(rng.normal(0, 0.3, (3 * capacity + 7,) + shape), axis=0)
+        walk[::5] = 0.0
+        walk[2::5] = -0.0
+        # a full window of -0.0 first: the sign of a zero average depends
+        # on the reduction, so it must match too
+        stream = np.concatenate([np.full((capacity,) + shape, -0.0), walk])
+        for k, value in enumerate(stream):
+            av.push(value)
+            got, want = av.average(), trapezoid_window_average(av)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), k
+
+    def test_steady_state_allocates_less_than_a_window(self):
+        n = 512
+        av = WindowAverager(self.W, self.DT, shape=(n,))
+        data = np.random.default_rng(5).uniform(-5, 5, (700, n))
+        for row in data[:600]:
+            av.push(row)
+            av.average()
+        window_bytes = av.retained().nbytes  # 526 x 512 doubles, 2.2 MB
+        tracemalloc.start()
+        try:
+            for row in data[600:]:
+                av.push(row)
+                av.average()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024 < window_bytes
 
 
 class TestNeighborOps:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gvfswarm import sim
 from gvfswarm.scenario import apply_overrides, build_scenario, load_mapping
 from gvfswarm.sim import TELEMETRY_FLOAT_FORMAT, run
 
@@ -190,6 +191,22 @@ class TestSummary:
         assert s["final_max_edge_diff_m"] < s["convergence_threshold_m"]
         assert isinstance(s["final_amplitudes_m"], list)
         assert s["lyapunov_final"] >= 0.0
+
+    @pytest.mark.parametrize("block", [None, 7], ids=["default", "three-rows"])
+    def test_ground_speed_extremes_match_whole_array_formula(self, monkeypatch, block):
+        # the summary walks the headings in blocks of rows; a block of 7
+        # headings holds 3 ticks of the pair, so 1001 ticks end ragged
+        if block is not None:
+            monkeypatch.setattr(sim, "_SUMMARY_BLOCK", block)
+        doc = pair_doc()
+        doc["wind_mps"] = [1.5, -2.5]
+        res = run(build_scenario(doc))
+        sc = res.scenario
+        vel = sc.speed * np.stack([np.cos(res.headings), np.sin(res.headings)], axis=-1) + sc.wind
+        ground_speed = np.linalg.norm(vel, axis=-1)
+        assert ground_speed.max() - ground_speed.min() > 1.0  # the wind shows
+        assert res.summary["ground_speed_min_mps"] == float(ground_speed.min())
+        assert res.summary["ground_speed_max_mps"] == float(ground_speed.max())
 
     def test_branch_codes(self, scenario_dir):
         doc = apply_overrides(load_mapping(scenario_dir / "two_drones.scn"), ["t_end_s=10"])
