@@ -50,7 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--set", dest="overrides", action="append", default=[], metavar="KEY.PATH=VALUE",
         help="override a scenario key (repeatable); recorded in the summary",
     )
-    p_run.add_argument("--workers", type=int, default=1, help="worker threads for per-drone stages")
     p_run.add_argument(
         "--digest", action="store_true",
         help="compute the telemetry SHA-256 even without a telemetry file",
@@ -103,7 +102,6 @@ def _cmd_run(args) -> int:
     result = run_sim(
         scenario,
         telemetry_path=args.telemetry,
-        workers=args.workers,
         overrides=args.overrides,
         compute_digest=args.digest,
     )

@@ -234,8 +234,11 @@ def neighbor_gather(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     return idx, mask
 
 
-def neighbor_disagreement(x, idx: np.ndarray, mask: np.ndarray):
-    """sum_j (x_j - x_i) for every node, batched over leading axes of x.
+def neighbor_disagreement(x, idx: np.ndarray, mask: np.ndarray, own=None):
+    """sum_j (x_j - own_i) for every node i, batched over leading axes of x.
+
+    ``own`` defaults to x itself; the simulator passes each drone's
+    current average as ``own`` and the neighbors' delayed snapshot as x.
 
     The reduction is slot-major: the (N, D) tables are transposed so
     the gather is (..., D, N) and the D slots are added row by row,
@@ -245,8 +248,9 @@ def neighbor_disagreement(x, idx: np.ndarray, mask: np.ndarray):
     over the last axis of the (..., N, D) gather.
     """
     x = np.asarray(x, dtype=float)
+    own = x if own is None else np.asarray(own, dtype=float)
     gathered = x[..., idx.T]  # (..., D, N)
-    return ((gathered - x[..., None, :]) * mask.T).sum(axis=-2)
+    return ((gathered - own[..., None, :]) * mask.T).sum(axis=-2)
 
 
 @dataclass

@@ -1,26 +1,26 @@
 """Lock-step closed-loop swarm engine with deterministic telemetry.
 
-Every tick runs the same four stages:
+Every tick runs the same four stages, each one vectorized over all
+drones:
 
-1. publish (serial): each drone's path parameter is pushed into its
+1. publish: each drone's path parameter is pushed into its
    sliding-window averager and the averaged values are snapshotted,
    optionally with a communication delay for what neighbors see.
-2. control (chunkable): from the published snapshot each drone forms
-   its saturated lead over its neighbors, converts it to a progress
+2. control: from the published snapshot each drone forms its
+   saturated lead over its neighbors, converts it to a progress
    budget xdot_d = v - k_u u, schedules the oscillation amplitude,
    evaluates the guiding field and commands a heading rate. A drone
    that is ahead commands a large amplitude and waits; one that is
    behind flies straight. In shortfall coordinates delta = v t - xbar
    this is exactly the saturated consensus protocol of
    :mod:`gvfswarm.consensus`, so its agreement guarantee applies.
-3. telemetry (serial): one CSV row per tick, 9 significant digits.
-4. advance (chunkable): RK4 on the unicycle under the held heading
-   rate plus wind, and the exact exponential amplitude filter.
+3. telemetry: one CSV row per tick, 9 significant digits.
+4. advance: RK4 on the unicycle under the held heading rate plus
+   wind, and the exact exponential amplitude filter.
 
-All per-drone math is elementwise or reduces along fixed per-drone
-axes, so splitting the drones across worker threads reproduces the
-sequential results bit for bit; telemetry digests are compared by the
-test suite to enforce that.
+Neighbor sums run through a padded gather table in a fixed slot
+order, so a run is bitwise reproducible; the test suite compares
+telemetry digests to enforce that.
 """
 
 from __future__ import annotations
@@ -29,14 +29,13 @@ import csv
 import hashlib
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import oscillation as osc
-from .consensus import WindowAverager, lyapunov_value, neighbor_gather, neighbor_disagreement
+from .consensus import WindowAverager, lyapunov_value, neighbor_disagreement, neighbor_gather, sat
 from .gvf import field_core
 from .scenario import Scenario
 from .vehicle import heading_rate_core, unicycle_step
@@ -104,11 +103,10 @@ def _first_sustained_below(series: np.ndarray, threshold: float) -> int | None:
 def run(
     scenario: Scenario,
     telemetry_path=None,
-    workers: int | None = None,
     overrides=(),
     compute_digest: bool = False,
 ) -> SimulationResult:
-    """Simulate a scenario from t = 0 to t_end.
+    """Simulate a scenario from t = 0 to t_end, one vectorized tick at a time.
 
     Parameters
     ----------
@@ -117,9 +115,6 @@ def run(
     telemetry_path : path-like, optional
         Write the per-tick CSV here. Without it (and without
         ``compute_digest``) no rows are formatted, which is faster.
-    workers : int, optional
-        Split the per-drone control and advance stages across this many
-        threads. Results are bit-identical to the sequential run.
     overrides : sequence of str
         Dotted overrides already applied to the scenario, recorded
         verbatim in the summary for provenance.
@@ -136,7 +131,6 @@ def run(
     cfg = sc.oscillation
     w = cfg.w_gamma
     sat_p = sc.saturation
-    slope = (sat_p.tau_h - sat_p.tau_l) / sat_p.r
     cap = cfg.amplitude_cap
     wind = sc.wind
 
@@ -155,13 +149,6 @@ def run(
     amp_accel = np.zeros(n)
     averager = WindowAverager(window=cfg.period, dt=dt, shape=(n,))
     snapshots: deque[np.ndarray] = deque(maxlen=sc.comm_delay_ticks + 1)
-
-    # per-tick scratch, written by the control stage
-    scratch = {
-        "u": np.empty(n), "xdot_d": np.empty(n), "a_cmd": np.empty(n),
-        "gamma": np.empty(n), "phi": np.empty(n), "omega": np.empty(n),
-        "exterior": np.empty(n, dtype=np.int8),
-    }
 
     times = np.arange(n_ticks + 1) * dt
     hist = SimulationResult(
@@ -195,58 +182,6 @@ def run(
     if writer is not None:
         writer.writerow(header)
 
-    pool = ThreadPoolExecutor(max_workers=workers) if workers and workers > 1 else None
-    if pool is not None:
-        bounds = np.linspace(0, n, workers + 1).astype(int)
-        chunks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    else:
-        chunks = [slice(0, n)]
-
-    def control(sl: slice, t: float, xbar: np.ndarray, delayed: np.ndarray) -> None:
-        lead = np.sum((xbar[sl, None] - delayed[idx[sl]]) * mask[sl], axis=-1)
-        u = sat_p.tau_l + slope * np.clip(lead, 0.0, sat_p.r)
-        xdot_d = speed - sc.k_u * u
-        if sc.fixed_amplitude is None:
-            raw = sc.oscillation.k_a * np.sqrt(
-                np.maximum(speed * speed - xdot_d * xdot_d, 0.0)
-            ) / w
-            a_cmd = np.minimum(raw, cap)
-        else:
-            a_cmd = np.full(u.shape, sc.fixed_amplitude)
-        g = osc.gamma(t, amp[sl], w)
-        g_dot = osc.gamma_dot(t, amp[sl], amp_rate[sl], w)
-        g_ddot = osc.gamma_ddot(t, amp[sl], amp_rate[sl], amp_accel[sl], w)
-        phi = np.sum((pos[sl] - origins[sl]) * normals[sl], axis=-1)
-        p_dot = np.stack(
-            [speed * np.cos(theta[sl]), speed * np.sin(theta[sl])], axis=-1
-        )
-        core = field_core(
-            phi, normals[sl], tangents[sl], speed, sc.k_e[sl],
-            g, g_dot, gamma_ddot=g_ddot, p_dot=p_dot,
-        )
-        omega = heading_rate_core(core["f"], core["f_dot"], p_dot, speed, sc.k_n[sl])
-        scratch["u"][sl] = u
-        scratch["xdot_d"][sl] = xdot_d
-        scratch["a_cmd"][sl] = a_cmd
-        scratch["gamma"][sl] = g
-        scratch["phi"][sl] = phi
-        scratch["omega"][sl] = omega
-        scratch["exterior"][sl] = (~core["interior"]).astype(np.int8)
-
-    def advance(sl: slice) -> None:
-        pos[sl], theta[sl] = unicycle_step(pos[sl], theta[sl], scratch["omega"][sl], speed, dt, wind)
-        amp[sl], amp_rate[sl], amp_accel[sl] = osc.relaxation_step(
-            amp[sl], scratch["a_cmd"][sl], dt, cfg.tau_a
-        )
-
-    def run_chunks(fn, *args) -> None:
-        if pool is None:
-            fn(chunks[0], *args)
-            return
-        futures = [pool.submit(fn, sl, *args) for sl in chunks]
-        for fut in futures:
-            fut.result()
-
     try:
         for k in range(n_ticks + 1):
             t = times[k]
@@ -255,22 +190,40 @@ def run(
             averager.push(x)
             xbar = averager.average()
             snapshots.append(xbar)
-            delayed = snapshots[0]
-            # control
-            run_chunks(control, t, xbar, delayed)
+            # control: own average against the neighbors' (delayed) ones
+            lead = -neighbor_disagreement(snapshots[0], idx, mask, own=xbar)
+            u = sat(lead, sat_p)
+            xdot_d = speed - sc.k_u * u
+            if sc.fixed_amplitude is None:
+                # amplitude_for_velocity inline: it logs every clamp
+                raw = cfg.k_a * np.sqrt(np.maximum(speed * speed - xdot_d * xdot_d, 0.0)) / w
+                a_cmd = np.minimum(raw, cap)
+            else:
+                a_cmd = np.full(n, sc.fixed_amplitude)
+            g = osc.gamma(t, amp, w)
+            g_dot = osc.gamma_dot(t, amp, amp_rate, w)
+            g_ddot = osc.gamma_ddot(t, amp, amp_rate, amp_accel, w)
+            phi = np.sum((pos - origins) * normals, axis=-1)
+            p_dot = np.stack([speed * np.cos(theta), speed * np.sin(theta)], axis=-1)
+            core = field_core(
+                phi, normals, tangents, speed, sc.k_e,
+                g, g_dot, gamma_ddot=g_ddot, p_dot=p_dot,
+            )
+            omega = heading_rate_core(core["f"], core["f_dot"], p_dot, speed, sc.k_n)
+            exterior = (~core["interior"]).astype(np.int8)
             # telemetry
             hist.positions[k] = pos
             hist.headings[k] = theta
             hist.path_parameters[k] = x
             hist.averaged_parameters[k] = xbar
-            hist.phis[k] = scratch["phi"]
-            hist.gammas[k] = scratch["gamma"]
+            hist.phis[k] = phi
+            hist.gammas[k] = g
             hist.amplitudes[k] = amp
-            hist.commanded_amplitudes[k] = scratch["a_cmd"]
-            hist.inputs[k] = scratch["u"]
-            hist.desired_velocities[k] = scratch["xdot_d"]
-            hist.omegas[k] = scratch["omega"]
-            hist.branches[k] = scratch["exterior"]
+            hist.commanded_amplitudes[k] = a_cmd
+            hist.inputs[k] = u
+            hist.desired_velocities[k] = xdot_d
+            hist.omegas[k] = omega
+            hist.branches[k] = exterior
             z = xbar[tails] - xbar[heads] if m else np.empty(0)
             hist.edge_diffs[k] = z
             eta = neighbor_disagreement(xbar, idx, mask)
@@ -281,10 +234,9 @@ def run(
                     row.extend(
                         TELEMETRY_FLOAT_FORMAT % v
                         for v in (
-                            pos[i, 0], pos[i, 1], theta[i], scratch["phi"][i],
-                            scratch["gamma"][i], x[i], xbar[i], scratch["u"][i],
-                            scratch["xdot_d"][i], amp[i], scratch["a_cmd"][i],
-                            scratch["omega"][i], scratch["exterior"][i],
+                            pos[i, 0], pos[i, 1], theta[i], phi[i], g[i], x[i],
+                            xbar[i], u[i], xdot_d[i], amp[i], a_cmd[i], omega[i],
+                            exterior[i],
                         )
                     )
                 row.extend(TELEMETRY_FLOAT_FORMAT % v for v in z)
@@ -295,10 +247,9 @@ def run(
                     writer.writerow(row)
             # advance
             if k < n_ticks:
-                run_chunks(advance)
+                pos, theta = unicycle_step(pos, theta, omega, speed, dt, wind)
+                amp, amp_rate, amp_accel = osc.relaxation_step(amp, a_cmd, dt, cfg.tau_a)
     finally:
-        if pool is not None:
-            pool.shutdown()
         if fh is not None:
             fh.close()
 
@@ -306,15 +257,18 @@ def run(
     # temporaries do not add to them at peak memory
     del averager, snapshots
     hist.telemetry_digest = digest.hexdigest() if digest is not None else None
-    hist.summary = _summarize(hist, workers=workers, overrides=overrides)
+    hist.summary = _summarize(hist, overrides=overrides)
     return hist
 
 
-def _summarize(hist: SimulationResult, workers: int | None, overrides) -> dict:
+def _summarize(hist: SimulationResult, overrides) -> dict:
     sc = hist.scenario
     spread = hist.path_parameters.max(axis=1) - hist.path_parameters.min(axis=1)
     if hist.edge_diffs.shape[1]:
-        max_edge = np.abs(hist.edge_diffs).max(axis=1)
+        # |z| extremes from the row extremes: no (ticks, edges) temporary
+        max_edge = np.maximum(
+            np.abs(hist.edge_diffs.max(axis=1)), np.abs(hist.edge_diffs.min(axis=1))
+        )
     else:
         max_edge = np.zeros(len(hist.times))
     conv_idx = _first_sustained_below(max_edge, sc.convergence_threshold)
@@ -329,6 +283,8 @@ def _summarize(hist: SimulationResult, workers: int | None, overrides) -> dict:
         ground_speed = np.linalg.norm(vel, axis=-1)
         ground_min = np.minimum(ground_min, ground_speed.min())
         ground_max = np.maximum(ground_max, ground_speed.max())
+    # max |omega| from the extremes: no (ticks, N) temporary
+    max_omega = max(abs(float(hist.omegas.max())), abs(float(hist.omegas.min())))
     return {
         "name": sc.name,
         "overrides": [str(o) for o in overrides],
@@ -338,7 +294,6 @@ def _summarize(hist: SimulationResult, workers: int | None, overrides) -> dict:
         "dt_s": float(sc.dt),
         "t_end_s": float(sc.t_end),
         "n_ticks": int(sc.n_ticks),
-        "workers": int(workers) if workers else 1,
         "convergence_threshold_m": float(sc.convergence_threshold),
         "time_to_convergence_s": None if conv_idx is None else float(hist.times[conv_idx]),
         "final_max_edge_diff_m": float(max_edge[-1]),
@@ -346,7 +301,7 @@ def _summarize(hist: SimulationResult, workers: int | None, overrides) -> dict:
         "final_amplitudes_m": [float(a) for a in hist.amplitudes[-1]],
         "final_max_amplitude_m": float(hist.amplitudes[-1].max()),
         "final_max_abs_phi_m": float(np.abs(hist.phis[-1]).max()),
-        "max_abs_heading_rate_rad_s": float(np.abs(hist.omegas).max()),
+        "max_abs_heading_rate_rad_s": max_omega,
         "ground_speed_min_mps": float(ground_min),
         "ground_speed_max_mps": float(ground_max),
         "lyapunov_final": float(hist.lyapunov[-1]),

@@ -33,6 +33,11 @@ def disagreement_node_major(x, idx, mask):
     return np.sum((x[..., idx] - x[..., None]) * mask, axis=-1)
 
 
+def lead_node_major(own, x, idx, mask):
+    """Reference lead of ``own`` over the neighbors' x, node-major."""
+    return np.sum((own[..., None] - x[..., idx]) * mask, axis=-1)
+
+
 def trapezoid_window_average(av):
     """Reference average: np.trapezoid over the retained samples plus the
     lerped sliver of the partial interval."""
@@ -307,15 +312,23 @@ class TestNeighborOps:
 
     @pytest.mark.parametrize("graph", [TREE8, CHAIN5, STAR8], ids=["tree8", "chain5", "star8"])
     def test_bitwise_equal_to_node_major_below_eight_slots(self, graph):
+        # with and without ``own``: the simulator's lead passes it
         idx, mask = neighbor_gather(graph)
         assert idx.shape[1] < 8
         rng = np.random.default_rng(11)
         batch = rng.uniform(-100.0, 100.0, (64, graph.n_nodes))
-        for x in (batch, batch[0], batch.reshape(4, 16, graph.n_nodes)):
-            got = neighbor_disagreement(x, idx, mask)
-            want = disagreement_node_major(x, idx, mask)
-            assert got.shape == want.shape
-            assert np.array_equal(got, want)
+        others = rng.uniform(-100.0, 100.0, batch.shape)
+        for x, own in (
+            (batch, others),
+            (batch[0], others[0]),
+            (batch.reshape(4, 16, graph.n_nodes), others.reshape(4, 16, graph.n_nodes)),
+        ):
+            for got, want in (
+                (neighbor_disagreement(x, idx, mask), disagreement_node_major(x, idx, mask)),
+                (-neighbor_disagreement(x, idx, mask, own=own), lead_node_major(own, x, idx, mask)),
+            ):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
 
     def test_close_to_node_major_from_eight_slots(self):
         # numpy sums 8 or more inner elements pairwise, so on a wide
@@ -327,8 +340,12 @@ class TestNeighborOps:
         idx, mask = neighbor_gather(Graph(n, tuple(edges)))
         assert idx.shape[1] >= 8
         x = rng.uniform(-10.0, 10.0, (32, n))
+        own = rng.uniform(-10.0, 10.0, (32, n))
         got = neighbor_disagreement(x, idx, mask)
         want = disagreement_node_major(x, idx, mask)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        got = -neighbor_disagreement(x, idx, mask, own=own)
+        want = lead_node_major(own, x, idx, mask)
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
     def test_padding_is_inert(self):
