@@ -14,7 +14,10 @@ drones:
    behind flies straight. In shortfall coordinates delta = v t - xbar
    this is exactly the saturated consensus protocol of
    :mod:`gvfswarm.consensus`, so its agreement guarantee applies.
-3. telemetry: one CSV row per tick, 9 significant digits.
+3. telemetry: one CSV line per tick after a header line, every cell
+   ``%.9g`` of a float, comma-separated with no quoting and ended by
+   CR LF; the line is formatted once and the same bytes feed the
+   SHA-256 and the file.
 4. advance: RK4 on the unicycle under the held heading rate plus
    wind, and the exact exponential amplitude filter.
 
@@ -25,7 +28,6 @@ telemetry digests to enforce that.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from collections import deque
@@ -171,18 +173,19 @@ def run(
     )
 
     digest = hashlib.sha256() if (compute_digest or telemetry_path is not None) else None
-    writer = None
     fh = None
-    if telemetry_path is not None:
-        fh = open(telemetry_path, "w", newline="")
-        writer = csv.writer(fh)
-    header = _telemetry_header(n, m)
-    if digest is not None:
-        digest.update((",".join(header) + "\r\n").encode())
-    if writer is not None:
-        writer.writerow(header)
-
     try:
+        if digest is not None:
+            # one float row per tick: t, 13 cells per drone, z, V; the drone
+            # cells are an (N, 13) view, and one format string renders it all
+            row = np.empty(2 + 13 * n + m)
+            drone_cells = row[1:1 + 13 * n].reshape(n, 13)
+            row_fmt = ",".join([TELEMETRY_FLOAT_FORMAT] * row.size) + "\r\n"
+            header = (",".join(_telemetry_header(n, m)) + "\r\n").encode()
+            digest.update(header)
+            if telemetry_path is not None:
+                fh = open(telemetry_path, "wb")
+                fh.write(header)
         for k in range(n_ticks + 1):
             t = times[k]
             # publish
@@ -228,23 +231,26 @@ def run(
             hist.edge_diffs[k] = z
             eta = neighbor_disagreement(xbar, idx, mask)
             hist.lyapunov[k] = lyapunov_value(eta, sat_p)
-            if digest is not None or writer is not None:
-                row = [TELEMETRY_FLOAT_FORMAT % t]
-                for i in range(n):
-                    row.extend(
-                        TELEMETRY_FLOAT_FORMAT % v
-                        for v in (
-                            pos[i, 0], pos[i, 1], theta[i], phi[i], g[i], x[i],
-                            xbar[i], u[i], xdot_d[i], amp[i], a_cmd[i], omega[i],
-                            exterior[i],
-                        )
-                    )
-                row.extend(TELEMETRY_FLOAT_FORMAT % v for v in z)
-                row.append(TELEMETRY_FLOAT_FORMAT % hist.lyapunov[k])
-                if digest is not None:
-                    digest.update((",".join(row) + "\r\n").encode())
-                if writer is not None:
-                    writer.writerow(row)
+            if digest is not None:
+                row[0] = t
+                drone_cells[:, 0:2] = pos
+                drone_cells[:, 2] = theta
+                drone_cells[:, 3] = phi
+                drone_cells[:, 4] = g
+                drone_cells[:, 5] = x
+                drone_cells[:, 6] = xbar
+                drone_cells[:, 7] = u
+                drone_cells[:, 8] = xdot_d
+                drone_cells[:, 9] = amp
+                drone_cells[:, 10] = a_cmd
+                drone_cells[:, 11] = omega
+                drone_cells[:, 12] = exterior
+                row[1 + 13 * n:-1] = z
+                row[-1] = hist.lyapunov[k]
+                line = (row_fmt % tuple(row.tolist())).encode()
+                digest.update(line)
+                if fh is not None:
+                    fh.write(line)
             # advance
             if k < n_ticks:
                 pos, theta = unicycle_step(pos, theta, omega, speed, dt, wind)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -72,6 +73,25 @@ class TestRun:
         doc = yaml.safe_load(capsys.readouterr().out)
         assert doc["name"]
         assert doc["telemetry_sha256"]
+
+    def test_telemetry_file_is_the_digested_bytes(self, scenario_dir, tmp_path, capsys):
+        scn = str(scenario_dir / "two_drones.scn")
+        telem = tmp_path / "out.csv"
+        summ = tmp_path / "summary.yaml"
+        args = ["run", scn, "--set", "t_end_s=5"]
+        assert main(args + ["--telemetry", str(telem), "--summary", str(summ)]) == 0
+        with_file = yaml.safe_load(summ.read_text())
+        data = telem.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == with_file["telemetry_sha256"]
+        lines = data.split(b"\r\n")
+        assert lines[-1] == b""  # the last line ends in CR LF too
+        assert len(lines) == with_file["n_ticks"] + 3
+        assert all(b"\r" not in line and b"\n" not in line for line in lines)
+        # without a file the digest covers the same bytes
+        capsys.readouterr()
+        assert main(args + ["--digest"]) == 0
+        file_less = yaml.safe_load(capsys.readouterr().out)
+        assert file_less["telemetry_sha256"] == with_file["telemetry_sha256"]
 
     def test_invalid_override_rejected(self, scenario_dir, capsys):
         code = main(

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import math
 
 import numpy as np
@@ -101,6 +102,48 @@ class TestDeterminism:
         assert np.array_equal(a.positions, b.positions)
 
 
+_REFERENCE_STEMS = (
+    "p{i}_x_m", "p{i}_y_m", "theta{i}_rad", "phi{i}_m", "gamma{i}_m",
+    "x{i}_m", "xbar{i}_m", "u{i}", "xdot_d{i}_mps", "A{i}_m", "A_d{i}_m",
+    "omega{i}_rad_s", "branch{i}",
+)
+
+
+def reference_telemetry(res) -> bytes:
+    """Telemetry bytes of a finished run, one ``%`` per cell through csv.writer.
+
+    This is the formatter the simulator used before it rendered each
+    row with a single format string; it reads the history arrays, which
+    hold exactly the values the tick wrote, branch codes as int8.
+    """
+    n, m = res.scenario.n_drones, res.scenario.graph.n_edges
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    header = ["t_s"]
+    for i in range(1, n + 1):
+        header.extend(stem.format(i=i) for stem in _REFERENCE_STEMS)
+    header.extend(f"z{k}_m" for k in range(1, m + 1))
+    header.append("V")
+    writer.writerow(header)
+    for k, t in enumerate(res.times):
+        row = [TELEMETRY_FLOAT_FORMAT % t]
+        for i in range(n):
+            row.extend(
+                TELEMETRY_FLOAT_FORMAT % v
+                for v in (
+                    res.positions[k, i, 0], res.positions[k, i, 1], res.headings[k, i],
+                    res.phis[k, i], res.gammas[k, i], res.path_parameters[k, i],
+                    res.averaged_parameters[k, i], res.inputs[k, i],
+                    res.desired_velocities[k, i], res.amplitudes[k, i],
+                    res.commanded_amplitudes[k, i], res.omegas[k, i], res.branches[k, i],
+                )
+            )
+        row.extend(TELEMETRY_FLOAT_FORMAT % v for v in res.edge_diffs[k])
+        row.append(TELEMETRY_FLOAT_FORMAT % res.lyapunov[k])
+        writer.writerow(row)
+    return buf.getvalue().encode()
+
+
 @pytest.fixture(scope="module")
 def telemetry_run(tmp_path_factory, scenario_dir):
     out = tmp_path_factory.mktemp("telemetry") / "pair.csv"
@@ -156,6 +199,30 @@ class TestTelemetry:
                 )
                 assert row[cols[f"branch{d}"]] in ("0", "1")
             assert float(row[cols["V"]]) == pytest.approx(res.lyapunov[k], rel=1e-8, abs=1e-8)
+
+    @pytest.mark.parametrize("case", ["windy-delayed-eight", "single-drone"])
+    def test_file_bytes_match_per_cell_formatter(self, case, scenario_dir, tmp_path):
+        if case == "single-drone":
+            doc = single_drone_doc()
+        else:
+            # 40 m lateral offsets put drones on the exterior branch early on
+            doc = apply_overrides(
+                load_mapping(scenario_dir / "eight_drones.scn"),
+                [
+                    "t_end_s=40", "wind_mps=[1.5,-2.0]",
+                    "consensus.comm_delay_ticks=7", "initial.offsets_m=40.0",
+                ],
+            )
+        out = tmp_path / "telemetry.csv"
+        res = run(build_scenario(doc), telemetry_path=out)
+        if case == "single-drone":
+            assert res.edge_diffs.shape[1] == 0  # empty z block
+        else:
+            assert res.scenario.comm_delay_ticks == 7
+            assert res.branches.any() and not res.branches.all()
+        data = out.read_bytes()
+        assert data == reference_telemetry(res)
+        assert hashlib.sha256(data).hexdigest() == res.telemetry_digest
 
     def test_no_digest_without_request(self):
         res = run(build_scenario(single_drone_doc()))
