@@ -91,14 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    mapping = load_mapping(args.scenario)
-    mapping = apply_overrides(mapping, args.overrides)
-    violations = validate_mapping(mapping)
-    if violations:
-        for v in violations:
-            print(f"invalid: {v}", file=sys.stderr)
-        return 2
-    scenario = build_scenario(mapping)
+    mapping = apply_overrides(load_mapping(args.scenario), args.overrides)
+    scenario = build_scenario(mapping)  # ScenarioError: main reports it, exit 2
     result = run_sim(
         scenario,
         telemetry_path=args.telemetry,

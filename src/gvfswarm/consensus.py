@@ -220,18 +220,11 @@ def neighbor_gather(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     bit-for-bit reproducible.
     """
     nbrs = [graph.neighbors(i) for i in range(graph.n_nodes)]
-    dmax = max((len(n) for n in nbrs), default=0)
-    dmax = max(dmax, 1)
-    idx = np.empty((graph.n_nodes, dmax), dtype=np.int64)
-    mask = np.zeros((graph.n_nodes, dmax))
-    for i, row in enumerate(nbrs):
-        for d in range(dmax):
-            if d < len(row):
-                idx[i, d] = row[d]
-                mask[i, d] = 1.0
-            else:
-                idx[i, d] = i
-    return idx, mask
+    degree = np.array([len(row) for row in nbrs])
+    real = np.arange(max(int(degree.max()), 1)) < degree[:, None]
+    idx = np.repeat(np.arange(graph.n_nodes, dtype=np.int64)[:, None], real.shape[1], axis=1)
+    idx[real] = [j for row in nbrs for j in row]  # row-major: row i's slots in order
+    return idx, real.astype(float)
 
 
 def neighbor_disagreement(x, idx: np.ndarray, mask: np.ndarray, own=None):

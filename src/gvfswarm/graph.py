@@ -56,11 +56,14 @@ class Graph:
 
     n_nodes: int
     edges: tuple[tuple[int, int], ...] = field(default_factory=tuple)
+    # sorted neighbors of each node, built with the edge checks
+    _adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ValueError(f"graph needs at least one node, got {self.n_nodes}")
         seen: set[frozenset[int]] = set()
+        adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
         for tail, head in self.edges:
             if not (0 <= tail < self.n_nodes and 0 <= head < self.n_nodes):
                 raise ValueError(f"edge ({tail}, {head}) out of range for {self.n_nodes} nodes")
@@ -70,6 +73,9 @@ class Graph:
             if key in seen:
                 raise ValueError(f"duplicate edge ({tail}, {head})")
             seen.add(key)
+            adj[tail].append(head)
+            adj[head].append(tail)
+        object.__setattr__(self, "_adjacency", tuple(tuple(sorted(a)) for a in adj))
 
     @classmethod
     def from_one_based(cls, n_nodes: int, edges) -> "Graph":
@@ -85,13 +91,7 @@ class Graph:
         """Sorted 0-based neighbors of ``node``."""
         if not 0 <= node < self.n_nodes:
             raise ValueError(f"node {node} out of range")
-        out = set()
-        for tail, head in self.edges:
-            if tail == node:
-                out.add(head)
-            elif head == node:
-                out.add(tail)
-        return tuple(sorted(out))
+        return self._adjacency[node]
 
     def incidence_matrix(self) -> np.ndarray:
         """Oriented incidence matrix B, shape (n_nodes, n_edges), int64.
@@ -118,10 +118,6 @@ class Graph:
     def check_spanning_tree(self) -> TreeCheck:
         """Check connectivity and acyclicity by breadth-first search."""
         n = self.n_nodes
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for tail, head in self.edges:
-            adj[tail].append(head)
-            adj[head].append(tail)
         visited = [False] * n
         n_components = 0
         for start in range(n):
@@ -132,7 +128,7 @@ class Graph:
             queue = [start]
             while queue:
                 node = queue.pop()
-                for nbr in adj[node]:
+                for nbr in self._adjacency[node]:
                     if not visited[nbr]:
                         visited[nbr] = True
                         queue.append(nbr)

@@ -36,16 +36,19 @@ A scenario is a single YAML mapping with unit-suffixed keys:
       offsets_m: 0.0                      # initial lateral offsets
       headings_rad: auto                  # auto = path direction
 
-validate_mapping returns a list of human-readable violations (empty
-means valid); build_scenario performs the same checks and then
-constructs the typed Scenario, so a scenario that validates cleanly
-always builds and vice versa.
+One parse checks each key once, keeps the parsed value and records
+every violation; it constructs the typed Scenario only when nothing was
+violated. validate_mapping and build_scenario are two views of that
+parse: the violation list (empty means valid), or the Scenario with
+ScenarioError carrying the same list. A scenario that validates cleanly
+therefore always builds, and vice versa.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -174,8 +177,33 @@ def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _finite(x) -> bool:
+    # rejects nan, +-inf and ints beyond the float range
+    return _is_num(x) and abs(x) <= sys.float_info.max
+
+
 def _pos_num(x) -> bool:
-    return _is_num(x) and math.isfinite(x) and x > 0
+    return _finite(x) and x > 0
+
+
+def _seq(x, n=None) -> bool:
+    return isinstance(x, (list, tuple)) and (n is None or len(x) == n)
+
+
+def _pair(x) -> bool:
+    return _seq(x, 2) and all(map(_finite, x))
+
+
+def _check(value, ok, label: str, message: str, bad: list):
+    """``value`` if ``ok(value)``, else None with the violation recorded."""
+    if ok(value):
+        return value
+    bad.append(f"{label}: {message}")
+    return None
 
 
 def _section(mapping: dict, key: str, allowed: set, bad: list) -> dict:
@@ -192,332 +220,210 @@ def _section(mapping: dict, key: str, allowed: set, bad: list) -> dict:
 
 
 def _per_drone(value, n: int, label: str, bad: list) -> np.ndarray | None:
-    """Accept a scalar or a length-n list of numbers."""
-    if _is_num(value):
+    """A finite number or n finite numbers, as an (n,) float array."""
+    if _finite(value):
         return np.full(n, float(value))
-    if isinstance(value, (list, tuple)):
-        if len(value) != n or not all(_is_num(v) for v in value):
-            bad.append(f"{label}: expected a number or {n} numbers")
-            return None
+    if _seq(value, n) and all(map(_finite, value)):
         return np.array([float(v) for v in value])
     bad.append(f"{label}: expected a number or {n} numbers")
     return None
 
 
-def validate_mapping(mapping: dict) -> list[str]:
-    """Check a raw scenario mapping; returns violations, empty if valid."""
-    bad: list[str] = []
+def _parse(mapping) -> tuple[Scenario | None, list[str]]:
+    """One pass over a raw mapping: (Scenario, []) or (None, violations)."""
     if not isinstance(mapping, dict):
-        return ["scenario document must be a mapping"]
-    for k in mapping:
-        if k not in _TOP_KEYS:
-            bad.append(f"{k}: unknown key")
+        return None, ["scenario document must be a mapping"]
+    bad = [f"{k}: unknown key" for k in mapping if k not in _TOP_KEYS]
 
     name = mapping.get("name", "scenario")
-    if not isinstance(name, str) or not name:
-        bad.append("name: must be a non-empty string")
-
-    speed_raw = mapping.get("speed_mps")
-    speed = None
-    if isinstance(speed_raw, (list, tuple)):
-        if speed_raw and all(_pos_num(v) for v in speed_raw):
-            vals = {float(v) for v in speed_raw}
-            if len(vals) == 1:
-                speed = vals.pop()
-            else:
-                bad.append("speed_mps: all drones must share one ground speed")
-        else:
+    name = _check(name, lambda s: isinstance(s, str) and s, "name",
+                  "must be a non-empty string", bad)
+    speed = mapping.get("speed_mps")
+    if isinstance(speed, (list, tuple)):
+        speeds = {float(v) for v in speed} if speed and all(map(_pos_num, speed)) else set()
+        if not speeds:
             bad.append("speed_mps: must be a positive number or equal positive numbers")
-    elif _pos_num(speed_raw):
-        speed = float(speed_raw)
+        elif len(speeds) > 1:
+            bad.append("speed_mps: all drones must share one ground speed")
+        speed = speeds.pop() if len(speeds) == 1 else None
     else:
-        bad.append("speed_mps: required positive number")
-
-    dt = mapping.get("dt_s")
-    if not _pos_num(dt):
-        bad.append("dt_s: required positive number")
-        dt = None
-    t_end = mapping.get("t_end_s")
-    if not _pos_num(t_end):
-        bad.append("t_end_s: required positive number")
-        t_end = None
+        speed = _check(speed, _pos_num, "speed_mps", "required positive number", bad)
+    dt = _check(mapping.get("dt_s"), _pos_num, "dt_s", "required positive number", bad)
+    t_end = _check(mapping.get("t_end_s"), _pos_num, "t_end_s", "required positive number", bad)
     if dt is not None and t_end is not None and t_end < dt:
         bad.append(f"t_end_s: must cover at least one step of dt_s ({t_end} < {dt})")
-
     seed = mapping.get("seed")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):
+    if seed is not None and not (_is_int(seed) and seed >= 0):
         bad.append("seed: must be a non-negative integer or absent")
-
     wind = mapping.get("wind_mps", [0.0, 0.0])
-    if not (
-        isinstance(wind, (list, tuple))
-        and len(wind) == 2
-        and all(_is_num(w) and math.isfinite(w) for w in wind)
-    ):
-        bad.append("wind_mps: must be two finite numbers [east, north]")
-
+    wind = _check(wind, _pair, "wind_mps", "must be two finite numbers [east, north]", bad)
     threshold = mapping.get("convergence_threshold_m", 1.0)
-    if not _pos_num(threshold):
-        bad.append("convergence_threshold_m: must be a positive number")
+    threshold = _check(threshold, _pos_num, "convergence_threshold_m",
+                       "must be a positive number", bad)
 
-    # graph
     gsec = _section(mapping, "graph", _GRAPH_KEYS, bad)
-    n = gsec.get("n_drones")
+    n = _check(gsec.get("n_drones"), lambda v: _is_int(v) and v >= 1,
+               "graph.n_drones", "required integer >= 1", bad)
     graph = None
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        bad.append("graph.n_drones: required integer >= 1")
-        n = None
-    else:
-        edges = gsec.get("edges", [])
-        if edges is None:
-            edges = []
-        ok_shape = isinstance(edges, (list, tuple)) and all(
-            isinstance(e, (list, tuple))
-            and len(e) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in e)
-            for e in edges
-        )
-        if not ok_shape:
-            bad.append("graph.edges: must be a list of 1-based [i, j] pairs")
-        else:
+    if n is not None:
+        edges = gsec.get("edges", [])  # only null means "no edges"
+        edges = _check([] if edges is None else edges,
+                       lambda es: _seq(es) and all(_seq(e, 2) and all(map(_is_int, e)) for e in es),
+                       "graph.edges", "must be a list of 1-based [i, j] pairs", bad)
+        if edges is not None:
             try:
                 graph = Graph.from_one_based(n, edges)
             except ValueError as exc:
                 bad.append(f"graph.edges: {exc}")
-        if graph is not None:
-            check = graph.check_spanning_tree()
-            if not check.is_tree:
-                bad.append(f"graph: must be a spanning tree, {check.message}")
+        if graph is not None and not (tree := graph.check_spanning_tree()).is_tree:
+            bad.append(f"graph: must be a spanning tree, {tree.message}")
 
-    # paths
     psec = _section(mapping, "paths", _PATH_KEYS, bad)
-    alpha = psec.get("alpha_rad", 0.0)
-    if not (_is_num(alpha) and math.isfinite(alpha)):
-        bad.append("paths.alpha_rad: must be a finite number")
-    origin = psec.get("origin_m", [0.0, 0.0])
-    if not (
-        isinstance(origin, (list, tuple))
-        and len(origin) == 2
-        and all(_is_num(v) and math.isfinite(v) for v in origin)
-    ):
-        bad.append("paths.origin_m: must be two finite numbers")
+    alpha = _check(psec.get("alpha_rad", 0.0), _finite,
+                   "paths.alpha_rad", "must be a finite number", bad)
+    origin = _check(psec.get("origin_m", [0.0, 0.0]), _pair,
+                    "paths.origin_m", "must be two finite numbers", bad)
     origins = psec.get("origins_m")
-    spacing = psec.get("spacing_m")
     if origins is not None:
-        ok = isinstance(origins, (list, tuple)) and (n is None or len(origins) == n) and all(
-            isinstance(o, (list, tuple))
-            and len(o) == 2
-            and all(_is_num(v) and math.isfinite(v) for v in o)
-            for o in origins
-        )
-        if not ok:
-            bad.append("paths.origins_m: must list one [x, y] per drone")
-    else:
-        if n is not None and n > 1 and not (_is_num(spacing) and math.isfinite(spacing)):
-            bad.append("paths.spacing_m: required (finite number) when origins_m is absent")
+        origins = _check(origins, lambda o: _seq(o, n) and all(map(_pair, o)),
+                         "paths.origins_m", "must list one [x, y] per drone", bad)
+    elif n is not None:
+        # a single drone needs no spacing; null counts as absent
+        spacing = psec.get("spacing_m")
+        spacing = _check(0.0 if spacing is None and n == 1 else spacing, _finite, "paths.spacing_m",
+                         "required (finite number) when origins_m is absent", bad)
+        if None not in (alpha, origin, spacing):
+            base = np.array([float(origin[0]), float(origin[1])])
+            normal = np.array([-math.sin(alpha), math.cos(alpha)])
+            with np.errstate(all="ignore"):
+                origins = [base + i * float(spacing) * normal for i in range(n)]
+            if not np.isfinite(origins).all():
+                bad.append(f"paths.spacing_m: {spacing} puts the lines beyond the float range")
 
-    # gvf gains
     vsec = _section(mapping, "gvf", _GVF_KEYS, bad)
+    gains = {}
     if n is not None:
         for key in ("k_e", "k_n"):
-            arr = _per_drone(vsec.get(key, 1.0), n, f"gvf.{key}", bad)
-            if arr is not None and not np.all(arr > 0):
-                bad.append(f"gvf.{key}: must be positive")
+            gain = _per_drone(vsec.get(key, 1.0), n, f"gvf.{key}", bad)
+            if gain is not None:
+                gains[key] = _check(gain, lambda g: np.all(g > 0),
+                                    f"gvf.{key}", "must be positive", bad)
 
-    # oscillation
     osec = _section(mapping, "oscillation", _OSC_KEYS, bad)
-    w = osec.get("w_gamma_rad_s")
-    if not _pos_num(w):
-        bad.append("oscillation.w_gamma_rad_s: required positive number")
-        w = None
-    k_a = osec.get("k_a", 1.35)
-    if not (_is_num(k_a) and k_a > 1.0):
-        bad.append("oscillation.k_a: must exceed 1")
-        k_a = None
+    w = _check(osec.get("w_gamma_rad_s"), _pos_num,
+               "oscillation.w_gamma_rad_s", "required positive number", bad)
+    k_a = _check(osec.get("k_a", 1.35), lambda k: _is_num(k) and k > 1.0,
+                 "oscillation.k_a", "must exceed 1", bad)
+    if k_a is not None:
+        k_a = _check(k_a, _finite, "oscillation.k_a", "must be finite", bad)
+    limit = None if speed is None or w is None else speed / w
+
+    def within_limit(key: str, value) -> None:
+        if value is not None and limit is not None and value > limit * (1.0 + 1e-9):
+            bad.append(f"oscillation.{key}: {value} exceeds the kinematic limit v/w = {limit:.6g}")
+
     cap = osec.get("amplitude_cap_m", "auto")
     if cap != "auto":
-        if not _pos_num(cap):
-            bad.append("oscillation.amplitude_cap_m: must be a positive number or 'auto'")
-            cap = None
-        elif speed is not None and w is not None and cap > speed / w * (1.0 + 1e-9):
-            bad.append(
-                f"oscillation.amplitude_cap_m: {cap} exceeds the kinematic limit v/w = {speed / w:.6g}"
-            )
+        cap = _check(cap, _pos_num, "oscillation.amplitude_cap_m",
+                     "must be a positive number or 'auto'", bad)
+        within_limit("amplitude_cap_m", cap)
     tau_a = osec.get("tau_a_s", "auto")
-    if tau_a != "auto" and not _pos_num(tau_a):
-        bad.append("oscillation.tau_a_s: must be a positive number or 'auto'")
+    if tau_a != "auto":
+        tau_a = _check(tau_a, _pos_num, "oscillation.tau_a_s",
+                       "must be a positive number or 'auto'", bad)
     fixed = osec.get("fixed_amplitude_m")
     if fixed is not None:
-        if not (_is_num(fixed) and fixed >= 0.0):
-            bad.append("oscillation.fixed_amplitude_m: must be a non-negative number or null")
-        elif speed is not None and w is not None and fixed > speed / w * (1.0 + 1e-9):
-            bad.append(
-                f"oscillation.fixed_amplitude_m: {fixed} exceeds the kinematic limit v/w = {speed / w:.6g}"
-            )
+        fixed = _check(fixed, lambda f: _is_num(f) and f >= 0.0, "oscillation.fixed_amplitude_m",
+                       "must be a non-negative number or null", bad)
+        within_limit("fixed_amplitude_m", fixed)
     if dt is not None and w is not None and dt >= 0.1 / w:
-        bad.append(
-            f"dt_s: {dt} too coarse for the oscillation, need dt < 0.1/w_gamma = {0.1 / w:.6g}"
-        )
+        bad.append(f"dt_s: {dt} too coarse for the oscillation, "
+                   f"need dt < 0.1/w_gamma = {0.1 / w:.6g}")
 
-    # consensus
     csec = _section(mapping, "consensus", _CONS_KEYS, bad)
-    k_u = csec.get("k_u")
-    if not _pos_num(k_u):
-        bad.append("consensus.k_u: required positive number")
-        k_u = None
-    r = csec.get("r_m")
-    if not _pos_num(r):
-        bad.append("consensus.r_m: required positive number")
-    tau_l = csec.get("tau_l", 0.0)
-    if not (_is_num(tau_l) and tau_l >= 0.0):
-        bad.append("consensus.tau_l: must be non-negative")
-        tau_l = None
+    k_u = _check(csec.get("k_u"), _pos_num, "consensus.k_u", "required positive number", bad)
+    r = _check(csec.get("r_m"), _pos_num, "consensus.r_m", "required positive number", bad)
+    tau_l = _check(csec.get("tau_l", 0.0), lambda t: _is_num(t) and t >= 0.0,
+                   "consensus.tau_l", "must be non-negative", bad)
+    if tau_l is not None:
+        tau_l = _check(tau_l, _finite, "consensus.tau_l", "must be finite", bad)
     tau_h = csec.get("tau_h", "auto")
-    if tau_h != "auto" and not _pos_num(tau_h):
-        bad.append("consensus.tau_h: must be a positive number or 'auto'")
-    elif (
-        tau_h != "auto"
-        and None not in (speed, k_a, k_u, tau_l)
-    ):
-        auto = (speed - epsilon(speed, k_a)) / k_u
-        if abs(tau_h - auto) > _TAU_H_RTOL * auto:
+    if tau_h != "auto":
+        tau_h = _check(tau_h, _pos_num, "consensus.tau_h",
+                       "must be a positive number or 'auto'", bad)
+    if None not in (speed, k_a, k_u, tau_l, tau_h):
+        auto = (float(speed) - epsilon(float(speed), float(k_a))) / float(k_u)
+        if tau_h == "auto":
+            tau_h = auto
+        elif abs(tau_h - auto) > _TAU_H_RTOL * auto:
             bad.append(
                 f"consensus.tau_h: {tau_h} disagrees with (v - eps)/k_u = {auto:.9g}; "
                 "set 'auto' or match it"
             )
-        if tau_l is not None and tau_h <= tau_l:
+        if tau_h <= tau_l:
             bad.append("consensus.tau_h: must exceed tau_l")
-    delay = csec.get("comm_delay_ticks", 0)
-    if not isinstance(delay, int) or isinstance(delay, bool) or delay < 0:
-        bad.append("consensus.comm_delay_ticks: must be a non-negative integer")
+    delay = _check(csec.get("comm_delay_ticks", 0), lambda d: _is_int(d) and d >= 0,
+                   "consensus.comm_delay_ticks", "must be a non-negative integer", bad)
 
-    # initial conditions
     isec = _section(mapping, "initial", _INIT_KEYS, bad)
     params = isec.get("parameters_m")
     span = isec.get("parameter_span_m")
     if (params is None) == (span is None):
         bad.append("initial: give exactly one of parameters_m or parameter_span_m")
     if params is not None and n is not None:
-        if not (
-            isinstance(params, (list, tuple))
-            and len(params) == n
-            and all(_is_num(v) and math.isfinite(v) for v in params)
-        ):
-            bad.append(f"initial.parameters_m: must list {n} finite numbers")
+        params = _check(params, lambda p: _seq(p, n) and all(map(_finite, p)),
+                        "initial.parameters_m", f"must list {n} finite numbers", bad)
     if span is not None:
-        ok = (
-            isinstance(span, (list, tuple))
-            and len(span) == 2
-            and all(_is_num(v) and math.isfinite(v) for v in span)
-            and span[0] <= span[1]
-        )
-        if not ok:
-            bad.append("initial.parameter_span_m: must be [low, high] with low <= high")
+        span = _check(span, lambda s: _pair(s) and s[0] <= s[1],
+                      "initial.parameter_span_m", "must be [low, high] with low <= high", bad)
+        if span is not None and not math.isfinite(float(span[1]) - float(span[0])):
+            bad.append("initial.parameter_span_m: high - low must be a finite number")
         if seed is None:
             bad.append("seed: required when initial.parameter_span_m is used")
     if n is not None:
-        off = isec.get("offsets_m", 0.0)
-        _per_drone(off, n, "initial.offsets_m", bad)
+        offsets = _per_drone(isec.get("offsets_m", 0.0), n, "initial.offsets_m", bad)
         headings = isec.get("headings_rad", "auto")
         if headings != "auto":
-            _per_drone(headings, n, "initial.headings_rad", bad)
-    return bad
-
-
-def build_scenario(mapping: dict) -> Scenario:
-    """Validate and construct the typed scenario."""
-    bad = validate_mapping(mapping)
+            headings = _per_drone(headings, n, "initial.headings_rad", bad)
     if bad:
-        raise ScenarioError(bad)
+        return None, bad
 
-    name = mapping.get("name", "scenario")
-    speed_raw = mapping.get("speed_mps")
-    speed = float(speed_raw[0]) if isinstance(speed_raw, (list, tuple)) else float(speed_raw)
-    dt = float(mapping["dt_s"])
-    t_end = float(mapping["t_end_s"])
-    seed = mapping.get("seed")
-    wind = np.array([float(v) for v in mapping.get("wind_mps", [0.0, 0.0])])
-    threshold = float(mapping.get("convergence_threshold_m", 1.0))
-
-    gsec = mapping.get("graph", {})
-    n = int(gsec["n_drones"])
-    graph = Graph.from_one_based(n, gsec.get("edges") or [])
-
-    psec = mapping.get("paths") or {}
-    alpha = float(psec.get("alpha_rad", 0.0))
-    origin = psec.get("origin_m", [0.0, 0.0])
-    origins = psec.get("origins_m")
-    if origins is None:
-        spacing = float(psec.get("spacing_m", 0.0))
-        base = np.array([float(origin[0]), float(origin[1])])
-        normal = np.array([-math.sin(alpha), math.cos(alpha)])
-        origins = [base + i * spacing * normal for i in range(n)]
-    paths = tuple(
-        StraightLinePath(origin=(float(o[0]), float(o[1])), alpha_rad=alpha) for o in origins
-    )
-
-    vsec = mapping.get("gvf") or {}
-    scratch: list[str] = []
-    k_e = _per_drone(vsec.get("k_e", 1.0), n, "gvf.k_e", scratch)
-    k_n = _per_drone(vsec.get("k_n", 1.0), n, "gvf.k_n", scratch)
-
-    osec = mapping.get("oscillation", {})
-    w = float(osec["w_gamma_rad_s"])
-    k_a = float(osec.get("k_a", 1.35))
-    cap = osec.get("amplitude_cap_m", "auto")
-    tau_a = osec.get("tau_a_s", "auto")
+    alpha = float(alpha)
+    if params is not None:
+        initial_parameters = np.array([float(v) for v in params])
+    else:
+        rng = np.random.default_rng(seed)
+        initial_parameters = rng.uniform(float(span[0]), float(span[1]), size=n)
     oscillation = OscillationConfig(
-        speed=speed,
-        w_gamma=w,
-        k_a=k_a,
+        speed=float(speed), w_gamma=float(w), k_a=float(k_a),
         amplitude_cap=None if cap == "auto" else float(cap),
         tau_a=None if tau_a == "auto" else float(tau_a),
     )
-    fixed = osec.get("fixed_amplitude_m")
-    fixed = None if fixed is None else float(fixed)
-
-    csec = mapping.get("consensus", {})
-    k_u = float(csec["k_u"])
-    r = float(csec["r_m"])
-    tau_l = float(csec.get("tau_l", 0.0))
-    tau_h = csec.get("tau_h", "auto")
-    if tau_h == "auto":
-        tau_h = (speed - epsilon(speed, k_a)) / k_u
-    saturation = SaturationParams(tau_l=tau_l, tau_h=float(tau_h), r=r)
-    delay = int(csec.get("comm_delay_ticks", 0))
-
-    isec = mapping.get("initial", {})
-    if isec.get("parameters_m") is not None:
-        initial_parameters = np.array([float(v) for v in isec["parameters_m"]])
-    else:
-        lo, hi = isec["parameter_span_m"]
-        rng = np.random.default_rng(seed)
-        initial_parameters = rng.uniform(float(lo), float(hi), size=n)
-    initial_offsets = _per_drone(isec.get("offsets_m", 0.0), n, "initial.offsets_m", scratch)
-    headings = isec.get("headings_rad", "auto")
-    if headings == "auto":
-        initial_headings = np.full(n, alpha)
-    else:
-        initial_headings = _per_drone(headings, n, "initial.headings_rad", scratch)
-
-    return Scenario(
-        name=str(name),
-        speed=speed,
-        dt=dt,
-        t_end=t_end,
-        seed=None if seed is None else int(seed),
-        graph=graph,
-        paths=paths,
-        k_e=k_e,
-        k_n=k_n,
+    paths = (StraightLinePath(origin=(float(o[0]), float(o[1])), alpha_rad=alpha) for o in origins)
+    scenario = Scenario(
+        name=name, speed=float(speed), dt=float(dt), t_end=float(t_end), seed=seed,
+        graph=graph, paths=tuple(paths), k_e=gains["k_e"], k_n=gains["k_n"],
         oscillation=oscillation,
-        saturation=saturation,
-        k_u=k_u,
-        comm_delay_ticks=delay,
-        fixed_amplitude=fixed,
+        saturation=SaturationParams(tau_l=float(tau_l), tau_h=float(tau_h), r=float(r)),
+        k_u=float(k_u), comm_delay_ticks=delay,
+        fixed_amplitude=None if fixed is None else float(fixed),
         initial_parameters=initial_parameters,
-        initial_offsets=initial_offsets,
-        initial_headings=initial_headings,
-        wind=wind,
-        convergence_threshold=threshold,
+        initial_offsets=offsets,
+        initial_headings=np.full(n, alpha) if isinstance(headings, str) else headings,
+        wind=np.array([float(v) for v in wind]),
+        convergence_threshold=float(threshold),
     )
+    return scenario, []
+
+
+def validate_mapping(mapping: dict) -> list[str]:
+    """Check a raw scenario mapping; returns violations, empty if valid."""
+    return _parse(mapping)[1]
+
+
+def build_scenario(mapping: dict) -> Scenario:
+    """Construct the typed scenario; ScenarioError lists every violation."""
+    scenario, bad = _parse(mapping)
+    if bad:
+        raise ScenarioError(bad)
+    return scenario

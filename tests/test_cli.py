@@ -93,6 +93,15 @@ class TestRun:
         file_less = yaml.safe_load(capsys.readouterr().out)
         assert file_less["telemetry_sha256"] == with_file["telemetry_sha256"]
 
+    def test_run_reports_what_validate_reports(self, scenario_dir, capsys):
+        # the resolved tau_h (auto, about 87.5 here) must exceed tau_l
+        args = [str(scenario_dir / "two_drones.scn"), "--set", "consensus.tau_l=1000"]
+        assert main(["validate"] + args) == 2
+        validated = capsys.readouterr().err
+        assert main(["run"] + args) == 2
+        ran = capsys.readouterr().err
+        assert validated == ran == "invalid: consensus.tau_h: must exceed tau_l\n"
+
     def test_invalid_override_rejected(self, scenario_dir, capsys):
         code = main(
             ["run", str(scenario_dir / "two_drones.scn"), "--set", "speed_mps=-16"]

@@ -38,6 +38,39 @@ def lead_node_major(own, x, idx, mask):
     return np.sum((own[..., None] - x[..., idx]) * mask, axis=-1)
 
 
+def neighbor_gather_edge_scan(graph):
+    """Reference table: each node scans every edge for its neighbors."""
+    nbrs = []
+    for node in range(graph.n_nodes):
+        out = set()
+        for tail, head in graph.edges:
+            if tail == node:
+                out.add(head)
+            elif head == node:
+                out.add(tail)
+        nbrs.append(tuple(sorted(out)))
+    dmax = max(max((len(n) for n in nbrs), default=0), 1)
+    idx = np.empty((graph.n_nodes, dmax), dtype=np.int64)
+    mask = np.zeros((graph.n_nodes, dmax))
+    for i, row in enumerate(nbrs):
+        for d in range(dmax):
+            if d < len(row):
+                idx[i, d] = row[d]
+                mask[i, d] = 1.0
+            else:
+                idx[i, d] = i
+    return idx, mask
+
+
+def random_recursive_tree(n, seed):
+    """Node i attaches to a uniformly drawn earlier node; the edges are
+    listed in shuffled order with random orientation."""
+    rng = np.random.default_rng(seed)
+    edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
+    flip = rng.random(n - 1) < 0.5
+    return Graph(n, tuple(edges[k][::-1] if flip[k] else edges[k] for k in rng.permutation(n - 1)))
+
+
 def trapezoid_window_average(av):
     """Reference average: np.trapezoid over the retained samples plus the
     lerped sliver of the partial interval."""
@@ -347,6 +380,17 @@ class TestNeighborOps:
         got = -neighbor_disagreement(x, idx, mask, own=own)
         want = lead_node_major(own, x, idx, mask)
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [TREE8, CHAIN5, STAR8, TRIANGLE, Graph(1), Graph(4, ((0, 1),)), random_recursive_tree(4096, 5)],
+        ids=["tree8", "chain5", "star8", "triangle", "single", "isolated", "rrt4096"],
+    )
+    def test_table_bitwise_equal_to_edge_scan(self, graph):
+        # the slot order, sorted neighbours padded with self, fixes the reduction order
+        got, want = neighbor_gather(graph), neighbor_gather_edge_scan(graph)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
 
     def test_padding_is_inert(self):
         # padded slots gather the node itself with zero mask weight

@@ -1,5 +1,11 @@
+import copy
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gvfswarm.scenario import (
     Scenario,
@@ -96,6 +102,28 @@ class TestValidation:
             (lambda d: d["consensus"].update(comm_delay_ticks=-1), "comm_delay_ticks"),
             (lambda d: d.update(seed="eleven"), "seed"),
             (lambda d: d["graph"].update(n_drones=0), "n_drones"),
+            (lambda d: d["graph"].update(edges={}), "graph.edges"),  # only null means no edges
+            (lambda d: d["gvf"].update(k_n=[1.0, 0.0]), "gvf.k_n: must be positive"),
+            # auto tau_h = (v - eps)/k_u is about 87.5 here
+            (lambda d: d["consensus"].update(tau_l=1000.0), "consensus.tau_h: must exceed tau_l"),
+            (lambda d: d["oscillation"].update(k_a=math.inf), "oscillation.k_a: must be finite"),
+            (lambda d: d["consensus"].update(tau_l=math.inf), "consensus.tau_l: must be finite"),
+            (lambda d: d["initial"].update(offsets_m=math.nan), "initial.offsets_m"),
+            (lambda d: d["gvf"].update(k_e=math.inf), "gvf.k_e: expected"),
+            (lambda d: d["initial"].update(headings_rad=[0.0, -math.inf]), "initial.headings_rad"),
+            (
+                lambda d: d["initial"].update(parameters_m=None, parameter_span_m=[-1e308, 1e308]),
+                "high - low",
+            ),
+            (lambda d: d["paths"].update(origin_m=[0.0, 1e308], spacing_m=1e308), "float range"),
+            (
+                lambda d: (
+                    d["graph"].update(n_drones=1, edges=None),
+                    d["initial"].update(parameters_m=[0.0]),
+                    d["paths"].update(spacing_m=math.inf),
+                ),
+                "paths.spacing_m",
+            ),
         ],
     )
     def test_violations(self, mutate, needle):
@@ -131,6 +159,87 @@ class TestValidation:
         with pytest.raises(ScenarioError) as err:
             build_scenario(doc)
         assert err.value.violations == expected
+
+
+SCHEMA_PATHS = {
+    "name", "speed_mps", "dt_s", "t_end_s", "seed", "wind_mps", "convergence_threshold_m",
+    "graph", "graph.n_drones", "graph.edges",
+    "paths", "paths.alpha_rad", "paths.origin_m", "paths.spacing_m", "paths.origins_m",
+    "gvf", "gvf.k_e", "gvf.k_n",
+    "oscillation", "oscillation.w_gamma_rad_s", "oscillation.k_a", "oscillation.amplitude_cap_m",
+    "oscillation.tau_a_s", "oscillation.fixed_amplitude_m",
+    "consensus", "consensus.k_u", "consensus.r_m", "consensus.tau_l", "consensus.tau_h",
+    "consensus.comm_delay_ticks",
+    "initial", "initial.parameters_m", "initial.parameter_span_m", "initial.offsets_m",
+    "initial.headings_rad",
+}
+DROP = object()
+ODD_VALUES = [
+    None, True, "abc", "auto", "", [], {}, [1], [1, 2, 3], [[1, 2]], [-5.0, 5.0], [5.0, -5.0],
+    [16.0, 15.0], [math.nan, 1.0], [0.0, math.inf], [-1e200, 1e200], [-1e308, 1e308],
+    math.inf, -math.inf, math.nan, 1e200, -1e200, 0, -1, 0.5, 1.0, 1000,
+]
+BAD_EDGES = [
+    [[1, 2], [2, 1]], [[1, 1]], [[0, 1]], [[1, 9]], [[1, 2], [2, 3], [3, 1]], [[1, 2, 3]],
+    [[True, 2]], [[1.0, 2.0]], {}, "1-2",
+]
+MUTATION = st.one_of(
+    st.tuples(
+        st.sampled_from(sorted(SCHEMA_PATHS) + ["bogus", "graph.bogus", "initial.extra"]),
+        st.one_of(st.just(DROP), st.sampled_from(ODD_VALUES), st.floats(), st.integers(-3, 1000)),
+    ),
+    st.tuples(st.just("graph.edges"), st.sampled_from(BAD_EDGES)),
+)
+
+
+@functools.cache
+def bundled(path) -> dict:
+    return load_mapping(path)
+
+
+def mutate(doc: dict, path: str, value) -> None:
+    *section, key = path.split(".")
+    node = doc
+    if section:
+        node = doc.get(section[0])
+        if not isinstance(node, dict):
+            node = doc[section[0]] = {}
+    if value is DROP:
+        node.pop(key, None)
+    else:
+        node[key] = copy.deepcopy(value)
+
+
+class TestParseProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        name=st.sampled_from(["eight_drones.scn", "two_drones.scn"]),
+        mutations=st.lists(MUTATION, min_size=1, max_size=4),
+    )
+    # mutants that once validated clean and then failed to build
+    @example(name="two_drones.scn", mutations=[("consensus.tau_l", 1000)])
+    @example(name="eight_drones.scn", mutations=[("oscillation.k_a", math.inf)])
+    @example(name="eight_drones.scn", mutations=[("initial.parameter_span_m", [-1e308, 1e308])])
+    def test_validates_iff_builds(self, scenario_dir, name, mutations):
+        doc = copy.deepcopy(bundled(scenario_dir / name))
+        for path, value in mutations:
+            mutate(doc, path, value)
+        violations = validate_mapping(doc)
+        try:
+            scenario = build_scenario(doc)
+        except ScenarioError as err:
+            assert violations and err.violations == violations
+        else:
+            assert violations == [] and isinstance(scenario, Scenario)
+        unknown = {k for k in doc if k not in SCHEMA_PATHS} | {
+            f"{sec}.{k}"
+            for sec, body in doc.items()
+            if isinstance(body, dict)
+            for k in body
+            if f"{sec}.{k}" not in SCHEMA_PATHS
+        }
+        for v in violations:
+            assert v.partition(": ")[0] in SCHEMA_PATHS | unknown, v
 
 
 class TestBuild:
