@@ -66,7 +66,7 @@ class SaturationParams:
 def sat(s, params: SaturationParams):
     """Saturation tau_l + (tau_h - tau_l)/r * clip(s, 0, r). Array-capable."""
     s = np.asarray(s, dtype=float)
-    out = params.tau_l + (params.tau_h - params.tau_l) / params.r * np.clip(s, 0.0, params.r)
+    out = params.tau_l + (params.tau_h - params.tau_l) / params.r * s.clip(0.0, params.r)
     return float(out) if out.ndim == 0 else out
 
 

@@ -100,6 +100,10 @@ def field_core(
     -------
     dict with f (..., 2), interior (... bool), alpha, u_phi (...),
     beta (..., 2), and f_dot ((..., 2) or None).
+
+    When every point is interior, the exterior arrays and the ``where``
+    selects are skipped and the interior arrays are returned as they
+    are: the values ``where`` would pick, so the bits are the same.
     """
     phi = np.asarray(phi, dtype=float)
     u_phi = -k_e * (phi - gamma) + gamma_dot
@@ -107,36 +111,39 @@ def field_core(
     beta = u_phi[..., None] * normal
     beta_norm = np.abs(u_phi)
     interior = beta_norm <= speed
+    all_interior = bool(interior.all())
     alpha = np.sqrt(np.maximum(speed * speed - u_phi * u_phi, 0.0))
-    f_interior = alpha[..., None] * tangent + beta
-    safe_norm = np.where(interior, 1.0, beta_norm)
-    f_exterior = speed * beta / safe_norm[..., None]
-    f = np.where(interior[..., None], f_interior, f_exterior)
+    f = alpha[..., None] * tangent + beta
+    if not all_interior:
+        safe_norm = np.where(interior, 1.0, beta_norm)
+        f_exterior = speed * beta / safe_norm[..., None]
+        f = np.where(interior[..., None], f, f_exterior)
 
     f_dot = None
     if gamma_ddot is not None and p_dot is not None:
-        phi_dot = np.sum(normal * p_dot, axis=-1)
+        phi_dot = (normal * p_dot).sum(axis=-1)
         u_phi_dot = -k_e * (phi_dot - gamma_dot) + gamma_ddot
         beta_dot = u_phi_dot[..., None] * normal
         # interior: f_dot = alpha_dot t_hat + beta_dot, with
         # alpha_dot = -(beta . beta_dot)/alpha floored near the boundary
         alpha_safe = np.maximum(alpha, ALPHA_FLOOR_REL * speed)
         alpha_dot = -(u_phi * u_phi_dot) / alpha_safe
-        f_dot_interior = alpha_dot[..., None] * tangent + beta_dot
-        # exterior: f_dot = v (I/||b|| - b b^T/||b||^3) beta_dot, the
-        # derivative of v beta/||beta|| (zero for lines, where beta_dot
-        # stays parallel to beta)
-        b_dot_b = np.sum(beta * beta_dot, axis=-1)
-        f_dot_exterior = speed * (
-            beta_dot / safe_norm[..., None]
-            - beta * (b_dot_b / safe_norm**3)[..., None]
-        )
-        f_dot = np.where(interior[..., None], f_dot_interior, f_dot_exterior)
+        f_dot = alpha_dot[..., None] * tangent + beta_dot
+        if not all_interior:
+            # exterior: f_dot = v (I/||b|| - b b^T/||b||^3) beta_dot, the
+            # derivative of v beta/||beta|| (zero for lines, where beta_dot
+            # stays parallel to beta)
+            b_dot_b = (beta * beta_dot).sum(axis=-1)
+            f_dot_exterior = speed * (
+                beta_dot / safe_norm[..., None]
+                - beta * (b_dot_b / safe_norm**3)[..., None]
+            )
+            f_dot = np.where(interior[..., None], f_dot, f_dot_exterior)
 
     return {
         "f": f,
         "interior": interior,
-        "alpha": np.where(interior, alpha, 0.0),
+        "alpha": alpha if all_interior else np.where(interior, alpha, 0.0),
         "beta": beta,
         "u_phi": u_phi,
         "phi": phi,

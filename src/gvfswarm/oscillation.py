@@ -28,6 +28,7 @@ __all__ = [
     "gamma",
     "gamma_dot",
     "gamma_ddot",
+    "wave",
     "complete_elliptic_e",
     "average_parametric_velocity",
     "average_parametric_velocity_closed_form",
@@ -111,27 +112,40 @@ class OscillationState:
     commanded_amplitude: float = 0.0
 
 
+def wave(sin_wt, cos_wt, amplitude, amplitude_rate, amplitude_accel, w_gamma):
+    """gamma, gamma_dot and gamma_ddot from a given sin(w t) and cos(w t).
+
+    The one kernel behind :func:`gamma`, :func:`gamma_dot` and
+    :func:`gamma_ddot`; the simulator calls it once per tick with the
+    phase evaluated once. Broadcasts over array inputs.
+    """
+    g = amplitude * sin_wt
+    g_dot = amplitude_rate * sin_wt + amplitude * w_gamma * cos_wt
+    g_ddot = (
+        (amplitude_accel - amplitude * w_gamma**2) * sin_wt
+        + 2.0 * amplitude_rate * w_gamma * cos_wt
+    )
+    return g, g_dot, g_ddot
+
+
+def _phase(t, w_gamma):
+    wt = w_gamma * np.asarray(t, dtype=float)
+    return np.sin(wt), np.cos(wt)
+
+
 def gamma(t, amplitude, w_gamma):
     """Lateral reference A sin(w t). Broadcasts over array inputs."""
-    t = np.asarray(t, dtype=float)
-    return amplitude * np.sin(w_gamma * t)
+    return wave(*_phase(t, w_gamma), amplitude, 0.0, 0.0, w_gamma)[0]
 
 
 def gamma_dot(t, amplitude, amplitude_rate, w_gamma):
     """Time derivative of gamma for a time-varying amplitude."""
-    t = np.asarray(t, dtype=float)
-    wt = w_gamma * t
-    return amplitude_rate * np.sin(wt) + amplitude * w_gamma * np.cos(wt)
+    return wave(*_phase(t, w_gamma), amplitude, amplitude_rate, 0.0, w_gamma)[1]
 
 
 def gamma_ddot(t, amplitude, amplitude_rate, amplitude_accel, w_gamma):
     """Second time derivative of gamma for a time-varying amplitude."""
-    t = np.asarray(t, dtype=float)
-    wt = w_gamma * t
-    return (
-        (amplitude_accel - amplitude * w_gamma**2) * np.sin(wt)
-        + 2.0 * amplitude_rate * w_gamma * np.cos(wt)
-    )
+    return wave(*_phase(t, w_gamma), amplitude, amplitude_rate, amplitude_accel, w_gamma)[2]
 
 
 def complete_elliptic_e(m: float) -> float:

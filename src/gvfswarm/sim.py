@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,6 +81,9 @@ class SimulationResult:
     lyapunov: np.ndarray
     summary: dict = field(default_factory=dict)
     telemetry_digest: str | None = None
+    # wall ns per stage (publish, control, telemetry, advance, summary);
+    # never part of the summary or the digest
+    timings: dict = field(default_factory=dict)
 
 
 def _telemetry_header(n_drones: int, n_edges: int) -> list[str]:
@@ -150,7 +154,11 @@ def run(
     amp_rate = np.zeros(n)
     amp_accel = np.zeros(n)
     averager = WindowAverager(window=cfg.period, dt=dt, shape=(n,))
-    snapshots: deque[np.ndarray] = deque(maxlen=sc.comm_delay_ticks + 1)
+    # the queue never holds more than n_ticks + 1 snapshots, so a longer
+    # delay behaves as n_ticks and deque's maxlen stays in range
+    snapshots: deque[np.ndarray] = deque(maxlen=min(sc.comm_delay_ticks, n_ticks) + 1)
+    p_dot = np.empty((n, 2))
+    p_dot_x, p_dot_y = p_dot[:, 0], p_dot[:, 1]
 
     times = np.arange(n_ticks + 1) * dt
     hist = SimulationResult(
@@ -174,6 +182,8 @@ def run(
 
     digest = hashlib.sha256() if (compute_digest or telemetry_path is not None) else None
     fh = None
+    clock = time.perf_counter_ns
+    ns_publish = ns_control = ns_telemetry = ns_advance = 0
     try:
         if digest is not None:
             # one float row per tick: t, 13 cells per drone, z, V; the drone
@@ -187,14 +197,21 @@ def run(
                 fh = open(telemetry_path, "wb")
                 fh.write(header)
         for k in range(n_ticks + 1):
+            t0 = clock()
             t = times[k]
             # publish
-            x = np.sum((pos - origins) * tangents, axis=-1)
+            offset = pos - origins
+            x = (offset * tangents).sum(axis=-1)
             averager.push(x)
             xbar = averager.average()
             snapshots.append(xbar)
+            t1 = clock()
             # control: own average against the neighbors' (delayed) ones
-            lead = -neighbor_disagreement(snapshots[0], idx, mask, own=xbar)
+            eta = neighbor_disagreement(xbar, idx, mask)
+            if snapshots[0] is xbar:
+                lead = -eta
+            else:
+                lead = -neighbor_disagreement(snapshots[0], idx, mask, own=xbar)
             u = sat(lead, sat_p)
             xdot_d = speed - sc.k_u * u
             if sc.fixed_amplitude is None:
@@ -203,17 +220,19 @@ def run(
                 a_cmd = np.minimum(raw, cap)
             else:
                 a_cmd = np.full(n, sc.fixed_amplitude)
-            g = osc.gamma(t, amp, w)
-            g_dot = osc.gamma_dot(t, amp, amp_rate, w)
-            g_ddot = osc.gamma_ddot(t, amp, amp_rate, amp_accel, w)
-            phi = np.sum((pos - origins) * normals, axis=-1)
-            p_dot = np.stack([speed * np.cos(theta), speed * np.sin(theta)], axis=-1)
+            wt = w * float(t)
+            g, g_dot, g_ddot = osc.wave(math.sin(wt), math.cos(wt), amp, amp_rate, amp_accel, w)
+            phi = (offset * normals).sum(axis=-1)
+            np.cos(theta, out=p_dot_x)
+            np.sin(theta, out=p_dot_y)
+            p_dot *= speed
             core = field_core(
                 phi, normals, tangents, speed, sc.k_e,
                 g, g_dot, gamma_ddot=g_ddot, p_dot=p_dot,
             )
             omega = heading_rate_core(core["f"], core["f_dot"], p_dot, speed, sc.k_n)
             exterior = (~core["interior"]).astype(np.int8)
+            t2 = clock()
             # telemetry
             hist.positions[k] = pos
             hist.headings[k] = theta
@@ -229,7 +248,6 @@ def run(
             hist.branches[k] = exterior
             z = xbar[tails] - xbar[heads] if m else np.empty(0)
             hist.edge_diffs[k] = z
-            eta = neighbor_disagreement(xbar, idx, mask)
             hist.lyapunov[k] = lyapunov_value(eta, sat_p)
             if digest is not None:
                 row[0] = t
@@ -251,10 +269,16 @@ def run(
                 digest.update(line)
                 if fh is not None:
                     fh.write(line)
+            t3 = clock()
             # advance
             if k < n_ticks:
                 pos, theta = unicycle_step(pos, theta, omega, speed, dt, wind)
                 amp, amp_rate, amp_accel = osc.relaxation_step(amp, a_cmd, dt, cfg.tau_a)
+            t4 = clock()
+            ns_publish += t1 - t0
+            ns_control += t2 - t1
+            ns_telemetry += t3 - t2
+            ns_advance += t4 - t3
     finally:
         if fh is not None:
             fh.close()
@@ -263,7 +287,15 @@ def run(
     # temporaries do not add to them at peak memory
     del averager, snapshots
     hist.telemetry_digest = digest.hexdigest() if digest is not None else None
+    t0 = clock()
     hist.summary = _summarize(hist, overrides=overrides)
+    hist.timings = {
+        "publish": ns_publish,
+        "control": ns_control,
+        "telemetry": ns_telemetry,
+        "advance": ns_advance,
+        "summary": clock() - t0,
+    }
     return hist
 
 

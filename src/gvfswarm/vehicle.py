@@ -60,11 +60,19 @@ def heading_rate(f, f_dot, velocity, speed: float, k_n: float) -> float:
 
 
 def wrap_angle(theta):
-    """Wrap into (-pi, pi]; values already inside pass through untouched."""
+    """Wrap into (-pi, pi]; values already inside pass through untouched.
+
+    When every value is already inside, the input array itself is
+    returned (a float for 0-d input); otherwise, and for NaN or empty
+    input, each value outside is wrapped.
+    """
     theta = np.asarray(theta, dtype=float)
-    wrapped = -(np.mod(-theta + np.pi, 2.0 * np.pi) - np.pi)
-    inside = (np.abs(theta) <= np.pi) & (theta != -np.pi)
-    out = np.where(inside, theta, wrapped)
+    if theta.size and -np.pi < theta.min() and theta.max() <= np.pi:
+        out = theta
+    else:
+        wrapped = -(np.mod(-theta + np.pi, 2.0 * np.pi) - np.pi)
+        inside = (np.abs(theta) <= np.pi) & (theta != -np.pi)
+        out = np.where(inside, theta, wrapped)
     return float(out) if out.ndim == 0 else out
 
 
@@ -76,21 +84,27 @@ def unicycle_step(position, heading, omega, speed: float, dt: float, wind=(0.0, 
     stage headings. The step preserves ||p_new - p|| <= v dt (plus the
     wind contribution) because the update is a convex combination of
     speed-v velocities. Batched over leading axes.
+
+    The three stage headings share one (3, ...) array, so one cos and
+    one sin call give all three stage velocities.
     """
     position = np.asarray(position, dtype=float)
     heading = np.asarray(heading, dtype=float)
     omega = np.asarray(omega, dtype=float)
     wind = np.asarray(wind, dtype=float)
 
-    def vel(theta):
-        return np.stack([speed * np.cos(theta), speed * np.sin(theta)], axis=-1) + wind
-
-    k1 = vel(heading)
-    k2 = vel(heading + 0.5 * dt * omega)
-    k4 = vel(heading + dt * omega)
+    new_heading = heading + dt * omega
+    thetas = np.empty((3,) + new_heading.shape)
+    thetas[0] = heading
+    thetas[1] = heading + 0.5 * dt * omega
+    thetas[2] = new_heading
+    trig = np.empty(thetas.shape + (2,))
+    np.cos(thetas, out=trig[..., 0])
+    np.sin(thetas, out=trig[..., 1])
+    trig *= speed
+    k1, k2, k4 = trig + wind
     new_position = position + (dt / 6.0) * (k1 + 4.0 * k2 + k4)
-    new_heading = wrap_angle(heading + dt * omega)
-    return new_position, new_heading
+    return new_position, wrap_angle(new_heading)
 
 
 def step_unicycle(

@@ -93,6 +93,14 @@ class TestRun:
         file_less = yaml.safe_load(capsys.readouterr().out)
         assert file_less["telemetry_sha256"] == with_file["telemetry_sha256"]
 
+    def test_huge_comm_delay_runs(self, scenario_dir, capsys):
+        delay = "consensus.comm_delay_ticks=100000000000000000000"
+        args = ["run", str(scenario_dir / "two_drones.scn"), "--set", delay]
+        assert main(args + ["--set", "t_end_s=1", "--digest"]) == 0
+        doc = yaml.safe_load(capsys.readouterr().out)
+        assert doc["overrides"] == [delay, "t_end_s=1"]
+        assert doc["telemetry_sha256"]
+
     def test_run_reports_what_validate_reports(self, scenario_dir, capsys):
         # the resolved tau_h (auto, about 87.5 here) must exceed tau_l
         args = [str(scenario_dir / "two_drones.scn"), "--set", "consensus.tau_l=1000"]

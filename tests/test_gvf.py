@@ -207,3 +207,107 @@ class TestCore:
         s = field(X_AXIS, (0.0, 1.0), V, 1.0)
         assert isinstance(s, FieldSample)
         assert s.f.shape == (2,)
+
+
+def _two_branch_core(phi, normal, tangent, speed, k_e, gamma, gamma_dot,
+                     gamma_ddot=None, p_dot=None):
+    """field_core as it was before the all-interior shortcut: both
+    branches always computed, then selected with np.where."""
+    phi = np.asarray(phi, dtype=float)
+    u_phi = -k_e * (phi - gamma) + gamma_dot
+    beta = u_phi[..., None] * normal
+    beta_norm = np.abs(u_phi)
+    interior = beta_norm <= speed
+    alpha = np.sqrt(np.maximum(speed * speed - u_phi * u_phi, 0.0))
+    f_interior = alpha[..., None] * tangent + beta
+    safe_norm = np.where(interior, 1.0, beta_norm)
+    f_exterior = speed * beta / safe_norm[..., None]
+    f = np.where(interior[..., None], f_interior, f_exterior)
+    f_dot = None
+    if gamma_ddot is not None and p_dot is not None:
+        phi_dot = np.sum(normal * p_dot, axis=-1)
+        u_phi_dot = -k_e * (phi_dot - gamma_dot) + gamma_ddot
+        beta_dot = u_phi_dot[..., None] * normal
+        alpha_safe = np.maximum(alpha, 1e-6 * speed)
+        alpha_dot = -(u_phi * u_phi_dot) / alpha_safe
+        f_dot_interior = alpha_dot[..., None] * tangent + beta_dot
+        b_dot_b = np.sum(beta * beta_dot, axis=-1)
+        f_dot_exterior = speed * (
+            beta_dot / safe_norm[..., None]
+            - beta * (b_dot_b / safe_norm**3)[..., None]
+        )
+        f_dot = np.where(interior[..., None], f_dot_interior, f_dot_exterior)
+    return {
+        "f": f,
+        "interior": interior,
+        "alpha": np.where(interior, alpha, 0.0),
+        "beta": beta,
+        "u_phi": u_phi,
+        "phi": phi,
+        "f_dot": f_dot,
+    }
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestCoreShortcut:
+    """field_core is bitwise equal to the two-branch formula on any mix."""
+
+    @staticmethod
+    def inputs(shape, case, seed):
+        rng = np.random.default_rng(seed)
+        heading = rng.uniform(-math.pi, math.pi, shape)
+        tangent = np.stack([np.cos(heading), np.sin(heading)], axis=-1)
+        normal = np.stack([-tangent[..., 1], tangent[..., 0]], axis=-1)
+        gam = rng.uniform(-5.0, 5.0, shape)
+        # |u_phi| <= 8 + 5 + 3 < V inside; >= 30 - 5 - 3 > V outside
+        near = rng.uniform(-8.0, 8.0, shape)
+        far = rng.choice([-1.0, 1.0], shape) * rng.uniform(30.0, 60.0, shape)
+        if case == "interior":
+            offset = near
+        elif case == "exterior":
+            offset = far
+        else:
+            offset = np.where(rng.random(shape) < 0.5, near, far)
+            offset.flat[0], offset.flat[-1] = near.flat[0], far.flat[-1]
+        phi = gam + offset
+        gad = rng.uniform(-3.0, 3.0, shape)
+        gadd = rng.uniform(-2.0, 2.0, shape)
+        vel_heading = rng.uniform(-math.pi, math.pi, shape)
+        p_dot = V * np.stack([np.cos(vel_heading), np.sin(vel_heading)], axis=-1)
+        return phi, normal, tangent, gam, gad, gadd, p_dot
+
+    @pytest.mark.parametrize("with_dot", [False, True], ids=["no-f_dot", "f_dot"])
+    @pytest.mark.parametrize(
+        "shape,case",
+        [
+            ((), "interior"), ((), "exterior"),
+            ((8,), "interior"), ((8,), "mixed"), ((8,), "exterior"),
+            ((3, 8), "interior"), ((3, 8), "mixed"), ((3, 8), "exterior"),
+        ],
+        ids=lambda v: ("x".join(map(str, v)) or "0d") if isinstance(v, tuple) else v,
+    )
+    def test_bitwise_equal_to_two_branch_formula(self, shape, case, with_dot):
+        for seed in range(5):
+            phi, normal, tangent, gam, gad, gadd, p_dot = self.inputs(shape, case, seed)
+            if shape == ():
+                phi, gam, gad, gadd = float(phi), float(gam), float(gad), float(gadd)
+            extra = {"gamma_ddot": gadd, "p_dot": p_dot} if with_dot else {}
+            got = field_core(phi, normal, tangent, V, 1.0, gam, gad, **extra)
+            want = _two_branch_core(phi, normal, tangent, V, 1.0, gam, gad, **extra)
+            assert set(got) == set(want)
+            interior = np.asarray(want["interior"])
+            if case == "interior":
+                assert interior.all()
+            elif case == "exterior":
+                assert not interior.any()
+            else:
+                assert interior.any() and not interior.all()
+            for key in want:
+                if want[key] is None:
+                    assert got[key] is None, key
+                else:
+                    assert _same_bits(got[key], want[key]), (key, seed)

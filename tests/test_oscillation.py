@@ -24,6 +24,7 @@ from gvfswarm.oscillation import (
     gamma_dot,
     relaxation_step,
     update_amplitude,
+    wave,
 )
 
 V, W = 16.0, 0.6
@@ -103,6 +104,63 @@ class TestWave:
         fd_ddot = (gd_at(t + h) - gd_at(t - h)) / (2 * h)
         assert gamma_dot(t, a0, a1, W) == pytest.approx(fd_dot, abs=1e-5)
         assert gamma_ddot(t, a0, a1, a2, W) == pytest.approx(fd_ddot, abs=1e-5)
+
+
+def _old_gamma(t, amplitude, w_gamma):
+    t = np.asarray(t, dtype=float)
+    return amplitude * np.sin(w_gamma * t)
+
+
+def _old_gamma_dot(t, amplitude, amplitude_rate, w_gamma):
+    t = np.asarray(t, dtype=float)
+    wt = w_gamma * t
+    return amplitude_rate * np.sin(wt) + amplitude * w_gamma * np.cos(wt)
+
+
+def _old_gamma_ddot(t, amplitude, amplitude_rate, amplitude_accel, w_gamma):
+    t = np.asarray(t, dtype=float)
+    wt = w_gamma * t
+    return (
+        (amplitude_accel - amplitude * w_gamma**2) * np.sin(wt)
+        + 2.0 * amplitude_rate * w_gamma * np.cos(wt)
+    )
+
+
+def _bits(a) -> bytes:
+    a = np.asarray(a)
+    return str((a.shape, a.dtype)).encode() + a.tobytes()
+
+
+class TestWaveKernel:
+    """wave() and the three public waves give the bits of the old formulas."""
+
+    @staticmethod
+    def states(n, seed=7):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(0.0, 12.0, n), rng.uniform(-2.0, 2.0, n), rng.uniform(-1.0, 1.0, n)
+
+    def test_per_tick_scalars_match_public_waves(self):
+        # the simulator's phase: one Python float per tick, math.sin/cos
+        a, ar, aa = self.states(8)
+        times = np.arange(30001) * 0.02
+        for t in times[::7]:
+            wt = W * float(t)
+            g, gd, gdd = wave(math.sin(wt), math.cos(wt), a, ar, aa, W)
+            assert _bits(g) == _bits(_old_gamma(t, a, W))
+            assert _bits(gd) == _bits(_old_gamma_dot(t, a, ar, W))
+            assert _bits(gdd) == _bits(_old_gamma_ddot(t, a, ar, aa, W))
+
+    @pytest.mark.parametrize("shape", [(), (8,), (3, 8)], ids=["0d", "8", "3x8"])
+    def test_public_waves_bitwise(self, shape):
+        rng = np.random.default_rng(11)
+        t = rng.uniform(0.0, 600.0, shape)
+        a, ar, aa = (rng.uniform(-5.0, 5.0, shape) for _ in range(3))
+        assert _bits(gamma(t, a, W)) == _bits(_old_gamma(t, a, W))
+        assert _bits(gamma_dot(t, a, ar, W)) == _bits(_old_gamma_dot(t, a, ar, W))
+        assert _bits(gamma_ddot(t, a, ar, aa, W)) == _bits(_old_gamma_ddot(t, a, ar, aa, W))
+        # scalar amplitudes broadcast against a time grid
+        assert _bits(gamma(t, 2.0, W)) == _bits(_old_gamma(t, 2.0, W))
+        assert _bits(gamma_dot(t, 2.0, 0.5, W)) == _bits(_old_gamma_dot(t, 2.0, 0.5, W))
 
 
 class TestEllipticIntegral:

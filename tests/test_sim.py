@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import math
@@ -6,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from gvfswarm import oscillation as osc
 from gvfswarm import sim
-from gvfswarm.consensus import neighbor_gather, sat
+from gvfswarm.consensus import neighbor_disagreement, neighbor_gather, sat
 from gvfswarm.scenario import apply_overrides, build_scenario, load_mapping
 from gvfswarm.sim import TELEMETRY_FLOAT_FORMAT, run
 
@@ -286,6 +288,17 @@ class TestSummary:
         assert set(np.unique(res.branches)) <= {0, 1}
 
 
+@pytest.fixture(scope="module")
+def windy_eight(scenario_dir):
+    """20 s of the bundled eight drones in a crosswind, zero delay."""
+    doc = apply_overrides(
+        load_mapping(scenario_dir / "eight_drones.scn"),
+        ["t_end_s=20", "wind_mps=[1.0, -2.0]"],
+    )
+    sc = build_scenario(doc)
+    return sc, run(sc)
+
+
 class TestPublishDelay:
     def test_delay_changes_the_run(self):
         base = build_scenario(pair_doc())
@@ -315,6 +328,36 @@ class TestPublishDelay:
         assert np.any(lead > 0.0) and np.any(seen != xbar)
         assert np.array_equal(res.inputs, sat(lead, sc.saturation))
 
+    def test_zero_delay_inputs_are_the_saturated_disagreement(self, windy_eight):
+        sc, res = windy_eight
+        assert sc.comm_delay_ticks == 0
+        idx, mask = neighbor_gather(sc.graph)
+        lead = -neighbor_disagreement(res.averaged_parameters, idx, mask)
+        assert np.any(lead > 0.0)
+        assert np.array_equal(res.inputs, sat(lead, sc.saturation))
+
+    def test_delay_beyond_the_run_is_the_whole_run(self):
+        # a delay past the last tick always shows the first snapshot,
+        # however large: 10^20 is beyond a C ssize_t deque maxlen
+        base = build_scenario(apply_overrides(pair_doc(), ["t_end_s=1"]))
+        a, b = (
+            run(build_scenario(
+                apply_overrides(pair_doc(), ["t_end_s=1", f"consensus.comm_delay_ticks={d}"])
+            ), compute_digest=True)
+            for d in (base.n_ticks, 10**20)
+        )
+        assert b.scenario.comm_delay_ticks == 10**20
+        # every tick weighs its own average against the neighbors' first one
+        idx, mask = neighbor_gather(base.graph)
+        xbar = b.averaged_parameters
+        lead = np.sum((xbar[:, :, None] - xbar[0][idx]) * mask, axis=-1)
+        assert np.array_equal(b.inputs, sat(lead, base.saturation))
+        assert a.telemetry_digest == b.telemetry_digest
+        for f in dataclasses.fields(a):
+            if isinstance(getattr(a, f.name), np.ndarray):
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+        assert {**a.summary, "overrides": None} == {**b.summary, "overrides": None}
+
     def test_delay_is_harmless_at_equilibrium(self):
         doc = pair_doc()
         doc["initial"]["parameters_m"] = [4.0, 4.0]
@@ -342,3 +385,25 @@ class TestFixedAmplitude:
         res = run(build_scenario(doc))
         assert np.all(res.amplitudes == 0.0)
         assert np.all(res.gammas == 0.0)
+
+
+class TestWave:
+    def test_gammas_are_the_public_wave(self, windy_eight):
+        sc, res = windy_eight
+        w = sc.oscillation.w_gamma
+        assert np.any(res.gammas != 0.0)
+        for k, t in enumerate(res.times):
+            assert np.array_equal(res.gammas[k], osc.gamma(t, res.amplitudes[k], w)), k
+
+
+class TestTimings:
+    def test_stage_timers_stay_out_of_the_outputs(self):
+        sc = build_scenario(pair_doc())
+        a = run(sc, compute_digest=True)
+        b = run(sc, compute_digest=True)
+        assert list(a.timings) == ["publish", "control", "telemetry", "advance", "summary"]
+        for timings in (a.timings, b.timings):
+            assert all(type(v) is int and v >= 0 for v in timings.values())
+        assert a.telemetry_digest == b.telemetry_digest
+        assert a.summary == b.summary
+        assert not any("timing" in key for key in a.summary)

@@ -158,3 +158,77 @@ class TestVehicleState:
         assert isinstance(out, VehicleState)
         assert out.position[0] == pytest.approx(1.0 + V * 0.1, abs=1e-12)
         assert out.heading == 0.0
+
+
+def _where_wrap(theta):
+    """wrap_angle as it was before the in-range shortcut."""
+    theta = np.asarray(theta, dtype=float)
+    wrapped = -(np.mod(-theta + np.pi, 2.0 * np.pi) - np.pi)
+    inside = (np.abs(theta) <= np.pi) & (theta != -np.pi)
+    out = np.where(inside, theta, wrapped)
+    return float(out) if out.ndim == 0 else out
+
+
+def _three_stack_step(position, heading, omega, speed, dt, wind=(0.0, 0.0)):
+    """unicycle_step as it was before the stage headings shared one array."""
+    position = np.asarray(position, dtype=float)
+    heading = np.asarray(heading, dtype=float)
+    omega = np.asarray(omega, dtype=float)
+    wind = np.asarray(wind, dtype=float)
+
+    def vel(theta):
+        return np.stack([speed * np.cos(theta), speed * np.sin(theta)], axis=-1) + wind
+
+    k1 = vel(heading)
+    k2 = vel(heading + 0.5 * dt * omega)
+    k4 = vel(heading + dt * omega)
+    new_position = position + (dt / 6.0) * (k1 + 4.0 * k2 + k4)
+    return new_position, _where_wrap(heading + dt * omega)
+
+
+def _same_bits(a, b) -> bool:
+    if isinstance(a, float) or isinstance(b, float):
+        return type(a) is type(b) and np.float64(a).tobytes() == np.float64(b).tobytes()
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestShortcutsAgainstFormulas:
+    """The fast paths give the very bits of the formulas they skip."""
+
+    @pytest.mark.parametrize(
+        "theta",
+        [
+            0.5, -0.0, math.pi, -math.pi, 3.5, -3.5, 2.0 * math.pi, math.nan,
+            np.array([]), np.array([0.1, -3.0, math.pi]),
+            np.array([-math.pi, 0.5]), np.array([0.5, math.nextafter(math.pi, 4.0)]),
+            np.array([[0.1, 7.0], [-0.2, -7.0]]), np.array([0.1, math.nan]),
+            np.array(2.5), np.array(-math.pi),
+        ],
+        ids=lambda v: repr(v.tolist() if isinstance(v, np.ndarray) else v),
+    )
+    def test_wrap_angle_bitwise(self, theta):
+        got, want = wrap_angle(theta), _where_wrap(theta)
+        if isinstance(want, float) and math.isnan(want):
+            assert isinstance(got, float) and math.isnan(got)
+        else:
+            assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("wind", [(0.0, 0.0), (1.5, -2.0)], ids=["calm", "windy"])
+    @pytest.mark.parametrize("shape", [(), (8,), (3, 8)], ids=["0d", "8", "3x8"])
+    def test_unicycle_step_bitwise(self, shape, wind):
+        rng = np.random.default_rng(3)
+        in_range = set()  # whether every new heading needed no wrap
+        for _ in range(20):
+            pos = rng.uniform(-100.0, 100.0, shape + (2,))
+            theta = rng.uniform(-math.pi, math.pi, shape)
+            omega = rng.uniform(-6.0, 6.0, shape)
+            if shape == ():
+                theta, omega = float(theta), float(omega)
+            for dt in (0.02, 0.5):
+                got = unicycle_step(pos, theta, omega, V, dt, np.array(wind))
+                want = _three_stack_step(pos, theta, omega, V, dt, np.array(wind))
+                assert _same_bits(got[0], want[0])
+                assert _same_bits(got[1], want[1])
+                raw = np.asarray(theta + dt * omega)
+                in_range.add(bool(((raw > -math.pi) & (raw <= math.pi)).all()))
+        assert in_range == {True, False}
