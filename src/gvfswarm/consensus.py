@@ -239,6 +239,14 @@ def neighbor_disagreement(x, idx: np.ndarray, mask: np.ndarray, own=None):
     inner reduction per node. Below 8 slots numpy's per-node reduction
     is sequential too, so the result is bitwise the same as reducing
     over the last axis of the (..., N, D) gather.
+
+    The order depends on the leading axes. For a single (N,) row the
+    product with ``mask.T`` is F-ordered, so each node's slots are
+    summed as one contiguous run, pairwise from 8 slots on: bitwise the
+    node-major sum at any degree. For a (B, N) batch the slots are added
+    one after another. From 8 slots on a batched row may therefore
+    differ from the same row passed alone in the last bits; below 8
+    slots the two agree bitwise.
     """
     x = np.asarray(x, dtype=float)
     own = x if own is None else np.asarray(own, dtype=float)

@@ -270,7 +270,14 @@ def _parse(mapping) -> tuple[Scenario | None, list[str]]:
         edges = _check([] if edges is None else edges,
                        lambda es: _seq(es) and all(_seq(e, 2) and all(map(_is_int, e)) for e in es),
                        "graph.edges", "must be a list of 1-based [i, j] pairs", bad)
-        if edges is not None:
+        if edges is not None and len(edges) != n - 1:
+            bad.append(f"graph: must be a spanning tree, a tree on {n} drones "
+                       f"has {n - 1} edges, got {len(edges)}")
+        if edges is None or len(edges) != n - 1:
+            # n is bounded by the edge list only when it has n - 1 entries;
+            # past that no per-drone work may trust it
+            n = None
+        else:
             try:
                 graph = Graph.from_one_based(n, edges)
             except ValueError as exc:

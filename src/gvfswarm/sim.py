@@ -14,10 +14,14 @@ drones:
    behind flies straight. In shortfall coordinates delta = v t - xbar
    this is exactly the saturated consensus protocol of
    :mod:`gvfswarm.consensus`, so its agreement guarantee applies.
-3. telemetry: one CSV line per tick after a header line, every cell
-   ``%.9g`` of a float, comma-separated with no quoting and ended by
-   CR LF; the line is formatted once and the same bytes feed the
-   SHA-256 and the file.
+3. telemetry: the tick's history rows. When a block of ticks closes,
+   and at the last tick, one observer pass computes what no control
+   reads: branch codes, edge gaps z, the Lyapunov value V, the
+   summary's running extremes and the CSV lines, one per tick after a
+   header line, every cell ``%.9g`` of a float, comma-separated with
+   no quoting and ended by CR LF. A block of lines is formatted once,
+   the same bytes feed the SHA-256 and the file, and the file grows
+   one block at a time.
 4. advance: RK4 on the unicycle under the held heading rate plus
    wind, and the exact exponential amplitude filter.
 
@@ -47,8 +51,9 @@ __all__ = ["SimulationResult", "run", "TELEMETRY_FLOAT_FORMAT"]
 
 TELEMETRY_FLOAT_FORMAT = "%.9g"
 
-# headings per block of the summary's ground-speed pass: 32-64 KiB
-# temporaries, which malloc serves from its heap, not from fresh pages
+# cells per block of the observer pass: a block holds this many
+# telemetry cells, or eta values without telemetry, so its 32-64 KiB
+# temporaries come from malloc's heap, not from fresh pages
 _SUMMARY_BLOCK = 1 << 12
 
 # per-drone telemetry column stems, in row order
@@ -82,7 +87,8 @@ class SimulationResult:
     summary: dict = field(default_factory=dict)
     telemetry_digest: str | None = None
     # wall ns per stage (publish, control, telemetry, advance, summary);
-    # never part of the summary or the digest
+    # telemetry includes the per-block observer pass, summary only the
+    # final assembly; never part of the summary or the digest
     timings: dict = field(default_factory=dict)
 
 
@@ -93,17 +99,6 @@ def _telemetry_header(n_drones: int, n_edges: int) -> list[str]:
     cols.extend(f"z{k}_m" for k in range(1, n_edges + 1))
     cols.append("V")
     return cols
-
-
-def _first_sustained_below(series: np.ndarray, threshold: float) -> int | None:
-    """Index of the first value below threshold that stays below to the end."""
-    below = series < threshold
-    if bool(below.all()):
-        return 0
-    last_violation = int(np.max(np.nonzero(~below)[0]))
-    if last_violation == len(series) - 1:
-        return None
-    return last_violation + 1
 
 
 def run(
@@ -119,8 +114,9 @@ def run(
     scenario : Scenario
         A built (hence validated) scenario.
     telemetry_path : path-like, optional
-        Write the per-tick CSV here. Without it (and without
-        ``compute_digest``) no rows are formatted, which is faster.
+        Write the per-tick CSV here, one block of rows at a time.
+        Without it (and without ``compute_digest``) no rows are
+        formatted, which is faster.
     overrides : sequence of str
         Dotted overrides already applied to the scenario, recorded
         verbatim in the summary for provenance.
@@ -181,16 +177,29 @@ def run(
     )
 
     digest = hashlib.sha256() if (compute_digest or telemetry_path is not None) else None
+    # the observers run once per block of about _SUMMARY_BLOCK cells, from
+    # the history and each tick's eta and p_dot
+    rows = max(1, _SUMMARY_BLOCK // (2 + 13 * n + m if digest is not None else n))
+    eta_rows, p_dot_rows = np.empty((rows, n)), np.empty((rows, n, 2))
+    last_violation, final_edge = -1, 0.0
+    ground_min = omega_min = np.inf
+    ground_max = omega_max = -np.inf
     fh = None
     clock = time.perf_counter_ns
     ns_publish = ns_control = ns_telemetry = ns_advance = 0
     try:
         if digest is not None:
             # one float row per tick: t, 13 cells per drone, z, V; the drone
-            # cells are an (N, 13) view, and one format string renders it all
-            row = np.empty(2 + 13 * n + m)
-            drone_cells = row[1:1 + 13 * n].reshape(n, 13)
-            row_fmt = ",".join([TELEMETRY_FLOAT_FORMAT] * row.size) + "\r\n"
+            # cells are an (N, 13) view per row
+            block = np.empty((rows, 2 + 13 * n + m))
+            drone_cells = block[:, 1:1 + 13 * n].reshape(rows, n, 13)
+            columns = (hist.headings, hist.phis, hist.gammas, hist.path_parameters,
+                       hist.averaged_parameters, hist.inputs, hist.desired_velocities,
+                       hist.amplitudes, hist.commanded_amplitudes, hist.omegas, hist.branches)
+            # bytes %: a str % plus encode of each block raised the peak RSS of
+            # some 600 s eight-drone runs by about 4 MiB of heap fragments
+            row_fmt = (",".join([TELEMETRY_FLOAT_FORMAT] * block.shape[1]) + "\r\n").encode()
+            block_fmt = row_fmt * rows
             header = (",".join(_telemetry_header(n, m)) + "\r\n").encode()
             digest.update(header)
             if telemetry_path is not None:
@@ -198,7 +207,7 @@ def run(
                 fh.write(header)
         for k in range(n_ticks + 1):
             t0 = clock()
-            t = times[k]
+            j = k % rows
             # publish
             offset = pos - origins
             x = (offset * tangents).sum(axis=-1)
@@ -220,7 +229,7 @@ def run(
                 a_cmd = np.minimum(raw, cap)
             else:
                 a_cmd = np.full(n, sc.fixed_amplitude)
-            wt = w * float(t)
+            wt = w * float(times[k])
             g, g_dot, g_ddot = osc.wave(math.sin(wt), math.cos(wt), amp, amp_rate, amp_accel, w)
             phi = (offset * normals).sum(axis=-1)
             np.cos(theta, out=p_dot_x)
@@ -231,9 +240,8 @@ def run(
                 g, g_dot, gamma_ddot=g_ddot, p_dot=p_dot,
             )
             omega = heading_rate_core(core["f"], core["f_dot"], p_dot, speed, sc.k_n)
-            exterior = (~core["interior"]).astype(np.int8)
             t2 = clock()
-            # telemetry
+            # telemetry: the history rows, then the observers once per block
             hist.positions[k] = pos
             hist.headings[k] = theta
             hist.path_parameters[k] = x
@@ -245,30 +253,42 @@ def run(
             hist.inputs[k] = u
             hist.desired_velocities[k] = xdot_d
             hist.omegas[k] = omega
-            hist.branches[k] = exterior
-            z = xbar[tails] - xbar[heads] if m else np.empty(0)
-            hist.edge_diffs[k] = z
-            hist.lyapunov[k] = lyapunov_value(eta, sat_p)
-            if digest is not None:
-                row[0] = t
-                drone_cells[:, 0:2] = pos
-                drone_cells[:, 2] = theta
-                drone_cells[:, 3] = phi
-                drone_cells[:, 4] = g
-                drone_cells[:, 5] = x
-                drone_cells[:, 6] = xbar
-                drone_cells[:, 7] = u
-                drone_cells[:, 8] = xdot_d
-                drone_cells[:, 9] = amp
-                drone_cells[:, 10] = a_cmd
-                drone_cells[:, 11] = omega
-                drone_cells[:, 12] = exterior
-                row[1 + 13 * n:-1] = z
-                row[-1] = hist.lyapunov[k]
-                line = (row_fmt % tuple(row.tolist())).encode()
-                digest.update(line)
-                if fh is not None:
-                    fh.write(line)
+            hist.branches[k] = core["interior"]
+            eta_rows[j] = eta
+            p_dot_rows[j] = p_dot
+            if j == rows - 1 or k == n_ticks:
+                b, ticks = j + 1, slice(k - j, k + 1)
+                hist.branches[ticks] ^= 1  # interior flag -> exterior code
+                xb = hist.averaged_parameters[ticks]
+                z = np.subtract(xb[:, tails], xb[:, heads], out=hist.edge_diffs[ticks])
+                v = hist.lyapunov[ticks] = lyapunov_value(eta_rows[:b], sat_p)
+                if m:
+                    # |z| extremes from the row extremes: no (ticks, edges) temporary
+                    max_edge = np.maximum(np.abs(z.max(axis=1)), np.abs(z.min(axis=1)))
+                    late = np.flatnonzero(~(max_edge < sc.convergence_threshold))
+                    if late.size:
+                        last_violation = k - j + int(late[-1])
+                    final_edge = max_edge[-1]
+                # sqrt(vx^2 + vy^2) is bitwise np.linalg.norm over the pair
+                vel = p_dot_rows[:b] + wind
+                vx, vy = vel[..., 0], vel[..., 1]
+                ground = np.sqrt(vx * vx + vy * vy)
+                ground_min = np.minimum(ground_min, ground.min())
+                ground_max = np.maximum(ground_max, ground.max())
+                omega_min = np.minimum(omega_min, hist.omegas[ticks].min())
+                omega_max = np.maximum(omega_max, hist.omegas[ticks].max())
+                if digest is not None:
+                    block[:b, 0] = times[ticks]
+                    drone_cells[:b, :, 0:2] = hist.positions[ticks]
+                    for c, column in enumerate(columns, start=2):
+                        drone_cells[:b, :, c] = column[ticks]
+                    block[:b, 1 + 13 * n:-1] = z
+                    block[:b, -1] = v
+                    fmt = block_fmt if b == rows else row_fmt * b
+                    lines = fmt % tuple(block[:b].ravel().tolist())
+                    digest.update(lines)
+                    if fh is not None:
+                        fh.write(lines)
             t3 = clock()
             # advance
             if k < n_ticks:
@@ -283,12 +303,12 @@ def run(
         if fh is not None:
             fh.close()
 
-    # free the averager's rings and the snapshot queue, so the summary's
-    # temporaries do not add to them at peak memory
-    del averager, snapshots
     hist.telemetry_digest = digest.hexdigest() if digest is not None else None
     t0 = clock()
-    hist.summary = _summarize(hist, overrides=overrides)
+    hist.summary = _summarize(
+        hist, overrides, last_violation, final_edge,
+        max(abs(float(omega_max)), abs(float(omega_min))), ground_min, ground_max,
+    )
     hist.timings = {
         "publish": ns_publish,
         "control": ns_control,
@@ -299,30 +319,14 @@ def run(
     return hist
 
 
-def _summarize(hist: SimulationResult, overrides) -> dict:
+def _summarize(
+    hist: SimulationResult, overrides, last_violation, final_edge, max_omega, ground_min, ground_max
+) -> dict:
+    """The summary document from the observers' accumulators and the last row."""
     sc = hist.scenario
-    spread = hist.path_parameters.max(axis=1) - hist.path_parameters.min(axis=1)
-    if hist.edge_diffs.shape[1]:
-        # |z| extremes from the row extremes: no (ticks, edges) temporary
-        max_edge = np.maximum(
-            np.abs(hist.edge_diffs.max(axis=1)), np.abs(hist.edge_diffs.min(axis=1))
-        )
-    else:
-        max_edge = np.zeros(len(hist.times))
-    conv_idx = _first_sustained_below(max_edge, sc.convergence_threshold)
-    # ground-speed extremes over blocks of ticks, so the (ticks, N, 2)
-    # velocity stack never exists whole; norms are per row, so the
-    # extremes are the same values
-    ground_min, ground_max = np.inf, -np.inf
-    rows = max(1, _SUMMARY_BLOCK // sc.n_drones)
-    for lo in range(0, len(hist.times), rows):
-        headings = hist.headings[lo:lo + rows]
-        vel = sc.speed * np.stack([np.cos(headings), np.sin(headings)], axis=-1) + sc.wind
-        ground_speed = np.linalg.norm(vel, axis=-1)
-        ground_min = np.minimum(ground_min, ground_speed.min())
-        ground_max = np.maximum(ground_max, ground_speed.max())
-    # max |omega| from the extremes: no (ticks, N) temporary
-    max_omega = max(abs(float(hist.omegas.max())), abs(float(hist.omegas.min())))
+    # a violation at the last tick means no convergence
+    conv_idx = last_violation + 1 if last_violation < sc.n_ticks else None
+    x_last = hist.path_parameters[-1]
     return {
         "name": sc.name,
         "overrides": [str(o) for o in overrides],
@@ -334,8 +338,8 @@ def _summarize(hist: SimulationResult, overrides) -> dict:
         "n_ticks": int(sc.n_ticks),
         "convergence_threshold_m": float(sc.convergence_threshold),
         "time_to_convergence_s": None if conv_idx is None else float(hist.times[conv_idx]),
-        "final_max_edge_diff_m": float(max_edge[-1]),
-        "final_max_pairwise_spread_m": float(spread[-1]),
+        "final_max_edge_diff_m": float(final_edge),
+        "final_max_pairwise_spread_m": float(x_last.max() - x_last.min()),
         "final_amplitudes_m": [float(a) for a in hist.amplitudes[-1]],
         "final_max_amplitude_m": float(hist.amplitudes[-1].max()),
         "final_max_abs_phi_m": float(np.abs(hist.phis[-1]).max()),

@@ -342,6 +342,33 @@ class TestNeighborOps:
         assert out.shape == (6, 5)
         for b in range(6):
             assert np.allclose(out[b], neighbor_disagreement(x[b], idx, mask), atol=0)
+        # a single row reduces each node's slots pairwise (its product is
+        # F-ordered), a batch adds the slots one after another; the two
+        # orders agree bitwise below 8 slots only
+        star40 = Graph(40, tuple((0, i) for i in range(1, 40)))
+        for graph in (TREE8, CHAIN5, STAR8, random_recursive_tree(512, 1), star40):
+            idx, mask = neighbor_gather(graph)
+            x = rng.uniform(-10.0, 10.0, (32, graph.n_nodes))
+            own = rng.uniform(-10.0, 10.0, x.shape)
+            for batched, rows in (
+                (neighbor_disagreement(x, idx, mask), [neighbor_disagreement(r, idx, mask) for r in x]),
+                (
+                    neighbor_disagreement(x, idx, mask, own=own),
+                    [neighbor_disagreement(r, idx, mask, own=o) for r, o in zip(x, own)],
+                ),
+            ):
+                if idx.shape[1] < 8:
+                    assert np.array_equal(batched, np.stack(rows))
+                else:
+                    assert np.allclose(batched, np.stack(rows), rtol=0.0, atol=1e-12)
+            # a single row is the node-major sum at any degree
+            for r, o in zip(x[:4], own[:4]):
+                assert np.array_equal(
+                    neighbor_disagreement(r, idx, mask), disagreement_node_major(r, idx, mask)
+                )
+                assert np.array_equal(
+                    -neighbor_disagreement(r, idx, mask, own=o), lead_node_major(o, r, idx, mask)
+                )
 
     @pytest.mark.parametrize("graph", [TREE8, CHAIN5, STAR8], ids=["tree8", "chain5", "star8"])
     def test_bitwise_equal_to_node_major_below_eight_slots(self, graph):

@@ -102,6 +102,12 @@ class TestValidation:
             (lambda d: d["consensus"].update(comm_delay_ticks=-1), "comm_delay_ticks"),
             (lambda d: d.update(seed="eleven"), "seed"),
             (lambda d: d["graph"].update(n_drones=0), "n_drones"),
+            # rejected from the edge count, before any per-drone allocation
+            (
+                lambda d: d["graph"].update(n_drones=10**9),
+                "graph: must be a spanning tree, a tree on 1000000000 drones has 999999999 edges, got 1",
+            ),
+            (lambda d: d["graph"].update(n_drones=10**400), "graph: must be a spanning tree, a tree on 1"),
             (lambda d: d["graph"].update(edges={}), "graph.edges"),  # only null means no edges
             (lambda d: d["gvf"].update(k_n=[1.0, 0.0]), "gvf.k_n: must be positive"),
             # auto tau_h = (v - eps)/k_u is about 87.5 here

@@ -9,7 +9,7 @@ import pytest
 
 from gvfswarm import oscillation as osc
 from gvfswarm import sim
-from gvfswarm.consensus import neighbor_disagreement, neighbor_gather, sat
+from gvfswarm.consensus import lyapunov_value, neighbor_disagreement, neighbor_gather, sat
 from gvfswarm.scenario import apply_overrides, build_scenario, load_mapping
 from gvfswarm.sim import TELEMETRY_FLOAT_FORMAT, run
 
@@ -146,6 +146,14 @@ def reference_telemetry(res) -> bytes:
     return buf.getvalue().encode()
 
 
+def first_sustained_below(series: np.ndarray, threshold: float) -> int | None:
+    """Index of the first value below threshold that stays below to the end."""
+    late = np.flatnonzero(~(series < threshold))
+    if late.size == 0:
+        return 0
+    return None if late[-1] == len(series) - 1 else int(late[-1]) + 1
+
+
 @pytest.fixture(scope="module")
 def telemetry_run(tmp_path_factory, scenario_dir):
     out = tmp_path_factory.mktemp("telemetry") / "pair.csv"
@@ -252,8 +260,8 @@ class TestSummary:
 
     @pytest.mark.parametrize("block", [None, 7], ids=["default", "three-rows"])
     def test_ground_speed_extremes_match_whole_array_formula(self, monkeypatch, block):
-        # the summary walks the headings in blocks of rows; a block of 7
-        # headings holds 3 ticks of the pair, so 1001 ticks end ragged
+        # the observers run once per block of ticks; without telemetry a
+        # block of 7 cells holds 3 ticks of the pair, so 1001 ticks end ragged
         if block is not None:
             monkeypatch.setattr(sim, "_SUMMARY_BLOCK", block)
         doc = pair_doc()
@@ -278,7 +286,7 @@ class TestSummary:
         max_edge = np.abs(res.edge_diffs).max(axis=1)
         assert s["max_abs_heading_rate_rad_s"] == float(np.abs(res.omegas).max())
         assert s["final_max_edge_diff_m"] == float(max_edge[-1])
-        conv = sim._first_sustained_below(max_edge, res.scenario.convergence_threshold)
+        conv = first_sustained_below(max_edge, res.scenario.convergence_threshold)
         assert conv is not None
         assert s["time_to_convergence_s"] == float(res.times[conv])
 
@@ -286,6 +294,96 @@ class TestSummary:
         doc = apply_overrides(load_mapping(scenario_dir / "two_drones.scn"), ["t_end_s=10"])
         res = run(build_scenario(doc))
         assert set(np.unique(res.branches)) <= {0, 1}
+
+
+def observer_case_doc(case: str, scenario_dir) -> dict:
+    if case == "windy-delayed-eight":
+        # exterior ticks, a delay and wind; still apart at the last tick
+        return apply_overrides(
+            load_mapping(scenario_dir / "eight_drones.scn"),
+            [
+                "t_end_s=40.02", "wind_mps=[1.5,-2.0]",
+                "consensus.comm_delay_ticks=7", "initial.offsets_m=40.0",
+            ],
+        )
+    if case == "single-drone":
+        return single_drone_doc()
+    doc = pair_doc()
+    if case == "agreed-pair":
+        doc["initial"]["parameters_m"] = [4.0, 4.0]
+        doc["t_end_s"] = 5.0
+    else:  # windy-pair: converges at about 67 s, mid-run
+        doc["wind_mps"] = [1.5, -2.5]
+        doc["t_end_s"] = 99.98
+    return doc
+
+
+class TestObserverBlocks:
+    """The per-block observer pass equals the per-tick formulas, bit for bit."""
+
+    @pytest.mark.parametrize("rows", [1, 3, None], ids=["one-row", "three-rows", "default"])
+    @pytest.mark.parametrize(
+        "case,converged_s",
+        [
+            ("windy-delayed-eight", None),
+            ("single-drone", 0.0),
+            ("agreed-pair", 0.0),
+            ("windy-pair", "mid-run"),
+        ],
+    )
+    def test_block_outputs_match_per_tick_formulas(
+        self, case, converged_s, rows, monkeypatch, scenario_dir, tmp_path
+    ):
+        sc = build_scenario(observer_case_doc(case, scenario_dir))
+        n, m = sc.n_drones, sc.graph.n_edges
+        if rows is not None:
+            # a block holds _SUMMARY_BLOCK // cells rows; telemetry is on
+            monkeypatch.setattr(sim, "_SUMMARY_BLOCK", rows * (2 + 13 * n + m))
+            if rows > 1:
+                assert (sc.n_ticks + 1) % rows, "the last block should be ragged"
+        interior = []
+        field_core = sim.field_core
+
+        def recording_field_core(*args, **kwargs):
+            core = field_core(*args, **kwargs)
+            interior.append(core["interior"].copy())
+            return core
+
+        monkeypatch.setattr(sim, "field_core", recording_field_core)
+        out = tmp_path / "telemetry.csv"
+        res = run(sc, telemetry_path=out)
+
+        assert out.read_bytes() == reference_telemetry(res)
+        idx, mask = neighbor_gather(sc.graph)
+        tails = np.array([e[0] for e in sc.graph.edges], dtype=np.int64)
+        heads = np.array([e[1] for e in sc.graph.edges], dtype=np.int64)
+        for k, xbar in enumerate(res.averaged_parameters):
+            v = lyapunov_value(neighbor_disagreement(xbar, idx, mask), sc.saturation)
+            assert res.lyapunov[k] == v, k
+            assert np.array_equal(res.edge_diffs[k], xbar[tails] - xbar[heads]), k
+            assert np.array_equal(res.branches[k], ~interior[k]), k
+        assert res.branches.dtype == np.int8
+
+        s = res.summary
+        if m:
+            max_edge = np.abs(res.edge_diffs).max(axis=1)
+        else:
+            max_edge = np.zeros(len(res.times))
+        conv = first_sustained_below(max_edge, sc.convergence_threshold)
+        if converged_s == "mid-run":
+            assert 0 < conv < sc.n_ticks
+        else:
+            assert (None if conv is None else float(res.times[conv])) == converged_s
+        vel = sc.speed * np.stack([np.cos(res.headings), np.sin(res.headings)], axis=-1) + sc.wind
+        ground_speed = np.linalg.norm(vel, axis=-1)
+        spread = res.path_parameters.max(axis=1) - res.path_parameters.min(axis=1)
+        assert s["time_to_convergence_s"] == (None if conv is None else float(res.times[conv]))
+        assert s["final_max_edge_diff_m"] == float(max_edge[-1])
+        assert s["final_max_pairwise_spread_m"] == float(spread[-1])
+        assert s["max_abs_heading_rate_rad_s"] == float(np.abs(res.omegas).max())
+        assert s["ground_speed_min_mps"] == float(ground_speed.min())
+        assert s["ground_speed_max_mps"] == float(ground_speed.max())
+        assert s["lyapunov_final"] == float(res.lyapunov[-1])
 
 
 @pytest.fixture(scope="module")
