@@ -18,8 +18,6 @@ from .consensus import (
     ConsensusRun,
     SaturationParams,
     WindowAverager,
-    consensus_input,
-    desired_avg_velocity,
     integrate_consensus,
     lyapunov_value,
     sat,
@@ -57,8 +55,6 @@ __all__ = [
     "ConsensusRun",
     "SaturationParams",
     "WindowAverager",
-    "consensus_input",
-    "desired_avg_velocity",
     "integrate_consensus",
     "lyapunov_value",
     "sat",

@@ -12,6 +12,9 @@ the front runner holds sat(negative) = tau_l. integrate_consensus
 implements that protocol exactly for analysis and demos; the flight
 loop converts the same correction into a speed budget (see sim).
 
+Neighbor sums are node-first: values are (N, ...), any batch axes
+after the node axis (see neighbor_disagreement).
+
 The Lyapunov function is V = sum_i int_0^{etabar_i} satbar(s) ds with
 etabar = eta - r/2 and satbar the odd-symmetrized saturation; V >= 0,
 V = 0 exactly at eta = (r/2) 1, and V is non-increasing along the
@@ -30,8 +33,6 @@ from .graph import Graph
 __all__ = [
     "SaturationParams",
     "sat",
-    "consensus_input",
-    "desired_avg_velocity",
     "lyapunov_value",
     "WindowAverager",
     "neighbor_gather",
@@ -67,18 +68,6 @@ def sat(s, params: SaturationParams):
     """Saturation tau_l + (tau_h - tau_l)/r * clip(s, 0, r). Array-capable."""
     s = np.asarray(s, dtype=float)
     out = params.tau_l + (params.tau_h - params.tau_l) / params.r * s.clip(0.0, params.r)
-    return float(out) if out.ndim == 0 else out
-
-
-def consensus_input(own_value: float, neighbor_values, params: SaturationParams) -> float:
-    """Saturated disagreement sat(sum_j (x_j - own)). Empty neighborhood gives sat(0)."""
-    total = float(sum(v - own_value for v in neighbor_values))
-    return float(sat(total, params))
-
-
-def desired_avg_velocity(u, speed: float, k_u: float):
-    """Speed budget v - k_u * u left after the consensus correction."""
-    out = speed - k_u * np.asarray(u, dtype=float)
     return float(out) if out.ndim == 0 else out
 
 
@@ -228,30 +217,28 @@ def neighbor_gather(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def neighbor_disagreement(x, idx: np.ndarray, mask: np.ndarray, own=None):
-    """sum_j (x_j - own_i) for every node i, batched over leading axes of x.
+    """sum_j (x_j - own_i) for every node i; x is node-first, (N, ...).
 
     ``own`` defaults to x itself; the simulator passes each drone's
     current average as ``own`` and the neighbors' delayed snapshot as x.
 
-    The reduction is slot-major: the (N, D) tables are transposed so
-    the gather is (..., D, N) and the D slots are added row by row,
-    one vectorized add over all nodes per slot, instead of one short
-    inner reduction per node. Below 8 slots numpy's per-node reduction
-    is sequential too, so the result is bitwise the same as reducing
-    over the last axis of the (..., N, D) gather.
+    ``x[idx.T]`` gathers whole rows, (D, N, ...), and the D slots are
+    summed over axis 0. The table stays (N, D) and is read through its
+    transposed view, so a single (N,) row gathers F-ordered and each
+    node's slots are summed as one contiguous run, pairwise from 8
+    slots on: bitwise the node-major sum at any degree (a C-contiguous
+    (D, N) table would add them in sequence). A batch adds the slots
+    one after another, so from 8 slots on a batched row may differ from
+    the same row alone in the last bits; below 8 they agree bitwise.
 
-    The order depends on the leading axes. For a single (N,) row the
-    product with ``mask.T`` is F-ordered, so each node's slots are
-    summed as one contiguous run, pairwise from 8 slots on: bitwise the
-    node-major sum at any degree. For a (B, N) batch the slots are added
-    one after another. From 8 slots on a batched row may therefore
-    differ from the same row passed alone in the last bits; below 8
-    slots the two agree bitwise.
+    Without ``own`` the mask is skipped: a padded slot gathers the node
+    itself, and x_i - x_i is what weight 0 gives (+0.0, or NaN).
     """
     x = np.asarray(x, dtype=float)
-    own = x if own is None else np.asarray(own, dtype=float)
-    gathered = x[..., idx.T]  # (..., D, N)
-    return ((gathered - own[..., None, :]) * mask.T).sum(axis=-2)
+    diff = x[idx.T] - (x if own is None else np.asarray(own, dtype=float))
+    if own is not None:
+        diff *= mask.T.reshape(mask.T.shape + (1,) * (x.ndim - 1))
+    return diff.sum(axis=0)
 
 
 @dataclass
@@ -279,7 +266,11 @@ def integrate_consensus(
     condition integrates in lock step. Requires a spanning tree (the
     protocol's agreement guarantee needs one). Returns per-step
     Lyapunov values and the final state and input; full states only
-    when ``record_states``.
+    when ``record_states``, all in the (..., n_nodes) layout of x0.
+
+    The state integrates node-first, (n_nodes, ...): one transpose in,
+    transposed views out. lyapunov_value gets a C-ordered copy of eta,
+    as it sums pairwise only over a contiguous last axis.
 
     Each step evaluates the disagreement four times: the RK4 stages 2-4
     and eta(x_{k+1}) for the Lyapunov record. That eta is reused as the
@@ -288,7 +279,7 @@ def integrate_consensus(
     check = graph.check_spanning_tree()
     if not check.is_tree:
         raise ValueError(f"consensus integration needs a spanning tree: {check.message}")
-    x = np.array(x0, dtype=float)
+    x = np.asarray(x0, dtype=float)
     if x.shape[-1] != graph.n_nodes:
         raise ValueError(f"x0 last axis {x.shape[-1]} != n_nodes {graph.n_nodes}")
     if not dt > 0:
@@ -299,17 +290,19 @@ def integrate_consensus(
     idx, mask = neighbor_gather(graph)
     half_dt = 0.5 * dt
     sixth_dt = dt / 6.0
+    to_nodes = (x.ndim - 1,) + tuple(range(x.ndim - 1))
+    to_last = tuple(range(1, x.ndim)) + (0,)
+    lyap = np.empty((n_steps + 1,) + x.shape[:-1])
+    states = np.empty((n_steps + 1,) + x.shape) if record_states else None
+    x = x.transpose(to_nodes).copy()
 
     def rate(state: np.ndarray) -> np.ndarray:
         return sat(neighbor_disagreement(state, idx, mask), params)
 
-    batch_shape = x.shape[:-1]
-    lyap = np.empty((n_steps + 1,) + batch_shape)
-    states = np.empty((n_steps + 1,) + x.shape) if record_states else None
     eta = neighbor_disagreement(x, idx, mask)
-    lyap[0] = lyapunov_value(eta, params)
+    lyap[0] = lyapunov_value(eta.transpose(to_last).copy(), params)
     if states is not None:
-        states[0] = x
+        states[0] = x.transpose(to_last)
     for k in range(n_steps):
         k1 = sat(eta, params)
         k2 = rate(x + half_dt * k1)
@@ -317,13 +310,13 @@ def integrate_consensus(
         k4 = rate(x + dt * k3)
         x = x + sixth_dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         eta = neighbor_disagreement(x, idx, mask)
-        lyap[k + 1] = lyapunov_value(eta, params)
+        lyap[k + 1] = lyapunov_value(eta.transpose(to_last).copy(), params)
         if states is not None:
-            states[k + 1] = x
+            states[k + 1] = x.transpose(to_last)
     return ConsensusRun(
         times=np.arange(n_steps + 1) * dt,
         lyapunov=lyap,
-        final_state=x,
-        final_input=sat(eta, params),
+        final_state=x.transpose(to_last),
+        final_input=sat(eta, params).transpose(to_last),
         states=states,
     )

@@ -136,8 +136,10 @@ class Scenario:
 
 def load_mapping(path) -> dict:
     """Read a scenario document from a YAML file."""
-    text = Path(path).read_text()
-    data = yaml.safe_load(text)
+    try:
+        data = yaml.safe_load(Path(path).read_text())
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: not UTF-8, ints of > 4300 digits
+        raise ScenarioError([f"scenario file {path} is unparsable: {exc}"]) from exc
     if not isinstance(data, dict):
         raise ScenarioError([f"scenario file {path} is not a mapping"])
     return data
@@ -160,7 +162,7 @@ def apply_overrides(mapping: dict, overrides) -> dict:
             raise ScenarioError([f"override {item!r} has an empty key path"])
         try:
             value = yaml.safe_load(raw)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError) as exc:
             raise ScenarioError([f"override {item!r} has an unparsable value: {exc}"]) from exc
         node = out
         for key in keys[:-1]:

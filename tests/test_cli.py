@@ -36,6 +36,18 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "invalid:" in err and "dt_s" in err
 
+    def test_huge_integer_override_is_invalid(self, scenario_dir, capsys):
+        code = main(
+            [
+                "validate",
+                str(scenario_dir / "two_drones.scn"),
+                "--set", "graph.n_drones=1" + "0" * 5000,
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid:" in err and "graph.n_drones" in err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.scn")]) == 1
         capsys.readouterr()

@@ -11,8 +11,6 @@ from gvfswarm.consensus import (
     ConsensusRun,
     SaturationParams,
     WindowAverager,
-    consensus_input,
-    desired_avg_velocity,
     integrate_consensus,
     lyapunov_value,
     neighbor_disagreement,
@@ -25,6 +23,24 @@ TREE8 = Graph.from_one_based(8, DEMO_TREE_EDGES)
 CHAIN5 = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (2, 0)))
 STAR8 = Graph(8, tuple((0, i) for i in range(1, 8)))  # hub of degree 7
+
+
+STAR40 = Graph(40, tuple((0, i) for i in range(1, 40)))  # hub of degree 39
+
+
+def disagreement_last_axis(x, idx, mask, own=None):
+    """The node-first kernel on (..., N) arrays: node axis in, result back."""
+    x = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
+    own = None if own is None else np.moveaxis(np.asarray(own, dtype=float), -1, 0)
+    return np.moveaxis(neighbor_disagreement(x, idx, mask, own=own), 0, -1)
+
+
+def disagreement_slot_major(x, idx, mask, own=None):
+    """Reference: the earlier kernel over (..., N), batches on the leading
+    axes; a single row sums each node's slots pairwise, a batch slot by slot."""
+    x = np.asarray(x, dtype=float)
+    own = x if own is None else np.asarray(own, dtype=float)
+    return ((x[..., idx.T] - own[..., None, :]) * mask.T).sum(axis=-2)
 
 
 def disagreement_node_major(x, idx, mask):
@@ -136,24 +152,34 @@ class TestSaturation:
 
 
 class TestConsensusInput:
+    """The saturated disagreement sat(sum_j (x_j - x_i)) of node 0."""
+
+    FORK = Graph(3, ((0, 1), (0, 2)))  # node 0 and two neighbours
+
+    @staticmethod
+    def _input(graph, x, params):
+        idx, mask = neighbor_gather(graph)
+        return sat(neighbor_disagreement(np.array(x), idx, mask), params)[0]
+
     def test_hand_example(self):
         p = SaturationParams(0.0, 1.0, 2.0)
         # (7-5) + (4-5) = 1, half the linear zone
-        assert consensus_input(5.0, (7.0, 4.0), p) == 0.5
+        assert self._input(self.FORK, [5.0, 7.0, 4.0], p) == 0.5
 
     def test_empty_neighborhood(self):
         p = SaturationParams(0.4, 1.0, 2.0)
-        assert consensus_input(5.0, (), p) == 0.4
+        assert self._input(Graph(1), [5.0], p) == 0.4
 
     def test_front_runner_gets_floor(self):
         p = SaturationParams(0.0, 1.0, 2.0)
-        assert consensus_input(10.0, (3.0, 4.0), p) == 0.0
+        assert self._input(self.FORK, [10.0, 3.0, 4.0], p) == 0.0
 
 
-def test_desired_avg_velocity():
-    assert desired_avg_velocity(10.0, 8.0, 0.16) == pytest.approx(6.4, abs=1e-15)
-    out = desired_avg_velocity(np.array([0.0, 20.0]), 8.0, 0.16)
-    assert np.allclose(out, [8.0, 4.8], atol=1e-15)
+def test_desired_avg_velocity(windy_eight):
+    # the speed budget v - k_u * u left after the consensus correction
+    sc, res = windy_eight
+    assert np.any(res.inputs > 0.0)
+    assert np.array_equal(res.desired_velocities, sc.speed - sc.k_u * res.inputs)
 
 
 class TestLyapunov:
@@ -338,22 +364,21 @@ class TestNeighborOps:
         idx, mask = neighbor_gather(CHAIN5)
         rng = np.random.default_rng(2)
         x = rng.uniform(-10, 10, (6, 5))
-        out = neighbor_disagreement(x, idx, mask)
+        out = disagreement_last_axis(x, idx, mask)
         assert out.shape == (6, 5)
         for b in range(6):
             assert np.allclose(out[b], neighbor_disagreement(x[b], idx, mask), atol=0)
-        # a single row reduces each node's slots pairwise (its product is
+        # a single row reduces each node's slots pairwise (its gather is
         # F-ordered), a batch adds the slots one after another; the two
         # orders agree bitwise below 8 slots only
-        star40 = Graph(40, tuple((0, i) for i in range(1, 40)))
-        for graph in (TREE8, CHAIN5, STAR8, random_recursive_tree(512, 1), star40):
+        for graph in (TREE8, CHAIN5, STAR8, random_recursive_tree(512, 1), STAR40):
             idx, mask = neighbor_gather(graph)
             x = rng.uniform(-10.0, 10.0, (32, graph.n_nodes))
             own = rng.uniform(-10.0, 10.0, x.shape)
             for batched, rows in (
-                (neighbor_disagreement(x, idx, mask), [neighbor_disagreement(r, idx, mask) for r in x]),
+                (disagreement_last_axis(x, idx, mask), [neighbor_disagreement(r, idx, mask) for r in x]),
                 (
-                    neighbor_disagreement(x, idx, mask, own=own),
+                    disagreement_last_axis(x, idx, mask, own=own),
                     [neighbor_disagreement(r, idx, mask, own=o) for r, o in zip(x, own)],
                 ),
             ):
@@ -384,8 +409,8 @@ class TestNeighborOps:
             (batch.reshape(4, 16, graph.n_nodes), others.reshape(4, 16, graph.n_nodes)),
         ):
             for got, want in (
-                (neighbor_disagreement(x, idx, mask), disagreement_node_major(x, idx, mask)),
-                (-neighbor_disagreement(x, idx, mask, own=own), lead_node_major(own, x, idx, mask)),
+                (disagreement_last_axis(x, idx, mask), disagreement_node_major(x, idx, mask)),
+                (-disagreement_last_axis(x, idx, mask, own=own), lead_node_major(own, x, idx, mask)),
             ):
                 assert got.shape == want.shape
                 assert np.array_equal(got, want)
@@ -401,12 +426,37 @@ class TestNeighborOps:
         assert idx.shape[1] >= 8
         x = rng.uniform(-10.0, 10.0, (32, n))
         own = rng.uniform(-10.0, 10.0, (32, n))
-        got = neighbor_disagreement(x, idx, mask)
+        got = disagreement_last_axis(x, idx, mask)
         want = disagreement_node_major(x, idx, mask)
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
-        got = -neighbor_disagreement(x, idx, mask, own=own)
+        got = -disagreement_last_axis(x, idx, mask, own=own)
         want = lead_node_major(own, x, idx, mask)
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [TREE8, STAR8, STAR40, random_recursive_tree(512, 1)],
+        ids=["tree8", "star8", "star40", "rrt512"],
+    )
+    def test_bitwise_equal_to_slot_major_formula(self, graph):
+        # node-first moves no bit: single rows stay pairwise from 8 slots
+        # on, batches slot by slot, and skipping the mask without ``own``
+        # changes nothing, not even on zeros of either sign, infinities,
+        # NaN or subnormals
+        idx, mask = neighbor_gather(graph)
+        n = graph.n_nodes
+        rng = np.random.default_rng(14)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.5e-310, 1.0])
+        for shape in ((n,), (16, n), (4, 8, n)):
+            rows = [rng.uniform(-100.0, 100.0, shape), rng.choice(special, shape)]
+            for x, own in ((x, own) for x in rows for own in (None, *rows)):
+                with np.errstate(invalid="ignore"):  # inf - inf
+                    want = disagreement_slot_major(x, idx, mask, own=own)
+                    if x.ndim == 1:
+                        got = neighbor_disagreement(x, idx, mask, own=own)
+                    else:
+                        got = disagreement_last_axis(x, idx, mask, own=own)
+                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
     @pytest.mark.parametrize(
         "graph",
@@ -528,6 +578,37 @@ class TestIntegrateConsensus:
         assert np.array_equal(run.lyapunov, np.array(lyap))
         assert np.array_equal(run.final_state, x)
         assert np.array_equal(run.final_input, rate(x))
+
+    @pytest.mark.parametrize("shape", [(40,), (16, 40)], ids=["row", "batch"])
+    def test_bitwise_equal_to_slot_major_rk4_on_a_wide_star(self, shape):
+        # the hub has 39 slots, so every summation order shows: the node
+        # sums must run as the slot-major formula runs them (pairwise for
+        # a row, slot by slot for a batch) and V must sum each row of eta
+        # as one contiguous run
+        idx, mask = neighbor_gather(STAR40)
+        x0 = np.random.default_rng(15).uniform(-30.0, 30.0, shape)
+        dt, n_steps = 0.01, 300
+        run = integrate_consensus(STAR40, x0, self.PARAMS, dt, n_steps * dt, record_states=True)
+
+        def rate(state):
+            return sat(disagreement_slot_major(state, idx, mask), self.PARAMS)
+
+        x = x0.copy()
+        states = [x]
+        lyap = [lyapunov_value(disagreement_slot_major(x, idx, mask), self.PARAMS)]
+        for _ in range(n_steps):
+            k1 = rate(x)
+            k2 = rate(x + 0.5 * dt * k1)
+            k3 = rate(x + 0.5 * dt * k2)
+            k4 = rate(x + dt * k3)
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            states.append(x)
+            lyap.append(lyapunov_value(disagreement_slot_major(x, idx, mask), self.PARAMS))
+        assert np.array_equal(run.states, np.array(states))
+        assert np.array_equal(run.lyapunov, np.array(lyap))
+        assert np.array_equal(run.final_state, x)
+        assert np.array_equal(run.final_input, rate(x))
+        assert run.final_state.shape == run.final_input.shape == shape
 
     def test_record_shapes(self):
         run = integrate_consensus(

@@ -45,6 +45,20 @@ class TestLoad:
         with pytest.raises(ScenarioError):
             load_mapping(f)
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"seed: 1" + b"0" * 5000 + b"\n", b"\xff\xfe seed: 1\n", b"seed: [1, 2\n"],
+        ids=["huge-integer", "not-utf8", "yaml-syntax"],
+    )
+    def test_unparsable_file_rejected(self, tmp_path, content):
+        # an int of more than 4300 digits fails Python's int conversion
+        # inside the YAML loader; like bytes that are not UTF-8 or broken
+        # YAML it makes a bad scenario, not a crash
+        f = tmp_path / "bad.scn"
+        f.write_bytes(content)
+        with pytest.raises(ScenarioError, match="unparsable"):
+            load_mapping(f)
+
 
 class TestOverrides:
     def test_scalar_list_and_null(self):

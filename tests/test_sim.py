@@ -386,17 +386,6 @@ class TestObserverBlocks:
         assert s["lyapunov_final"] == float(res.lyapunov[-1])
 
 
-@pytest.fixture(scope="module")
-def windy_eight(scenario_dir):
-    """20 s of the bundled eight drones in a crosswind, zero delay."""
-    doc = apply_overrides(
-        load_mapping(scenario_dir / "eight_drones.scn"),
-        ["t_end_s=20", "wind_mps=[1.0, -2.0]"],
-    )
-    sc = build_scenario(doc)
-    return sc, run(sc)
-
-
 class TestPublishDelay:
     def test_delay_changes_the_run(self):
         base = build_scenario(pair_doc())
@@ -430,7 +419,8 @@ class TestPublishDelay:
         sc, res = windy_eight
         assert sc.comm_delay_ticks == 0
         idx, mask = neighbor_gather(sc.graph)
-        lead = -neighbor_disagreement(res.averaged_parameters, idx, mask)
+        # node-first: the ticks ride behind the node axis
+        lead = -neighbor_disagreement(res.averaged_parameters.T, idx, mask).T
         assert np.any(lead > 0.0)
         assert np.array_equal(res.inputs, sat(lead, sc.saturation))
 
