@@ -280,8 +280,8 @@ def integrate_consensus(
     if not check.is_tree:
         raise ValueError(f"consensus integration needs a spanning tree: {check.message}")
     x = np.asarray(x0, dtype=float)
-    if x.shape[-1] != graph.n_nodes:
-        raise ValueError(f"x0 last axis {x.shape[-1]} != n_nodes {graph.n_nodes}")
+    if x.ndim == 0 or x.shape[-1] != graph.n_nodes:
+        raise ValueError(f"x0 shape {x.shape} does not end in n_nodes {graph.n_nodes}")
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     n_steps = int(round(t_end / dt))

@@ -12,7 +12,8 @@ whole budget goes lateral (exterior branch):
 
 Both branches have ||f|| = v and they agree at the boundary. Along
 closed-loop motion pdot = f the tracking error phi - gamma contracts
-as exp(-k_e t).
+as exp(-k_e t). Vectors are component-first, (2, ...), so a vector
+meets a per-drone scalar in two contiguous inner loops.
 """
 
 from __future__ import annotations
@@ -86,20 +87,20 @@ def field_core(
     ----------
     phi : array (...)
         Level values at the query points.
-    normal, tangent : array (..., 2)
+    normal, tangent : array (2, ...)
         Unit left normal (the gradient of phi) and unit tangent of
         each line.
     speed, k_e : float
         Ground speed and convergence gain.
     gamma, gamma_dot : array (...)
         Offset reference and its rate.
-    gamma_ddot, p_dot : array (...), array (..., 2), optional
+    gamma_ddot, p_dot : array (...), array (2, ...), optional
         Supply both to also get the field time derivative along p_dot.
 
     Returns
     -------
-    dict with f (..., 2), interior (... bool), alpha, u_phi (...),
-    beta (..., 2), and f_dot ((..., 2) or None).
+    dict with f (2, ...), interior (... bool), alpha, u_phi (...),
+    beta (2, ...), and f_dot ((2, ...) or None).
 
     When every point is interior, the exterior arrays and the ``where``
     selects are skipped and the interior arrays are returned as they
@@ -108,37 +109,35 @@ def field_core(
     phi = np.asarray(phi, dtype=float)
     u_phi = -k_e * (phi - gamma) + gamma_dot
     # unit gradient: zeta = grad/||grad||^2 = normal, so beta = u_phi * normal
-    beta = u_phi[..., None] * normal
+    beta = u_phi * normal
     beta_norm = np.abs(u_phi)
     interior = beta_norm <= speed
     all_interior = bool(interior.all())
     alpha = np.sqrt(np.maximum(speed * speed - u_phi * u_phi, 0.0))
-    f = alpha[..., None] * tangent + beta
+    f = alpha * tangent + beta
     if not all_interior:
         safe_norm = np.where(interior, 1.0, beta_norm)
-        f_exterior = speed * beta / safe_norm[..., None]
-        f = np.where(interior[..., None], f, f_exterior)
+        f_exterior = speed * beta / safe_norm
+        f = np.where(interior, f, f_exterior)
 
     f_dot = None
     if gamma_ddot is not None and p_dot is not None:
-        phi_dot = (normal * p_dot).sum(axis=-1)
+        # a sum over axis 0, not a[0]*b[0] + a[1]*b[1]: -0.0 + -0.0 sums to +0.0
+        phi_dot = (normal * p_dot).sum(axis=0)
         u_phi_dot = -k_e * (phi_dot - gamma_dot) + gamma_ddot
-        beta_dot = u_phi_dot[..., None] * normal
+        beta_dot = u_phi_dot * normal
         # interior: f_dot = alpha_dot t_hat + beta_dot, with
         # alpha_dot = -(beta . beta_dot)/alpha floored near the boundary
         alpha_safe = np.maximum(alpha, ALPHA_FLOOR_REL * speed)
         alpha_dot = -(u_phi * u_phi_dot) / alpha_safe
-        f_dot = alpha_dot[..., None] * tangent + beta_dot
+        f_dot = alpha_dot * tangent + beta_dot
         if not all_interior:
             # exterior: f_dot = v (I/||b|| - b b^T/||b||^3) beta_dot, the
             # derivative of v beta/||beta|| (zero for lines, where beta_dot
             # stays parallel to beta)
-            b_dot_b = (beta * beta_dot).sum(axis=-1)
-            f_dot_exterior = speed * (
-                beta_dot / safe_norm[..., None]
-                - beta * (b_dot_b / safe_norm**3)[..., None]
-            )
-            f_dot = np.where(interior[..., None], f_dot, f_dot_exterior)
+            b_dot_b = (beta * beta_dot).sum(axis=0)
+            f_dot_exterior = speed * (beta_dot / safe_norm - beta * (b_dot_b / safe_norm**3))
+            f_dot = np.where(interior, f_dot, f_dot_exterior)
 
     return {
         "f": f,
@@ -153,7 +152,6 @@ def field_core(
 
 def _sample_from_core(core: dict) -> FieldSample:
     interior = bool(core["interior"])
-    f_dot = core["f_dot"]
     return FieldSample(
         f=core["f"],
         branch="interior" if interior else "exterior",
@@ -161,7 +159,7 @@ def _sample_from_core(core: dict) -> FieldSample:
         beta=core["beta"],
         phi=float(core["phi"]),
         u_phi=float(core["u_phi"]),
-        f_dot=None if f_dot is None else f_dot,
+        f_dot=core["f_dot"],
     )
 
 

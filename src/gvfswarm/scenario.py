@@ -154,16 +154,17 @@ def apply_overrides(mapping: dict, overrides) -> dict:
     """
     out = copy.deepcopy(mapping)
     for item in overrides:
+        shown = repr(item) if len(item) <= 80 else f"{item[:60]!r}... ({len(item)} characters)"
         if "=" not in item:
-            raise ScenarioError([f"override {item!r} is not of the form key.path=value"])
+            raise ScenarioError([f"override {shown} is not of the form key.path=value"])
         dotted, raw = item.split("=", 1)
         keys = [k for k in dotted.strip().split(".") if k]
         if not keys:
-            raise ScenarioError([f"override {item!r} has an empty key path"])
+            raise ScenarioError([f"override {shown} has an empty key path"])
         try:
             value = yaml.safe_load(raw)
         except (yaml.YAMLError, ValueError) as exc:
-            raise ScenarioError([f"override {item!r} has an unparsable value: {exc}"]) from exc
+            raise ScenarioError([f"override {shown} has an unparsable value: {exc}"]) from exc
         node = out
         for key in keys[:-1]:
             nxt = node.get(key)

@@ -25,9 +25,10 @@ drones:
 4. advance: RK4 on the unicycle under the held heading rate plus
    wind, and the exact exponential amplitude filter.
 
-Neighbor sums run through a padded gather table in a fixed slot
-order, so a run is bitwise reproducible; the test suite compares
-telemetry digests to enforce that.
+Planar vectors are component-first, (2, N), inside the tick; the
+history keeps positions as (ticks, N, 2). Neighbor sums run through a
+padded gather table in a fixed slot order, so a run is bitwise
+reproducible; the test suite compares telemetry digests to enforce that.
 """
 
 from __future__ import annotations
@@ -136,15 +137,15 @@ def run(
     cap = cfg.amplitude_cap
     wind = sc.wind
 
-    origins = np.stack([np.asarray(p.origin, dtype=float) for p in sc.paths])
-    tangents = np.stack([p.tangent() for p in sc.paths])
-    normals = np.stack([p.gradient(p.origin) for p in sc.paths])
+    origins = np.stack([np.asarray(p.origin, dtype=float) for p in sc.paths], axis=1)
+    tangents = np.stack([p.tangent() for p in sc.paths], axis=1)
+    normals = np.stack([p.gradient(p.origin) for p in sc.paths], axis=1)
     idx, mask = neighbor_gather(sc.graph)
     tails = np.array([e[0] for e in sc.graph.edges], dtype=np.int64)
     heads = np.array([e[1] for e in sc.graph.edges], dtype=np.int64)
 
     # mutable state
-    pos = sc.initial_positions()
+    pos = sc.initial_positions().T.copy()
     theta = sc.initial_headings.copy()
     amp = np.zeros(n)
     amp_rate = np.zeros(n)
@@ -153,8 +154,7 @@ def run(
     # the queue never holds more than n_ticks + 1 snapshots, so a longer
     # delay behaves as n_ticks and deque's maxlen stays in range
     snapshots: deque[np.ndarray] = deque(maxlen=min(sc.comm_delay_ticks, n_ticks) + 1)
-    p_dot = np.empty((n, 2))
-    p_dot_x, p_dot_y = p_dot[:, 0], p_dot[:, 1]
+    p_dot = np.empty((2, n))
 
     times = np.arange(n_ticks + 1) * dt
     hist = SimulationResult(
@@ -180,7 +180,7 @@ def run(
     # the observers run once per block of about _SUMMARY_BLOCK cells, from
     # the history and each tick's eta and p_dot
     rows = max(1, _SUMMARY_BLOCK // (2 + 13 * n + m if digest is not None else n))
-    eta_rows, p_dot_rows = np.empty((rows, n)), np.empty((rows, n, 2))
+    eta_rows, p_dot_rows = np.empty((rows, n)), np.empty((2, rows, n))
     last_violation, final_edge = -1, 0.0
     ground_min = omega_min = np.inf
     ground_max = omega_max = -np.inf
@@ -210,7 +210,7 @@ def run(
             j = k % rows
             # publish
             offset = pos - origins
-            x = (offset * tangents).sum(axis=-1)
+            x = (offset * tangents).sum(axis=0)
             averager.push(x)
             xbar = averager.average()
             snapshots.append(xbar)
@@ -231,9 +231,9 @@ def run(
                 a_cmd = np.full(n, sc.fixed_amplitude)
             wt = w * float(times[k])
             g, g_dot, g_ddot = osc.wave(math.sin(wt), math.cos(wt), amp, amp_rate, amp_accel, w)
-            phi = (offset * normals).sum(axis=-1)
-            np.cos(theta, out=p_dot_x)
-            np.sin(theta, out=p_dot_y)
+            phi = (offset * normals).sum(axis=0)
+            np.cos(theta, out=p_dot[0])
+            np.sin(theta, out=p_dot[1])
             p_dot *= speed
             core = field_core(
                 phi, normals, tangents, speed, sc.k_e,
@@ -242,7 +242,7 @@ def run(
             omega = heading_rate_core(core["f"], core["f_dot"], p_dot, speed, sc.k_n)
             t2 = clock()
             # telemetry: the history rows, then the observers once per block
-            hist.positions[k] = pos
+            hist.positions[k] = pos.T
             hist.headings[k] = theta
             hist.path_parameters[k] = x
             hist.averaged_parameters[k] = xbar
@@ -255,7 +255,7 @@ def run(
             hist.omegas[k] = omega
             hist.branches[k] = core["interior"]
             eta_rows[j] = eta
-            p_dot_rows[j] = p_dot
+            p_dot_rows[:, j] = p_dot
             if j == rows - 1 or k == n_ticks:
                 b, ticks = j + 1, slice(k - j, k + 1)
                 hist.branches[ticks] ^= 1  # interior flag -> exterior code
@@ -270,8 +270,7 @@ def run(
                         last_violation = k - j + int(late[-1])
                     final_edge = max_edge[-1]
                 # sqrt(vx^2 + vy^2) is bitwise np.linalg.norm over the pair
-                vel = p_dot_rows[:b] + wind
-                vx, vy = vel[..., 0], vel[..., 1]
+                vx, vy = p_dot_rows[:, :b] + wind.reshape(2, 1, 1)
                 ground = np.sqrt(vx * vx + vy * vy)
                 ground_min = np.minimum(ground_min, ground.min())
                 ground_max = np.maximum(ground_max, ground.max())

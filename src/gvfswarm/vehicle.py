@@ -41,17 +41,14 @@ class VehicleState:
 
 
 def heading_rate_core(f, f_dot, velocity, speed: float, k_n: float):
-    """omega = f^T E (k_n pdot - fdot) / v^2, batched over leading axes.
+    """omega = f^T E (k_n pdot - fdot) / v^2 on (2, ...) vectors.
 
     f^T E = (f_y, -f_x), so the rate vanishes exactly when the tracking
     mismatch k_n pdot - fdot is parallel to f.
     """
     f = np.asarray(f, dtype=float)
-    k_n = np.asarray(k_n, dtype=float)
-    if k_n.ndim > 0:
-        k_n = k_n[..., None]
     mismatch = k_n * np.asarray(velocity, dtype=float) - np.asarray(f_dot, dtype=float)
-    return (f[..., 1] * mismatch[..., 0] - f[..., 0] * mismatch[..., 1]) / (speed * speed)
+    return (f[1] * mismatch[0] - f[0] * mismatch[1]) / (speed * speed)
 
 
 def heading_rate(f, f_dot, velocity, speed: float, k_n: float) -> float:
@@ -83,10 +80,11 @@ def unicycle_step(position, heading, omega, speed: float, dt: float, wind=(0.0, 
     exact and the position update reduces to Simpson weights over the
     stage headings. The step preserves ||p_new - p|| <= v dt (plus the
     wind contribution) because the update is a convex combination of
-    speed-v velocities. Batched over leading axes.
+    speed-v velocities. ``position`` and the result are (2, ...) for
+    headings of shape (...); ``wind`` is one (2,) vector.
 
     The three stage headings share one (3, ...) array, so one cos and
-    one sin call give all three stage velocities.
+    one sin call give all three stage velocities, (2, 3, ...).
     """
     position = np.asarray(position, dtype=float)
     heading = np.asarray(heading, dtype=float)
@@ -98,11 +96,12 @@ def unicycle_step(position, heading, omega, speed: float, dt: float, wind=(0.0, 
     thetas[0] = heading
     thetas[1] = heading + 0.5 * dt * omega
     thetas[2] = new_heading
-    trig = np.empty(thetas.shape + (2,))
-    np.cos(thetas, out=trig[..., 0])
-    np.sin(thetas, out=trig[..., 1])
+    trig = np.empty((2,) + thetas.shape)
+    np.cos(thetas, out=trig[0])
+    np.sin(thetas, out=trig[1])
     trig *= speed
-    k1, k2, k4 = trig + wind
+    trig += wind.reshape((2,) + (1,) * thetas.ndim)
+    k1, k2, k4 = trig[:, 0], trig[:, 1], trig[:, 2]
     new_position = position + (dt / 6.0) * (k1 + 4.0 * k2 + k4)
     return new_position, wrap_angle(new_heading)
 

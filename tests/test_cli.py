@@ -48,6 +48,18 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "invalid:" in err and "graph.n_drones" in err
 
+    @pytest.mark.parametrize(
+        "override",
+        ["graph.n_drones=1" + "0" * 5000, "x" * 5000, "." * 5000 + "=1"],
+        ids=["unparsable", "no-equals", "empty-key"],
+    )
+    def test_long_override_is_echoed_short(self, override, scenario_dir, capsys):
+        assert main(["validate", str(scenario_dir / "two_drones.scn"), "--set", override]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("invalid: override ") and len(lines[0]) < 300
+        assert f"({len(override)} characters)" in lines[0]
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.scn")]) == 1
         capsys.readouterr()
@@ -121,6 +133,15 @@ class TestRun:
         assert main(["run"] + args) == 2
         ran = capsys.readouterr().err
         assert validated == ran == "invalid: consensus.tau_h: must exceed tau_l\n"
+
+    def test_history_too_large_for_memory(self, scenario_dir, capsys):
+        # 5e13 ticks: the first history array asks for hundreds of TiB
+        # and fails at allocation, before any page is touched
+        args = ["run", str(scenario_dir / "two_drones.scn"), "--set", "t_end_s=1.0e+12"]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
 
     def test_invalid_override_rejected(self, scenario_dir, capsys):
         code = main(

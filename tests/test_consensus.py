@@ -623,5 +623,7 @@ class TestIntegrateConsensus:
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             integrate_consensus(CHAIN5, np.zeros(4), self.PARAMS, 0.01, 1.0)
+        with pytest.raises(ValueError, match="n_nodes 5"):
+            integrate_consensus(CHAIN5, 5.0, self.PARAMS, 0.01, 1.0)
         with pytest.raises(ValueError):
             integrate_consensus(CHAIN5, np.zeros(5), self.PARAMS, -0.01, 1.0)

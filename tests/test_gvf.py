@@ -185,23 +185,27 @@ class TestCore:
         gam = rng.uniform(-20, 20, n)
         gad = rng.uniform(-15, 15, n)
         phi = X_AXIS.phi(pts)
-        normal = np.broadcast_to(X_AXIS.gradient(pts[0]), (n, 2))
-        tangent = np.broadcast_to(X_AXIS.tangent(), (n, 2))
+        normal = np.broadcast_to(X_AXIS.gradient(pts[0])[:, None], (2, n))
+        tangent = np.broadcast_to(X_AXIS.tangent()[:, None], (2, n))
         core = field_core(phi, normal, tangent, V, 1.0, gam, gad)
         for i in range(n):
             s = field(X_AXIS, pts[i], V, 1.0, gam[i], gad[i])
-            assert np.array_equal(core["f"][i], s.f)
+            assert np.array_equal(core["f"][:, i], s.f)
             assert core["interior"][i] == (s.branch == "interior")
             assert core["alpha"][i] == s.alpha
 
     def test_per_drone_gain_array(self):
+        # two drones, component-first: both normals (0, 1), both tangents (1, 0)
         phi = np.array([10.0, 10.0])
-        normal = np.array([[0.0, 1.0], [0.0, 1.0]])
-        tangent = np.array([[1.0, 0.0], [1.0, 0.0]])
+        normal = np.array([[0.0, 0.0], [1.0, 1.0]])
+        tangent = np.array([[1.0, 1.0], [0.0, 0.0]])
         core = field_core(phi, normal, tangent, V, np.array([1.0, 2.0]), 0.0, 0.0)
         assert core["u_phi"][0] == -10.0
         assert core["u_phi"][1] == -20.0
         assert core["interior"][0] and not core["interior"][1]
+        assert core["f"].shape == (2, 2)
+        assert np.array_equal(core["f"][:, 0], [math.sqrt(156.0), -10.0])
+        assert np.array_equal(core["f"][:, 1], [0.0, -V])
 
     def test_sample_type(self):
         s = field(X_AXIS, (0.0, 1.0), V, 1.0)
@@ -248,6 +252,21 @@ def _two_branch_core(phi, normal, tangent, speed, k_e, gamma, gamma_dot,
     }
 
 
+def _oracle_core(phi, normal, tangent, speed, k_e, gamma, gamma_dot,
+                 gamma_ddot=None, p_dot=None):
+    """_two_branch_core on (2, ...) vectors: they move to the last axis
+    for the oracle and its vector results move back."""
+    def last(a):
+        return None if a is None else np.moveaxis(a, 0, -1)
+
+    want = _two_branch_core(phi, last(normal), last(tangent), speed, k_e, gamma, gamma_dot,
+                            gamma_ddot=gamma_ddot, p_dot=last(p_dot))
+    for key in ("f", "beta", "f_dot"):
+        if want[key] is not None:
+            want[key] = np.moveaxis(want[key], -1, 0)
+    return want
+
+
 def _same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -260,8 +279,8 @@ class TestCoreShortcut:
     def inputs(shape, case, seed):
         rng = np.random.default_rng(seed)
         heading = rng.uniform(-math.pi, math.pi, shape)
-        tangent = np.stack([np.cos(heading), np.sin(heading)], axis=-1)
-        normal = np.stack([-tangent[..., 1], tangent[..., 0]], axis=-1)
+        tangent = np.stack([np.cos(heading), np.sin(heading)])
+        normal = np.stack([-tangent[1], tangent[0]])
         gam = rng.uniform(-5.0, 5.0, shape)
         # |u_phi| <= 8 + 5 + 3 < V inside; >= 30 - 5 - 3 > V outside
         near = rng.uniform(-8.0, 8.0, shape)
@@ -277,7 +296,7 @@ class TestCoreShortcut:
         gad = rng.uniform(-3.0, 3.0, shape)
         gadd = rng.uniform(-2.0, 2.0, shape)
         vel_heading = rng.uniform(-math.pi, math.pi, shape)
-        p_dot = V * np.stack([np.cos(vel_heading), np.sin(vel_heading)], axis=-1)
+        p_dot = V * np.stack([np.cos(vel_heading), np.sin(vel_heading)])
         return phi, normal, tangent, gam, gad, gadd, p_dot
 
     @pytest.mark.parametrize("with_dot", [False, True], ids=["no-f_dot", "f_dot"])
@@ -297,7 +316,7 @@ class TestCoreShortcut:
                 phi, gam, gad, gadd = float(phi), float(gam), float(gad), float(gadd)
             extra = {"gamma_ddot": gadd, "p_dot": p_dot} if with_dot else {}
             got = field_core(phi, normal, tangent, V, 1.0, gam, gad, **extra)
-            want = _two_branch_core(phi, normal, tangent, V, 1.0, gam, gad, **extra)
+            want = _oracle_core(phi, normal, tangent, V, 1.0, gam, gad, **extra)
             assert set(got) == set(want)
             interior = np.asarray(want["interior"])
             if case == "interior":
@@ -311,3 +330,19 @@ class TestCoreShortcut:
                     assert got[key] is None, key
                 else:
                     assert _same_bits(got[key], want[key]), (key, seed)
+
+    def test_signed_zero_row(self):
+        # two drones flying east on the x axis, normal (-0, 1), velocity
+        # (16, -0): every product in phi_dot = n . p_dot is -0.0, and so
+        # is every product in the exterior drone's beta . beta_dot. The
+        # component reduction sums those pairs to +0.0, an explicit
+        # a[0]*b[0] + a[1]*b[1] to -0.0, which flips a zero of f_dot.
+        phi = np.array([0.0, 20.0])
+        normal = np.array([[-0.0, -0.0], [1.0, 1.0]])
+        tangent = np.array([[1.0, 1.0], [0.0, 0.0]])
+        extra = {"gamma_ddot": np.array([-0.0, 0.0]), "p_dot": np.array([[V, V], [-0.0, -0.0]])}
+        got = field_core(phi, normal, tangent, V, 1.0, 0.0, 0.0, **extra)
+        want = _oracle_core(phi, normal, tangent, V, 1.0, 0.0, 0.0, **extra)
+        assert list(want["interior"]) == [True, False]
+        for key in want:
+            assert _same_bits(got[key], want[key]), key

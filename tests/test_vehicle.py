@@ -53,8 +53,9 @@ class TestHeadingRate:
         assert w == pytest.approx(-math.sin(theta), abs=1e-12)
 
     def test_batched_and_gain_array(self):
-        f = np.array([[V, 0.0], [V, 0.0]])
-        vel = np.array([[0.0, V], [0.0, V]])
+        # two drones, component-first: both f (V, 0), both velocities (0, V)
+        f = np.array([[V, V], [0.0, 0.0]])
+        vel = np.array([[0.0, 0.0], [V, V]])
         out = heading_rate_core(f, np.zeros((2, 2)), vel, V, np.array([1.0, 2.0]))
         assert np.allclose(out, [-1.0, -2.0], atol=1e-12)
 
@@ -133,15 +134,15 @@ class TestUnicycleStep:
         assert th == 0.3
 
     def test_batched(self):
-        pos = np.zeros((4, 2))
+        pos = np.zeros((2, 4))
         theta = np.array([0.0, 0.5, -1.0, 3.0])
         omega = np.array([0.0, 0.1, -0.2, 0.0])
         p, th = unicycle_step(pos, theta, omega, V, 0.02)
-        assert p.shape == (4, 2)
+        assert p.shape == (2, 4)
         assert th.shape == (4,)
         for i in range(4):
-            pi, ti = unicycle_step(pos[i], theta[i], omega[i], V, 0.02)
-            assert np.array_equal(p[i], pi)
+            pi, ti = unicycle_step(pos[:, i], theta[i], omega[i], V, 0.02)
+            assert np.array_equal(p[:, i], pi)
             assert th[i] == ti
 
 
@@ -225,9 +226,10 @@ class TestShortcutsAgainstFormulas:
             if shape == ():
                 theta, omega = float(theta), float(omega)
             for dt in (0.02, 0.5):
-                got = unicycle_step(pos, theta, omega, V, dt, np.array(wind))
+                # the kernel takes (2, ...) positions, the oracle (..., 2)
+                got = unicycle_step(np.moveaxis(pos, -1, 0), theta, omega, V, dt, np.array(wind))
                 want = _three_stack_step(pos, theta, omega, V, dt, np.array(wind))
-                assert _same_bits(got[0], want[0])
+                assert _same_bits(got[0], np.moveaxis(want[0], -1, 0))
                 assert _same_bits(got[1], want[1])
                 raw = np.asarray(theta + dt * omega)
                 in_range.add(bool(((raw > -math.pi) & (raw <= math.pi)).all()))
