@@ -30,7 +30,7 @@ from .oscillation import (
     fit_k_a,
 )
 from .scenario import ScenarioError, apply_overrides, build_scenario, load_mapping, validate_mapping
-from .sim import TELEMETRY_FLOAT_FORMAT, run as run_sim
+from .sim import TELEMETRY_FLOAT_FORMAT, TelemetryHelperError, run as run_sim
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -231,6 +231,9 @@ def main(argv=None) -> int:
         return 1
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
+    except TelemetryHelperError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import copy
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,6 +81,21 @@ _GVF_KEYS = {"k_e", "k_n"}
 _OSC_KEYS = {"w_gamma_rad_s", "k_a", "amplitude_cap_m", "tau_a_s", "fixed_amplitude_m"}
 _CONS_KEYS = {"k_u", "r_m", "tau_l", "tau_h", "comm_delay_ticks"}
 _INIT_KEYS = {"parameters_m", "parameter_span_m", "offsets_m", "headings_rad"}
+
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads 1e2, 1e+3 and 1.5e3 as floats.
+
+    PyYAML's float rule is YAML 1.1's, which needs a dot and a signed
+    exponent; the scenario file and every override share this loader.
+    """
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
 
 # explicit tau_h must match (v - eps)/k_u to this relative tolerance
 _TAU_H_RTOL = 1e-6
@@ -137,7 +153,7 @@ class Scenario:
 def load_mapping(path) -> dict:
     """Read a scenario document from a YAML file."""
     try:
-        data = yaml.safe_load(Path(path).read_text())
+        data = yaml.load(Path(path).read_text(), Loader=_Loader)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: not UTF-8, ints of > 4300 digits
         raise ScenarioError([f"scenario file {path} is unparsable: {exc}"]) from exc
     if not isinstance(data, dict):
@@ -162,7 +178,7 @@ def apply_overrides(mapping: dict, overrides) -> dict:
         if not keys:
             raise ScenarioError([f"override {shown} has an empty key path"])
         try:
-            value = yaml.safe_load(raw)
+            value = yaml.load(raw, Loader=_Loader)
         except (yaml.YAMLError, ValueError) as exc:
             raise ScenarioError([f"override {shown} has an unparsable value: {exc}"]) from exc
         node = out

@@ -17,11 +17,15 @@ drones:
 3. telemetry: the tick's history rows. When a block of ticks closes,
    and at the last tick, one observer pass computes what no control
    reads: branch codes, edge gaps z, the Lyapunov value V, the
-   summary's running extremes and the CSV lines, one per tick after a
-   header line, every cell ``%.9g`` of a float, comma-separated with
-   no quoting and ended by CR LF. A block of lines is formatted once,
-   the same bytes feed the SHA-256 and the file, and the file grows
-   one block at a time.
+   summary's running extremes and, with telemetry on, one float64 row
+   per tick. The rows go to a helper process, forked at the first
+   block close, as raw bytes over a pipe; the loop does not wait for
+   it. The helper owns the byte stream: a header line, then one CSV
+   line per tick, every cell ``%.9g`` of a float, comma-separated with
+   no quoting and ended by CR LF. It formats each block once, feeds
+   the same bytes to the SHA-256 and the file, so the file grows one
+   block at a time, and returns the hexdigest at the end. Where no
+   helper can start, the same writer runs in-process.
 4. advance: RK4 on the unicycle under the held heading rate plus
    wind, and the exact exponential amplitude filter.
 
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -48,7 +53,7 @@ from .gvf import field_core
 from .scenario import Scenario
 from .vehicle import heading_rate_core, unicycle_step
 
-__all__ = ["SimulationResult", "run", "TELEMETRY_FLOAT_FORMAT"]
+__all__ = ["SimulationResult", "TelemetryHelperError", "run", "TELEMETRY_FLOAT_FORMAT"]
 
 TELEMETRY_FLOAT_FORMAT = "%.9g"
 
@@ -88,8 +93,9 @@ class SimulationResult:
     summary: dict = field(default_factory=dict)
     telemetry_digest: str | None = None
     # wall ns per stage (publish, control, telemetry, advance, summary);
-    # telemetry includes the per-block observer pass, summary only the
-    # final assembly; never part of the summary or the digest
+    # telemetry includes the per-block observer pass and this process's
+    # share of the rows (send, final wait), summary only the final
+    # assembly; never part of the summary or the digest
     timings: dict = field(default_factory=dict)
 
 
@@ -100,6 +106,151 @@ def _telemetry_header(n_drones: int, n_edges: int) -> list[str]:
     cols.extend(f"z{k}_m" for k in range(1, n_edges + 1))
     cols.append("V")
     return cols
+
+
+class TelemetryHelperError(RuntimeError):
+    """The telemetry helper process died or failed before the run ended."""
+
+
+class _RowWriter:
+    """Formats, hashes and writes the telemetry byte stream.
+
+    The header goes out first; ``write`` takes the raw float64 bytes of
+    whole rows and renders them with one ``%``. The helper process runs
+    one, and so does ``run`` itself when no helper can start.
+    """
+
+    def __init__(self, header: bytes, cells: int, rows: int, fh) -> None:
+        # bytes %: a str % plus encode of each block raised the peak RSS of
+        # some 600 s eight-drone runs by about 4 MiB of heap fragments
+        self.row_fmt = (",".join([TELEMETRY_FLOAT_FORMAT] * cells) + "\r\n").encode()
+        self.block_fmt = self.row_fmt * rows
+        self.cells, self.rows, self.fh = cells, rows, fh
+        self.digest = hashlib.sha256(header)
+        if fh is not None:
+            fh.write(header)
+
+    def write(self, data) -> None:
+        values = memoryview(data).cast("d").tolist()
+        b = len(values) // self.cells
+        lines = (self.block_fmt if b == self.rows else self.row_fmt * b) % tuple(values)
+        self.digest.update(lines)
+        if self.fh is not None:
+            self.fh.write(lines)
+
+    def finish(self) -> str:
+        if self.fh is not None:
+            self.fh.flush()
+        return self.digest.hexdigest()
+
+    def close(self) -> None:
+        """Nothing to release: the caller closes the file."""
+
+
+class _Helper:
+    """A forked process running a _RowWriter on the blocks sent over a pipe.
+
+    ``write`` returns once the bytes are in the pipe; ``finish`` closes
+    it, waits for the helper and returns its hexdigest. A dead or failed
+    helper raises TelemetryHelperError, and every path reaps it.
+    """
+
+    def __init__(self, header: bytes, cells: int, rows: int, fh) -> None:
+        data_r, data_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        try:
+            if fh is not None:
+                fh.flush()  # the child must not inherit buffered bytes
+            pid = os.fork()
+        except BaseException:
+            for fd in (data_r, data_w, reply_r, reply_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            _serve(data_r, data_w, reply_r, reply_w, header, cells, rows, fh)
+        os.close(data_r)
+        os.close(reply_w)
+        self.pid, self.out, self.reply, self.status = pid, data_w, reply_r, None
+
+    def write(self, data) -> None:
+        view = memoryview(data)
+        try:
+            while view:
+                view = view[os.write(self.out, view):]
+        except BrokenPipeError:
+            raise self._error(self._stop()) from None
+
+    def finish(self) -> str:
+        reply = self._stop()
+        if self.status == 0 and len(reply) == 64:
+            return reply.decode()
+        raise self._error(reply)
+
+    def close(self) -> None:
+        self._stop()
+
+    def _stop(self) -> bytes:
+        """Close the pipe, read the reply and reap the helper; once."""
+        pid, self.pid = self.pid, None
+        if pid is None:
+            return b""
+        os.close(self.out)
+        chunks = []
+        try:
+            while chunk := os.read(self.reply, 4096):
+                chunks.append(chunk)
+        finally:
+            os.close(self.reply)
+            self.status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        return b"".join(chunks)
+
+    def _error(self, reply: bytes) -> TelemetryHelperError:
+        if self.status < 0:
+            return TelemetryHelperError(
+                f"telemetry helper was killed by signal {-self.status} before the run ended")
+        detail = reply.decode(errors="replace") or f"exit status {self.status}"
+        return TelemetryHelperError(f"telemetry helper failed: {detail}")
+
+
+def _serve(data_r, data_w, reply_r, reply_w, header, cells, rows, fh) -> None:
+    """The helper process: rows from the pipe to a _RowWriter, then the reply.
+
+    The reply is the hexdigest, or the error that stopped the helper.
+    Leaves only through os._exit: the parent's cleanup, atexit hooks
+    and stdio buffers are not the child's to run. The child runs no
+    numpy, so the parent's BLAS threads, which fork does not copy, are
+    never missed.
+    """
+    status, reply = 1, b""
+    try:
+        import gc
+
+        # no cycles here; a full collection would copy the parent's heap pages
+        gc.disable()
+        os.close(data_w)
+        os.close(reply_r)
+        writer = _RowWriter(header, cells, rows, fh)
+        with open(data_r, "rb") as src:
+            for data in iter(lambda: src.read(rows * cells * 8), b""):
+                writer.write(data)
+        reply, status = writer.finish().encode(), 0
+    except Exception as exc:
+        reply = f"{type(exc).__name__}: {exc}".encode()[:512]
+    finally:
+        try:
+            os.write(reply_w, reply)
+        finally:
+            os._exit(status)
+
+
+def _row_sink(header: bytes, cells: int, rows: int, fh):
+    """A helper process for the rows, or a _RowWriter here if none can start."""
+    if hasattr(os, "fork"):
+        try:
+            return _Helper(header, cells, rows, fh)
+        except (OSError, RuntimeError):
+            pass
+    return _RowWriter(header, cells, rows, fh)
 
 
 def run(
@@ -176,19 +327,19 @@ def run(
         lyapunov=np.empty(n_ticks + 1),
     )
 
-    digest = hashlib.sha256() if (compute_digest or telemetry_path is not None) else None
+    rows_on = compute_digest or telemetry_path is not None
     # the observers run once per block of about _SUMMARY_BLOCK cells, from
     # the history and each tick's eta and p_dot
-    rows = max(1, _SUMMARY_BLOCK // (2 + 13 * n + m if digest is not None else n))
+    rows = max(1, _SUMMARY_BLOCK // (2 + 13 * n + m if rows_on else n))
     eta_rows, p_dot_rows = np.empty((rows, n)), np.empty((2, rows, n))
     last_violation, final_edge = -1, 0.0
     ground_min = omega_min = np.inf
     ground_max = omega_max = -np.inf
-    fh = None
+    fh = sink = None
     clock = time.perf_counter_ns
     ns_publish = ns_control = ns_telemetry = ns_advance = 0
     try:
-        if digest is not None:
+        if rows_on:
             # one float row per tick: t, 13 cells per drone, z, V; the drone
             # cells are an (N, 13) view per row
             block = np.empty((rows, 2 + 13 * n + m))
@@ -196,15 +347,10 @@ def run(
             columns = (hist.headings, hist.phis, hist.gammas, hist.path_parameters,
                        hist.averaged_parameters, hist.inputs, hist.desired_velocities,
                        hist.amplitudes, hist.commanded_amplitudes, hist.omegas, hist.branches)
-            # bytes %: a str % plus encode of each block raised the peak RSS of
-            # some 600 s eight-drone runs by about 4 MiB of heap fragments
-            row_fmt = (",".join([TELEMETRY_FLOAT_FORMAT] * block.shape[1]) + "\r\n").encode()
-            block_fmt = row_fmt * rows
             header = (",".join(_telemetry_header(n, m)) + "\r\n").encode()
-            digest.update(header)
             if telemetry_path is not None:
+                # opened here, so a bad path fails before the first tick
                 fh = open(telemetry_path, "wb")
-                fh.write(header)
         for k in range(n_ticks + 1):
             t0 = clock()
             j = k % rows
@@ -276,18 +422,18 @@ def run(
                 ground_max = np.maximum(ground_max, ground.max())
                 omega_min = np.minimum(omega_min, hist.omegas[ticks].min())
                 omega_max = np.maximum(omega_max, hist.omegas[ticks].max())
-                if digest is not None:
+                if rows_on:
                     block[:b, 0] = times[ticks]
                     drone_cells[:b, :, 0:2] = hist.positions[ticks]
                     for c, column in enumerate(columns, start=2):
                         drone_cells[:b, :, c] = column[ticks]
                     block[:b, 1 + 13 * n:-1] = z
                     block[:b, -1] = v
-                    fmt = block_fmt if b == rows else row_fmt * b
-                    lines = fmt % tuple(block[:b].ravel().tolist())
-                    digest.update(lines)
-                    if fh is not None:
-                        fh.write(lines)
+                    if sink is None:
+                        sink = _row_sink(header, block.shape[1], rows, fh)
+                    sink.write(memoryview(block[:b]).cast("B"))
+                    if k == n_ticks:
+                        hist.telemetry_digest = sink.finish()
             t3 = clock()
             # advance
             if k < n_ticks:
@@ -299,10 +445,11 @@ def run(
             ns_telemetry += t3 - t2
             ns_advance += t4 - t3
     finally:
+        if sink is not None:
+            sink.close()
         if fh is not None:
             fh.close()
 
-    hist.telemetry_digest = digest.hexdigest() if digest is not None else None
     t0 = clock()
     hist.summary = _summarize(
         hist, overrides, last_violation, final_edge,

@@ -64,6 +64,22 @@ class TestValidate:
         assert main(["validate", str(tmp_path / "nope.scn")]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("spelling", ["1e2", "1e+3", "1.5e3"])
+    @pytest.mark.parametrize("where", ["file", "set"])
+    def test_exponent_float_without_dot_is_a_number(
+        self, where, spelling, scenario_dir, tmp_path, capsys
+    ):
+        # these once read as strings: "t_end_s: required positive number"
+        bundled = scenario_dir / "two_drones.scn"
+        if where == "file":
+            path = tmp_path / "exp.scn"
+            path.write_text(bundled.read_text().replace("t_end_s: 300.0\n", f"t_end_s: {spelling}\n"))
+            args = ["validate", str(path)]
+        else:
+            args = ["validate", str(bundled), "--set", f"t_end_s={spelling}"]
+        assert main(args) == 0
+        assert capsys.readouterr() == ("ok\n", "")
+
 
 class TestRun:
     def test_run_writes_telemetry_and_summary(self, scenario_dir, tmp_path, capsys):
@@ -142,6 +158,18 @@ class TestRun:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+    def test_dead_telemetry_helper_is_one_error_line(self, killed_helper_run, scenario_dir):
+        scenario = str(scenario_dir / "two_drones.scn")
+        proc = killed_helper_run(
+            "from gvfswarm.cli import main\n"
+            f"print('exit', main(['run', {scenario!r}, '--set', 't_end_s=20', '--digest']))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["exit 1", "no child left"]
+        assert proc.stderr.splitlines() == [
+            "error: telemetry helper was killed by signal 9 before the run ended"
+        ]
 
     def test_invalid_override_rejected(self, scenario_dir, capsys):
         code = main(

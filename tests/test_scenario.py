@@ -59,6 +59,29 @@ class TestLoad:
         with pytest.raises(ScenarioError, match="unparsable"):
             load_mapping(f)
 
+    @pytest.mark.parametrize(
+        "spelling,value", [("1e2", 100.0), ("1e+3", 1000.0), ("1.5e3", 1500.0)]
+    )
+    def test_exponent_floats_without_dot_or_sign(self, spelling, value, scenario_dir, tmp_path):
+        # YAML 1.1's float rule needs a dot and a signed exponent, so a
+        # plain SafeLoader leaves these spellings strings
+        text = (scenario_dir / "two_drones.scn").read_text()
+        assert "t_end_s: 300.0\n" in text
+        f = tmp_path / "exp.scn"
+        f.write_text(text.replace("t_end_s: 300.0\n", f"t_end_s: {spelling}\n"))
+        doc = load_mapping(f)
+        assert type(doc["t_end_s"]) is float and doc["t_end_s"] == value
+        assert validate_mapping(doc) == []
+        out = apply_overrides(load_mapping(scenario_dir / "two_drones.scn"), [f"t_end_s={spelling}"])
+        assert out == doc
+
+    @pytest.mark.parametrize("spelling", ["1e3", "1.0e+3"])
+    def test_exponent_float_name_is_a_number(self, spelling, tmp_path):
+        f = tmp_path / "exp.scn"
+        f.write_text(f"name: {spelling}\n")
+        assert load_mapping(f) == {"name": 1000.0}
+        assert "name: must be a non-empty string" in validate_mapping({**base_doc(), "name": 1000.0})
+
 
 class TestOverrides:
     def test_scalar_list_and_null(self):

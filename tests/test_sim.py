@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -154,6 +155,19 @@ def first_sustained_below(series: np.ndarray, threshold: float) -> int | None:
     return None if late[-1] == len(series) - 1 else int(late[-1]) + 1
 
 
+def per_cell_case_doc(case: str, scenario_dir) -> dict:
+    if case == "single-drone":
+        return single_drone_doc()
+    # 40 m lateral offsets put drones on the exterior branch early on
+    return apply_overrides(
+        load_mapping(scenario_dir / "eight_drones.scn"),
+        [
+            "t_end_s=40", "wind_mps=[1.5,-2.0]",
+            "consensus.comm_delay_ticks=7", "initial.offsets_m=40.0",
+        ],
+    )
+
+
 @pytest.fixture(scope="module")
 def telemetry_run(tmp_path_factory, scenario_dir):
     out = tmp_path_factory.mktemp("telemetry") / "pair.csv"
@@ -212,19 +226,8 @@ class TestTelemetry:
 
     @pytest.mark.parametrize("case", ["windy-delayed-eight", "single-drone"])
     def test_file_bytes_match_per_cell_formatter(self, case, scenario_dir, tmp_path):
-        if case == "single-drone":
-            doc = single_drone_doc()
-        else:
-            # 40 m lateral offsets put drones on the exterior branch early on
-            doc = apply_overrides(
-                load_mapping(scenario_dir / "eight_drones.scn"),
-                [
-                    "t_end_s=40", "wind_mps=[1.5,-2.0]",
-                    "consensus.comm_delay_ticks=7", "initial.offsets_m=40.0",
-                ],
-            )
         out = tmp_path / "telemetry.csv"
-        res = run(build_scenario(doc), telemetry_path=out)
+        res = run(build_scenario(per_cell_case_doc(case, scenario_dir)), telemetry_path=out)
         if case == "single-drone":
             assert res.edge_diffs.shape[1] == 0  # empty z block
         else:
@@ -238,6 +241,130 @@ class TestTelemetry:
         res = run(build_scenario(single_drone_doc()))
         assert res.telemetry_digest is None
         assert res.summary["telemetry_sha256"] is None
+
+
+@pytest.fixture
+def helper_pids(monkeypatch):
+    """The pid of every telemetry helper that run starts, in order."""
+    pids = []
+    start = sim._Helper
+
+    def recording_start(*args):
+        helper = start(*args)
+        pids.append(helper.pid)
+        return helper
+
+    monkeypatch.setattr(sim, "_Helper", recording_start)
+    return pids
+
+
+def assert_reaped(pid: int) -> None:
+    # ChildProcessError: no such child, neither running nor a zombie
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+
+
+class TestTelemetryHelper:
+    """A forked helper formats, hashes and writes the rows; the bytes do not depend on it."""
+
+    @pytest.mark.parametrize("case", ["windy-delayed-eight", "single-drone"])
+    def test_in_process_fallback_writes_the_same_bytes(
+        self, case, helper_pids, monkeypatch, scenario_dir, tmp_path
+    ):
+        sc = build_scenario(per_cell_case_doc(case, scenario_dir))
+        helped = run(sc, telemetry_path=tmp_path / "helper.csv")
+        assert len(helper_pids) == 1
+        refused = []
+
+        def refuse(*args):
+            refused.append(args)
+            raise OSError("no fork here")
+
+        monkeypatch.setattr(sim, "_Helper", refuse)
+        res = run(sc, telemetry_path=tmp_path / "in-process.csv")
+        assert len(refused) == 1
+        data = (tmp_path / "in-process.csv").read_bytes()
+        assert data == (tmp_path / "helper.csv").read_bytes()
+        assert data == reference_telemetry(res)
+        assert res.telemetry_digest == helped.telemetry_digest == hashlib.sha256(data).hexdigest()
+
+    def test_helper_is_reaped_after_a_run(self, helper_pids):
+        res = run(build_scenario(pair_doc()), compute_digest=True)
+        assert res.telemetry_digest is not None
+        assert len(helper_pids) == 1
+        assert_reaped(helper_pids[0])
+
+    def test_helper_is_reaped_after_an_error_in_the_run(self, helper_pids, monkeypatch, tmp_path):
+        # the third observer pass raises: two blocks went to the helper,
+        # which writes them and exits
+        sc = build_scenario(pair_doc())
+        full = tmp_path / "full.csv"
+        run(sc, telemetry_path=full)
+        calls = []
+        lyapunov = sim.lyapunov_value
+
+        def failing_lyapunov(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise ValueError("observer failed")
+            return lyapunov(*args)
+
+        monkeypatch.setattr(sim, "lyapunov_value", failing_lyapunov)
+        out = tmp_path / "partial.csv"
+        with pytest.raises(ValueError, match="observer failed"):
+            run(sc, telemetry_path=out)
+        assert len(helper_pids) == 2
+        for pid in helper_pids:
+            assert_reaped(pid)
+        rows = sim._SUMMARY_BLOCK // (2 + 13 * sc.n_drones + sc.graph.n_edges)
+        lines = full.read_bytes().splitlines(keepends=True)
+        assert out.read_bytes() == b"".join(lines[:1 + 2 * rows])
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_helper_write_error_is_reported(self, helper_pids):
+        # every write to /dev/full fails with ENOSPC, in the helper here
+        with pytest.raises(sim.TelemetryHelperError, match="OSError: .*No space left"):
+            run(build_scenario(pair_doc()), telemetry_path="/dev/full")
+        assert len(helper_pids) == 1
+        assert_reaped(helper_pids[0])
+
+    def test_dead_helper_raises_instead_of_hanging(self, killed_helper_run, scenario_dir):
+        proc = killed_helper_run(
+            f"""
+sc = build_scenario(apply_overrides(load_mapping({str(scenario_dir / "two_drones.scn")!r}), ["t_end_s=20"]))
+try:
+    sim.run(sc, compute_digest=True)
+except RuntimeError as exc:
+    print(type(exc).__name__, exc)
+"""
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == (
+            "TelemetryHelperError telemetry helper was killed by signal 9 before the run ended"
+        )
+        assert lines[1:] == ["no child left"]
+
+
+class TestTickSums:
+    @pytest.mark.parametrize("alpha", [4.0, 2.5], ids=["tangent-negative", "normal-negative"])
+    def test_two_negative_zero_products_sum_to_positive_zero(self, alpha):
+        # the drone starts on its path origin, so pos - origin is (+0, +0);
+        # at alpha = 4.0 both tangent components are negative, at 2.5 both
+        # normal components, so x or phi sums two -0.0 products there. The
+        # component-axis reduction gives +0.0, as the telemetry digests
+        # expect; a[0]*b[0] + a[1]*b[1] would give -0.0
+        doc = single_drone_doc()
+        doc["paths"] = {"alpha_rad": alpha, "origin_m": [3.0, -7.0]}
+        doc["t_end_s"] = 0.1
+        sc = build_scenario(doc)
+        path = sc.paths[0]
+        vector = path.tangent() if alpha == 4.0 else path.gradient(path.origin)
+        assert np.all(vector < 0.0)
+        res = run(sc)
+        assert np.array_equal(res.positions[0], [[3.0, -7.0]])
+        assert res.path_parameters[0].tobytes() == np.zeros(1).tobytes()
+        assert res.phis[0].tobytes() == np.zeros(1).tobytes()
 
 
 class TestSummary:
