@@ -23,10 +23,8 @@ from .consensus import (
     sat,
 )
 from .graph import DEMO_TREE_EDGES, Graph, TreeCheck
-from .gvf import FieldSample, GvfGains, field, field_derivative, virtual_input
 from .oscillation import (
     OscillationConfig,
-    OscillationState,
     amplitude_for_velocity,
     average_parametric_velocity,
     average_parametric_velocity_closed_form,
@@ -36,7 +34,6 @@ from .oscillation import (
     gamma,
     gamma_ddot,
     gamma_dot,
-    update_amplitude,
 )
 from .paths import StraightLinePath
 from .scenario import (
@@ -48,7 +45,7 @@ from .scenario import (
     validate_mapping,
 )
 from .sim import SimulationResult, run
-from .vehicle import VehicleState, heading_rate, step_unicycle, wrap_angle
+from .vehicle import wrap_angle
 
 __all__ = [
     "__version__",
@@ -61,13 +58,7 @@ __all__ = [
     "DEMO_TREE_EDGES",
     "Graph",
     "TreeCheck",
-    "FieldSample",
-    "GvfGains",
-    "field",
-    "field_derivative",
-    "virtual_input",
     "OscillationConfig",
-    "OscillationState",
     "amplitude_for_velocity",
     "average_parametric_velocity",
     "average_parametric_velocity_closed_form",
@@ -77,7 +68,6 @@ __all__ = [
     "gamma",
     "gamma_ddot",
     "gamma_dot",
-    "update_amplitude",
     "StraightLinePath",
     "Scenario",
     "ScenarioError",
@@ -87,8 +77,5 @@ __all__ = [
     "validate_mapping",
     "SimulationResult",
     "run",
-    "VehicleState",
-    "heading_rate",
-    "step_unicycle",
     "wrap_angle",
 ]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
@@ -121,8 +122,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    if args.speed <= 0 or args.w_gamma <= 0:
-        print("speed and w-gamma must be positive", file=sys.stderr)
+    if not all(math.isfinite(v) and v > 0 for v in (args.speed, args.w_gamma)):
+        print("speed and w-gamma must be positive and finite", file=sys.stderr)
         return 2
     try:
         value = fit_k_a(args.speed, args.w_gamma, args.samples)
@@ -179,8 +180,8 @@ def _cmd_consensus_demo(args) -> int:
 
 
 def _cmd_fit_curve(args) -> int:
-    if args.speed <= 0 or args.w_gamma <= 0:
-        print("speed and w-gamma must be positive", file=sys.stderr)
+    if not all(math.isfinite(v) and v > 0 for v in (args.speed, args.w_gamma)):
+        print("speed and w-gamma must be positive and finite", file=sys.stderr)
         return 2
     if args.points < 2:
         print("--points must be at least 2", file=sys.stderr)

@@ -146,13 +146,6 @@ class WindowAverager:
     def count(self) -> int:
         return self._count
 
-    @property
-    def time(self) -> float:
-        """Timestamp of the newest sample, k dt."""
-        if self._count == 0:
-            raise ValueError("no samples pushed yet")
-        return (self._count - 1) * self.dt
-
     def push(self, value) -> None:
         value = np.asarray(value, dtype=float)
         if value.shape != self.shape:
@@ -164,13 +157,6 @@ class WindowAverager:
         self._buffer[self._head] = value
         self._head = (self._head + 1) % self._capacity
         self._count += 1
-
-    def retained(self) -> np.ndarray:
-        """Retained samples in chronological order, newest last."""
-        n = min(self._count, self._capacity)
-        if n < self._capacity:
-            return self._buffer[:n].copy()
-        return np.concatenate([self._buffer[self._head:], self._buffer[: self._head]])
 
     def average(self):
         """Current windowed (or warm-up) average."""
@@ -284,6 +270,8 @@ def integrate_consensus(
         raise ValueError(f"x0 shape {x.shape} does not end in n_nodes {graph.n_nodes}")
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be a positive finite number, got {t_end}")
     n_steps = int(round(t_end / dt))
     if n_steps < 1:
         raise ValueError(f"t_end {t_end} shorter than one step dt {dt}")

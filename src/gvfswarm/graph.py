@@ -2,15 +2,13 @@
 
 Nodes are numbered 1..N in user-facing inputs (scenario files, CLI) and
 0..N-1 internally. Edges are ordered pairs (tail, head); the orientation
-fixes the sign of the relative coordinate z_k = x_tail - x_head and of
-the incidence matrix, nothing else.
+fixes the sign of the relative coordinate z_k = x_tail - x_head,
+nothing else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 __all__ = [
     "Graph",
@@ -92,28 +90,6 @@ class Graph:
         if not 0 <= node < self.n_nodes:
             raise ValueError(f"node {node} out of range")
         return self._adjacency[node]
-
-    def incidence_matrix(self) -> np.ndarray:
-        """Oriented incidence matrix B, shape (n_nodes, n_edges), int64.
-
-        Column k carries +1 at the tail and -1 at the head of edge k, so
-        the stacked relative coordinate is z = B.T @ x.
-        """
-        b = np.zeros((self.n_nodes, self.n_edges), dtype=np.int64)
-        for k, (tail, head) in enumerate(self.edges):
-            b[tail, k] = 1
-            b[head, k] = -1
-        return b
-
-    def laplacian(self) -> np.ndarray:
-        """Graph Laplacian L = B @ B.T, shape (n_nodes, n_nodes), int64."""
-        b = self.incidence_matrix()
-        return b @ b.T
-
-    def edge_laplacian(self) -> np.ndarray:
-        """Edge Laplacian B.T @ B, shape (n_edges, n_edges), int64."""
-        b = self.incidence_matrix()
-        return b.T @ b
 
     def check_spanning_tree(self) -> TreeCheck:
         """Check connectivity and acyclicity by breadth-first search."""

@@ -18,56 +18,14 @@ meets a per-drone scalar in two contiguous inner loops.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .paths import StraightLinePath
-
-__all__ = ["GvfGains", "FieldSample", "virtual_input", "field_core", "field", "field_derivative"]
+__all__ = ["field_core"]
 
 # relative floor for the tangential magnitude in the interior rate
 # formula, and the scale of the boundary layer where alpha_dot is
 # deliberately saturated instead of diverging
 ALPHA_FLOOR_REL = 1e-6
-
-
-@dataclass(frozen=True)
-class GvfGains:
-    """Gains of the field (k_e) and the heading loop (k_n)."""
-
-    k_e: float = 1.0
-    k_n: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.k_e > 0:
-            raise ValueError(f"k_e must be positive, got {self.k_e}")
-        if not self.k_n > 0:
-            raise ValueError(f"k_n must be positive, got {self.k_n}")
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """Field evaluation at one state.
-
-    ``f_dot`` is None unless the evaluation was given the drone
-    velocity and gamma_ddot needed to differentiate the field.
-    """
-
-    f: np.ndarray
-    branch: str
-    alpha: float
-    beta: np.ndarray
-    phi: float
-    u_phi: float
-    f_dot: np.ndarray | None = None
-
-
-def virtual_input(phi, gamma, gamma_dot, k_e):
-    """Level-set velocity demand -k_e (phi - gamma) + gamma_dot."""
-    out = -k_e * (np.asarray(phi, dtype=float) - gamma) + gamma_dot
-    return float(out) if out.ndim == 0 else out
 
 
 def field_core(
@@ -148,59 +106,3 @@ def field_core(
         "phi": phi,
         "f_dot": f_dot,
     }
-
-
-def _sample_from_core(core: dict) -> FieldSample:
-    interior = bool(core["interior"])
-    return FieldSample(
-        f=core["f"],
-        branch="interior" if interior else "exterior",
-        alpha=float(core["alpha"]),
-        beta=core["beta"],
-        phi=float(core["phi"]),
-        u_phi=float(core["u_phi"]),
-        f_dot=core["f_dot"],
-    )
-
-
-def field(
-    path: StraightLinePath,
-    position,
-    speed: float,
-    k_e: float,
-    gamma: float = 0.0,
-    gamma_dot: float = 0.0,
-) -> FieldSample:
-    """Evaluate the field at one position. ||f|| = v on both branches."""
-    p = np.asarray(position, dtype=float)
-    core = field_core(
-        path.phi(p), path.gradient(p), path.tangent(), speed, k_e, gamma, gamma_dot
-    )
-    return _sample_from_core(core)
-
-
-def field_derivative(
-    path: StraightLinePath,
-    position,
-    velocity,
-    speed: float,
-    k_e: float,
-    gamma: float = 0.0,
-    gamma_dot: float = 0.0,
-    gamma_ddot: float = 0.0,
-) -> FieldSample:
-    """Evaluate the field and its time derivative along ``velocity``."""
-    p = np.asarray(position, dtype=float)
-    v = np.asarray(velocity, dtype=float)
-    core = field_core(
-        path.phi(p),
-        path.gradient(p),
-        path.tangent(),
-        speed,
-        k_e,
-        gamma,
-        gamma_dot,
-        gamma_ddot=gamma_ddot,
-        p_dot=v,
-    )
-    return _sample_from_core(core)

@@ -24,7 +24,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "OscillationConfig",
-    "OscillationState",
     "gamma",
     "gamma_dot",
     "gamma_ddot",
@@ -33,10 +32,10 @@ __all__ = [
     "average_parametric_velocity",
     "average_parametric_velocity_closed_form",
     "epsilon",
+    "amplitude_schedule",
     "amplitude_for_velocity",
     "fit_k_a",
     "relaxation_step",
-    "update_amplitude",
 ]
 
 
@@ -84,32 +83,6 @@ class OscillationConfig:
     @property
     def period(self) -> float:
         return 2.0 * math.pi / self.w_gamma
-
-    @property
-    def max_amplitude(self) -> float:
-        """Kinematic amplitude limit v/w."""
-        return self.speed / self.w_gamma
-
-    def epsilon(self) -> float:
-        return epsilon(self.speed, self.k_a)
-
-    def amplitude_for_velocity(self, desired_velocity):
-        return amplitude_for_velocity(
-            desired_velocity, self.speed, self.w_gamma, self.k_a, self.amplitude_cap
-        )
-
-    def average_parametric_velocity(self, amplitude) -> float:
-        return average_parametric_velocity(self.speed, self.w_gamma, amplitude)
-
-
-@dataclass(frozen=True)
-class OscillationState:
-    """Filtered amplitude state of one drone."""
-
-    amplitude: float = 0.0
-    amplitude_rate: float = 0.0
-    amplitude_accel: float = 0.0
-    commanded_amplitude: float = 0.0
 
 
 def wave(sin_wt, cos_wt, amplitude, amplitude_rate, amplitude_accel, w_gamma):
@@ -241,6 +214,16 @@ def epsilon(speed: float, k_a: float) -> float:
     return speed * math.sqrt(k_a * k_a - 1.0) / k_a
 
 
+def amplitude_schedule(xdot, speed: float, w_gamma: float, k_a: float, amplitude_cap: float):
+    """A_d = min(k_A sqrt(max(v^2 - xdot^2, 0)) / w, cap), and the unclamped value.
+
+    The one schedule kernel: the simulator calls it on every tick, where
+    xdot already lies in [0, v]. No clipping and no warnings.
+    """
+    raw = k_a * np.sqrt(np.maximum(speed * speed - xdot * xdot, 0.0)) / w_gamma
+    return np.minimum(raw, amplitude_cap), raw
+
+
 def amplitude_for_velocity(
     desired_velocity,
     speed: float,
@@ -260,8 +243,7 @@ def amplitude_for_velocity(
             "desired velocity outside [0, v]; clamping (min %.6g, max %.6g, v %.6g)",
             float(np.min(xdot)), float(np.max(xdot)), speed,
         )
-    raw = k_a * np.sqrt(np.maximum(speed * speed - clipped * clipped, 0.0)) / w_gamma
-    out = np.minimum(raw, amplitude_cap)
+    out, raw = amplitude_schedule(clipped, speed, w_gamma, k_a, amplitude_cap)
     if np.any(raw > amplitude_cap):
         logger.warning(
             "scheduled amplitude %.6g above cap %.6g; clamping",
@@ -301,16 +283,3 @@ def relaxation_step(value, target, dt: float, tau: float):
     new_rate = (target - new_value) / tau
     new_accel = -new_rate / tau
     return new_value, new_rate, new_accel
-
-
-def update_amplitude(
-    state: OscillationState, commanded: float, dt: float, tau_a: float
-) -> OscillationState:
-    """Advance the filtered amplitude by dt toward ``commanded``."""
-    a, a_dot, a_ddot = relaxation_step(state.amplitude, commanded, dt, tau_a)
-    return OscillationState(
-        amplitude=float(a),
-        amplitude_rate=float(a_dot),
-        amplitude_accel=float(a_ddot),
-        commanded_amplitude=float(commanded),
-    )

@@ -50,11 +50,6 @@ class StraightLinePath:
         p = np.asarray(p, dtype=float)
         return np.broadcast_to(self._normal, p.shape).copy()
 
-    def hessian(self, p) -> np.ndarray:
-        """Hessian of phi, identically zero for a line."""
-        p = np.asarray(p, dtype=float)
-        return np.zeros(p.shape[:-1] + (2, 2))
-
     def tangent(self) -> np.ndarray:
         """Unit direction of travel (cos a, sin a)."""
         return self._tangent.copy()

@@ -370,9 +370,7 @@ def run(
             u = sat(lead, sat_p)
             xdot_d = speed - sc.k_u * u
             if sc.fixed_amplitude is None:
-                # amplitude_for_velocity inline: it logs every clamp
-                raw = cfg.k_a * np.sqrt(np.maximum(speed * speed - xdot_d * xdot_d, 0.0)) / w
-                a_cmd = np.minimum(raw, cap)
+                a_cmd = osc.amplitude_schedule(xdot_d, speed, w, cfg.k_a, cap)[0]
             else:
                 a_cmd = np.full(n, sc.fixed_amplitude)
             wt = w * float(times[k])

@@ -14,30 +14,9 @@ wind acts on the plant alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "VehicleState",
-    "heading_rate",
-    "heading_rate_core",
-    "wrap_angle",
-    "unicycle_step",
-    "step_unicycle",
-]
-
-
-@dataclass(frozen=True)
-class VehicleState:
-    """Planar pose of one drone."""
-
-    position: np.ndarray
-    heading: float
-
-    def velocity(self, speed: float) -> np.ndarray:
-        """Model velocity v (cos theta, sin theta)."""
-        return speed * np.array([np.cos(self.heading), np.sin(self.heading)])
+__all__ = ["heading_rate_core", "wrap_angle", "unicycle_step"]
 
 
 def heading_rate_core(f, f_dot, velocity, speed: float, k_n: float):
@@ -49,11 +28,6 @@ def heading_rate_core(f, f_dot, velocity, speed: float, k_n: float):
     f = np.asarray(f, dtype=float)
     mismatch = k_n * np.asarray(velocity, dtype=float) - np.asarray(f_dot, dtype=float)
     return (f[1] * mismatch[0] - f[0] * mismatch[1]) / (speed * speed)
-
-
-def heading_rate(f, f_dot, velocity, speed: float, k_n: float) -> float:
-    """Scalar heading-rate command for one drone."""
-    return float(heading_rate_core(f, f_dot, velocity, speed, k_n))
 
 
 def wrap_angle(theta):
@@ -104,11 +78,3 @@ def unicycle_step(position, heading, omega, speed: float, dt: float, wind=(0.0, 
     k1, k2, k4 = trig[:, 0], trig[:, 1], trig[:, 2]
     new_position = position + (dt / 6.0) * (k1 + 4.0 * k2 + k4)
     return new_position, wrap_angle(new_heading)
-
-
-def step_unicycle(
-    state: VehicleState, omega: float, dt: float, speed: float, wind=(0.0, 0.0)
-) -> VehicleState:
-    """Advance one drone by dt."""
-    p, theta = unicycle_step(state.position, state.heading, omega, speed, dt, wind)
-    return VehicleState(position=p, heading=float(theta))

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,17 @@ class TestCalibrate:
         assert main(["calibrate", "--speed", "-1", "--w-gamma", "0.6"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("flag", ["--speed", "--w-gamma"])
+    def test_rejects_non_finite(self, flag, value, capsys):
+        args = {"--speed": "16", "--w-gamma": "0.6", flag: value}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["calibrate", *(x for kv in args.items() for x in kv)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "speed and w-gamma must be positive and finite\n"
+
 
 class TestConsensusDemo:
     def test_writes_monotone_lyapunov_trace(self, tmp_path, capsys):
@@ -227,6 +239,13 @@ class TestConsensusDemo:
     def test_x0_length_mismatch(self, capsys):
         assert main(["consensus-demo", "--nodes", "3", "--x0", "0", "1"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("t_end", ["inf", "nan"])
+    def test_rejects_non_finite_t_end(self, t_end, capsys):
+        assert main(["consensus-demo", "--t-end", t_end]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"t_end must be a positive finite number, got {t_end}\n"
 
 
 class TestFitCurve:
@@ -259,3 +278,14 @@ class TestFitCurve:
     def test_rejects_single_point(self, capsys):
         assert main(["fit-curve", "--speed", "8", "--w-gamma", "0.6", "--points", "1"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0"])
+    @pytest.mark.parametrize("flag", ["--speed", "--w-gamma"])
+    def test_rejects_non_finite_or_nonpositive(self, flag, value, capsys):
+        args = {"--speed": "8", "--w-gamma": "0.6", flag: value}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit-curve", *(x for kv in args.items() for x in kv)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "speed and w-gamma must be positive and finite\n"

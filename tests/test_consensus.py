@@ -87,29 +87,38 @@ def random_recursive_tree(n, seed):
     return Graph(n, tuple(edges[k][::-1] if flip[k] else edges[k] for k in rng.permutation(n - 1)))
 
 
-def trapezoid_window_average(av):
-    """Reference average: np.trapezoid over the retained samples plus the
-    lerped sliver of the partial interval."""
-    samples = av.retained()
-    if av.count == 1:
+def laplacian(graph):
+    """Dense graph Laplacian D - A, int64, from the edge list."""
+    lap = np.zeros((graph.n_nodes, graph.n_nodes), dtype=np.int64)
+    for tail, head in graph.edges:
+        lap[[tail, head], [tail, head]] += 1
+        lap[[tail, head], [head, tail]] -= 1
+    return lap
+
+
+def trapezoid_window_average(samples, window, dt):
+    """Reference average of every sample pushed so far, (count, ...):
+    np.trapezoid over the samples in the window plus the lerped sliver
+    of the partial interval."""
+    if len(samples) == 1:
         out = samples[-1]
         return float(out) if out.ndim == 0 else out.copy()
-    elapsed = (av.count - 1) * av.dt
-    if elapsed < av.window:
-        out = np.trapezoid(samples, dx=av.dt, axis=0) / elapsed
+    elapsed = (len(samples) - 1) * dt
+    if elapsed < window:
+        out = np.trapezoid(samples, dx=dt, axis=0) / elapsed
         return float(out) if out.ndim == 0 else out
-    w = av.window / av.dt
+    w = window / dt
     k = int(math.floor(w + 1e-9))
     fr = w - k
     if fr < 1e-9:
         fr = 0.0
-    integral = np.trapezoid(samples[-(k + 1):], dx=av.dt, axis=0)
+    integral = np.trapezoid(samples[-(k + 1):], dx=dt, axis=0)
     if fr > 0.0:
         left = samples[-(k + 2)]
         right = samples[-(k + 1)]
         x_start = left + (1.0 - fr) * (right - left)
-        integral = integral + fr * av.dt * 0.5 * (x_start + right)
-    out = integral / av.window
+        integral = integral + fr * dt * 0.5 * (x_start + right)
+    out = integral / window
     return float(out) if out.ndim == 0 else out
 
 
@@ -245,7 +254,6 @@ class TestWindowAverager:
         av = WindowAverager(self.W, self.DT)
         av.push(3.75)
         assert av.average() == 3.75
-        assert av.time == 0.0
         assert av.count == 1
 
     def test_constant_stream(self):
@@ -281,13 +289,15 @@ class TestWindowAverager:
         rng = np.random.default_rng(8)
         av = WindowAverager(self.W, self.DT)
         x = 0.0
+        pushed = []
         for k in range(1400):
             x += rng.normal(0, 0.3)
             av.push(x)
+            pushed.append(x)
             if k * self.DT < self.W or k % 97 != 0:
                 continue
-            samples = av.retained()
-            t_new = av.time
+            samples = np.array(pushed)
+            t_new = k * self.DT
             t = t_new - self.DT * np.arange(len(samples) - 1, -1, -1)
             a = t_new - self.W
             x_a = np.interp(a, t, samples)
@@ -329,7 +339,7 @@ class TestWindowAverager:
         stream = np.concatenate([np.full((capacity,) + shape, -0.0), walk])
         for k, value in enumerate(stream):
             av.push(value)
-            got, want = av.average(), trapezoid_window_average(av)
+            got, want = av.average(), trapezoid_window_average(stream[:k + 1], window, dt)
             assert type(got) is type(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), k
 
@@ -340,7 +350,7 @@ class TestWindowAverager:
         for row in data[:600]:
             av.push(row)
             av.average()
-        window_bytes = av.retained().nbytes  # 526 x 512 doubles, 2.2 MB
+        window_bytes = (int(self.W / self.DT) + 3) * n * 8  # 526 x 512 doubles, 2.2 MB
         tracemalloc.start()
         try:
             for row in data[600:]:
@@ -355,7 +365,7 @@ class TestWindowAverager:
 class TestNeighborOps:
     def test_matches_negative_laplacian(self):
         idx, mask = neighbor_gather(TREE8)
-        lap = TREE8.laplacian()
+        lap = laplacian(TREE8)
         rng = np.random.default_rng(1)
         x = rng.integers(-100, 100, 8).astype(float)
         assert np.array_equal(neighbor_disagreement(x, idx, mask), -lap @ x)
@@ -474,7 +484,7 @@ class TestNeighborOps:
         idx, mask = neighbor_gather(TREE8)
         assert idx.shape == mask.shape
         assert np.all((mask == 0.0) | (mask == 1.0))
-        degrees = np.diag(TREE8.laplacian())
+        degrees = np.diag(laplacian(TREE8))
         assert np.array_equal(mask.sum(axis=1), degrees.astype(float))
 
 

@@ -3,65 +3,72 @@ import math
 import numpy as np
 import pytest
 
-from gvfswarm.gvf import FieldSample, GvfGains, field, field_core, field_derivative, virtual_input
+from gvfswarm.gvf import field_core
 from gvfswarm.paths import StraightLinePath
 
 V = 16.0
 X_AXIS = StraightLinePath(origin=(0.0, 0.0), alpha_rad=0.0)
 
 
+def field(path, position, speed, k_e, gamma=0.0, gamma_dot=0.0, gamma_ddot=None, p_dot=None):
+    """field_core at one position on a line, given as the simulator stacks it per drone."""
+    p = np.asarray(position, dtype=float)
+    if p_dot is not None:
+        p_dot = np.asarray(p_dot, dtype=float)
+    return field_core(
+        path.phi(p), path.gradient(p), path.tangent(), speed, k_e, gamma, gamma_dot,
+        gamma_ddot=gamma_ddot, p_dot=p_dot,
+    )
+
+
+def u_phi(phi, gamma, gamma_dot, k_e):
+    """field_core's level-set velocity demand -k_e (phi - gamma) + gamma_dot."""
+    phi = np.asarray(phi, dtype=float)
+    normal = np.multiply.outer([0.0, 1.0], np.ones_like(phi))
+    return field_core(phi, normal, normal[::-1], V, k_e, gamma, gamma_dot)["u_phi"]
+
+
 class TestVirtualInput:
     def test_pure_error(self):
-        assert virtual_input(5.0, 0.0, 0.0, 1.0) == -5.0
+        assert u_phi(5.0, 0.0, 0.0, 1.0) == -5.0
 
     def test_offset_reference(self):
-        assert virtual_input(0.0, 2.5, 0.0, 1.0) == 2.5
+        assert u_phi(0.0, 2.5, 0.0, 1.0) == 2.5
 
     def test_on_reference_feedforward_only(self):
-        assert virtual_input(3.0, 3.0, 0.0, 2.0) == 0.0
-        assert virtual_input(3.0, 3.0, 1.7, 2.0) == 1.7
+        assert u_phi(3.0, 3.0, 0.0, 2.0) == 0.0
+        assert u_phi(3.0, 3.0, 1.7, 2.0) == 1.7
 
     def test_array(self):
-        out = virtual_input(np.array([5.0, 0.0]), 0.0, 0.0, 2.0)
+        out = u_phi(np.array([5.0, 0.0]), 0.0, 0.0, 2.0)
         assert np.array_equal(out, [-10.0, 0.0])
-
-
-class TestGains:
-    def test_defaults(self):
-        g = GvfGains()
-        assert g.k_e == 1.0 and g.k_n == 1.0
-
-    @pytest.mark.parametrize("kwargs", [{"k_e": 0.0}, {"k_e": -1.0}, {"k_n": 0.0}])
-    def test_rejects_nonpositive(self, kwargs):
-        with pytest.raises(ValueError):
-            GvfGains(**kwargs)
 
 
 class TestBranches:
     def test_on_path_runs_along_tangent(self):
         s = field(X_AXIS, (7.0, 0.0), V, 1.0)
-        assert s.branch == "interior"
-        assert np.allclose(s.f, [V, 0.0], atol=1e-14)
-        assert s.phi == 0.0 and s.u_phi == 0.0
+        assert s["interior"]
+        assert np.allclose(s["f"], [V, 0.0], atol=1e-14)
+        assert s["phi"] == 0.0 and s["u_phi"] == 0.0
 
     def test_interior_example(self):
         # phi = 10, u_phi = -10, beta = (0, -10), alpha = sqrt(256-100)
         s = field(X_AXIS, (3.0, 10.0), V, 1.0)
-        assert s.branch == "interior"
-        assert s.phi == 10.0
-        assert s.u_phi == -10.0
-        assert np.allclose(s.beta, [0.0, -10.0], atol=0)
-        assert s.alpha == pytest.approx(12.489995996796797, abs=1e-12)
-        assert np.allclose(s.f, [math.sqrt(156.0), -10.0], atol=1e-12)
-        assert np.linalg.norm(s.f) == pytest.approx(V, abs=1e-12)
+        assert s["interior"]
+        assert s["phi"] == 10.0
+        assert s["u_phi"] == -10.0
+        assert np.allclose(s["beta"], [0.0, -10.0], atol=0)
+        assert float(s["alpha"]) == pytest.approx(12.489995996796797, abs=1e-12)
+        assert np.allclose(s["f"], [math.sqrt(156.0), -10.0], atol=1e-12)
+        assert np.linalg.norm(s["f"]) == pytest.approx(V, abs=1e-12)
 
     def test_exterior_example(self):
         # phi = 20 exceeds the speed budget: all of v goes lateral
         s = field(X_AXIS, (3.0, 20.0), V, 1.0)
-        assert s.branch == "exterior"
-        assert s.u_phi == -20.0
-        assert s.alpha == 0.0
-        assert np.allclose(s.f, [0.0, -16.0], atol=1e-12)
+        assert not s["interior"]
+        assert s["u_phi"] == -20.0
+        assert s["alpha"] == 0.0
+        assert np.allclose(s["f"], [0.0, -16.0], atol=1e-12)
 
     def test_speed_is_invariant(self):
         rng = np.random.default_rng(7)
@@ -71,7 +78,7 @@ class TestBranches:
             gd = rng.uniform(-20, 20)
             ke = rng.uniform(0.2, 4.0)
             s = field(X_AXIS, p, V, ke, g, gd)
-            assert np.linalg.norm(s.f) == pytest.approx(V, rel=1e-9)
+            assert np.linalg.norm(s["f"]) == pytest.approx(V, rel=1e-9)
 
     def test_branch_boundary_is_continuous(self):
         # approach |u_phi| = v from both sides via gamma_dot; the
@@ -83,18 +90,18 @@ class TestBranches:
             field(X_AXIS, p, V, 1.0, 0.0, V),
             field(X_AXIS, p, V, 1.0, 0.0, V * (1.0 + 1e-15)),
         ]
-        assert samples[0].branch == "interior"
-        assert samples[1].branch == "interior"
-        assert samples[2].branch == "exterior"
+        assert samples[0]["interior"]
+        assert samples[1]["interior"]
+        assert not samples[2]["interior"]
         for a in samples:
             for b in samples:
-                assert np.linalg.norm(a.f - b.f) < 1e-6
+                assert np.linalg.norm(a["f"] - b["f"]) < 1e-6
 
     def test_gamma_shifts_the_attractor(self):
         # sitting on the offset level set phi = gamma with a static
         # reference, the field is again pure tangent
         s = field(X_AXIS, (0.0, 4.0), V, 1.0, gamma=4.0)
-        assert np.allclose(s.f, [V, 0.0], atol=1e-14)
+        assert np.allclose(s["f"], [V, 0.0], atol=1e-14)
 
 
 class TestClosedLoop:
@@ -105,7 +112,7 @@ class TestClosedLoop:
         p = np.array([0.0, 10.0])
 
         def f_at(q):
-            return field(X_AXIS, q, V, k_e).f
+            return field(X_AXIS, q, V, k_e)["f"]
 
         times, logs = [], []
         for k in range(5001):
@@ -131,16 +138,16 @@ class TestClosedLoop:
             p = rng.uniform(-40, 40, 2)
             g = rng.uniform(-25, 25)
             s = field(X_AXIS, p, V, 1.0, g)
-            rate = float(np.dot(X_AXIS.gradient(p), s.f))
-            if s.branch == "interior":
-                assert rate == pytest.approx(s.u_phi, abs=1e-6)
+            rate = float(np.dot(X_AXIS.gradient(p), s["f"]))
+            if s["interior"]:
+                assert rate == pytest.approx(float(s["u_phi"]), abs=1e-6)
             else:
                 assert abs(rate) == pytest.approx(V, abs=1e-9)
 
 
 class TestFieldDerivative:
     def test_none_without_velocity(self):
-        assert field(X_AXIS, (1.0, 2.0), V, 1.0).f_dot is None
+        assert field(X_AXIS, (1.0, 2.0), V, 1.0)["f_dot"] is None
 
     def test_matches_finite_difference(self):
         # compare f_dot against a central difference of f along the
@@ -156,25 +163,25 @@ class TestFieldDerivative:
             p = rng.uniform(-40, 40, 2)
             pd = rng.uniform(-V, V, 2)
             g0, g1, g2 = rng.uniform(-15, 15), rng.uniform(-10, 10), rng.uniform(-5, 5)
-            s = field_derivative(X_AXIS, p, pd, V, k_e, g0, g1, g2)
-            if abs(abs(s.u_phi) - V) < 0.01 * V:
+            s = field(X_AXIS, p, V, k_e, g0, g1, gamma_ddot=g2, p_dot=pd)
+            if abs(abs(s["u_phi"]) - V) < 0.01 * V:
                 continue
             checked += 1
 
             def f_at(tau):
                 gg = g0 + g1 * tau + 0.5 * g2 * tau * tau
                 ggd = g1 + g2 * tau
-                return field(X_AXIS, p + tau * pd, V, k_e, gg, ggd).f
+                return field(X_AXIS, p + tau * pd, V, k_e, gg, ggd)["f"]
 
             fd = (f_at(h) - f_at(-h)) / (2 * h)
-            assert np.linalg.norm(s.f_dot - fd) < 1e-4 * V, (p, pd, g0, g1, g2)
+            assert np.linalg.norm(s["f_dot"] - fd) < 1e-4 * V, (p, pd, g0, g1, g2)
 
     def test_exterior_rate_is_zero_for_lines(self):
         # outside the speed budget f = -v n_hat regardless of phi, so
         # its time derivative vanishes while the branch persists
-        s = field_derivative(X_AXIS, (0.0, 40.0), (V, 0.0), V, 1.0, 0.0, 0.0, 0.0)
-        assert s.branch == "exterior"
-        assert np.linalg.norm(s.f_dot) < 1e-12
+        s = field(X_AXIS, (0.0, 40.0), V, 1.0, 0.0, 0.0, gamma_ddot=0.0, p_dot=(V, 0.0))
+        assert not s["interior"]
+        assert np.linalg.norm(s["f_dot"]) < 1e-12
 
 
 class TestCore:
@@ -190,9 +197,9 @@ class TestCore:
         core = field_core(phi, normal, tangent, V, 1.0, gam, gad)
         for i in range(n):
             s = field(X_AXIS, pts[i], V, 1.0, gam[i], gad[i])
-            assert np.array_equal(core["f"][:, i], s.f)
-            assert core["interior"][i] == (s.branch == "interior")
-            assert core["alpha"][i] == s.alpha
+            assert np.array_equal(core["f"][:, i], s["f"])
+            assert core["interior"][i] == s["interior"]
+            assert core["alpha"][i] == s["alpha"]
 
     def test_per_drone_gain_array(self):
         # two drones, component-first: both normals (0, 1), both tangents (1, 0)
@@ -206,11 +213,6 @@ class TestCore:
         assert core["f"].shape == (2, 2)
         assert np.array_equal(core["f"][:, 0], [math.sqrt(156.0), -10.0])
         assert np.array_equal(core["f"][:, 1], [0.0, -V])
-
-    def test_sample_type(self):
-        s = field(X_AXIS, (0.0, 1.0), V, 1.0)
-        assert isinstance(s, FieldSample)
-        assert s.f.shape == (2,)
 
 
 def _two_branch_core(phi, normal, tangent, speed, k_e, gamma, gamma_dot,

@@ -12,7 +12,6 @@ import pytest
 import gvfswarm
 from gvfswarm.oscillation import (
     OscillationConfig,
-    OscillationState,
     amplitude_for_velocity,
     average_parametric_velocity,
     average_parametric_velocity_closed_form,
@@ -23,7 +22,6 @@ from gvfswarm.oscillation import (
     gamma_ddot,
     gamma_dot,
     relaxation_step,
-    update_amplitude,
     wave,
 )
 
@@ -47,7 +45,6 @@ class TestConfig:
         assert cfg.amplitude_cap == pytest.approx(V / W, abs=0)
         assert cfg.tau_a == pytest.approx(5.0 / W, abs=0)
         assert cfg.period == pytest.approx(2 * math.pi / W)
-        assert cfg.max_amplitude == pytest.approx(V / W)
 
     def test_explicit_values_kept(self):
         cfg = OscillationConfig(speed=V, w_gamma=W, amplitude_cap=12.0, tau_a=3.0)
@@ -381,12 +378,3 @@ class TestAmplitudeFilter:
             relaxation_step(0.0, 1.0, 0.1, 0.0)
         with pytest.raises(ValueError):
             relaxation_step(0.0, 1.0, -0.1, 1.0)
-
-    def test_update_amplitude_state(self):
-        state = OscillationState()
-        out = update_amplitude(state, commanded=6.0, dt=0.1, tau_a=2.0)
-        assert isinstance(out, OscillationState)
-        assert out.commanded_amplitude == 6.0
-        assert 0.0 < out.amplitude < 6.0
-        assert out.amplitude_rate > 0.0
-        assert out.amplitude_accel == pytest.approx(-out.amplitude_rate / 2.0)

@@ -126,14 +126,6 @@ class TestGradientTangentHessian:
         path = StraightLinePath(origin=(0.0, 0.0), alpha_rad=0.7)
         assert np.allclose(path.tangent(), [math.cos(0.7), math.sin(0.7)], atol=0)
 
-    def test_hessian_zero(self):
-        path = StraightLinePath(origin=(0.0, 0.0), alpha_rad=1.1)
-        h = path.hessian((2.0, 3.0))
-        assert h.shape == (2, 2)
-        assert np.all(h == 0.0)
-        batched = path.hessian(np.zeros((5, 2)))
-        assert batched.shape == (5, 2, 2)
-
     def test_gradient_broadcasts(self):
         path = StraightLinePath(origin=(0.0, 0.0), alpha_rad=0.3)
         g = path.gradient(np.zeros((4, 2)))

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import logging
 import math
 import os
 
@@ -579,6 +580,26 @@ class TestPublishDelay:
         doc["consensus"]["comm_delay_ticks"] = 10
         res = run(build_scenario(doc))
         assert np.all(res.edge_diffs == 0.0)
+
+
+class TestAmplitudeSchedule:
+    def test_commands_are_the_public_schedule(self, scenario_dir, caplog):
+        sc = build_scenario(per_cell_case_doc("windy-delayed-eight", scenario_dir))
+        res = run(sc)
+        cfg = sc.oscillation
+        assert np.any(res.commanded_amplitudes > 0.0)
+        with caplog.at_level(logging.WARNING, logger="gvfswarm.oscillation"):
+            want = osc.amplitude_for_velocity(
+                res.desired_velocities, sc.speed, cfg.w_gamma, cfg.k_a, cfg.amplitude_cap
+            )
+        # desired velocities lie in [0, v], so the input clip never acts; the
+        # 12 m cap of the bundled scenario binds early on, and only that
+        # clamp is logged
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert res.commanded_amplitudes.max() == cfg.amplitude_cap == 12.0
+        assert messages == ["scheduled amplitude 13.3333 above cap 12; clamping"]
+        assert want.shape == res.commanded_amplitudes.shape
+        assert want.tobytes() == res.commanded_amplitudes.tobytes()
 
 
 class TestFixedAmplitude:

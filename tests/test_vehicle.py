@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gvfswarm.vehicle import (
-    VehicleState,
-    heading_rate,
-    heading_rate_core,
-    step_unicycle,
-    unicycle_step,
-    wrap_angle,
-)
+from gvfswarm.vehicle import heading_rate_core, unicycle_step, wrap_angle
 
 V = 16.0
 
@@ -21,20 +14,20 @@ class TestHeadingRate:
     def test_zero_when_aligned(self):
         # velocity parallel to f with no field rotation: nothing to do
         f = np.array([V, 0.0])
-        assert heading_rate(f, np.zeros(2), np.array([V, 0.0]), V, 1.0) == 0.0
+        assert heading_rate_core(f, np.zeros(2), np.array([V, 0.0]), V, 1.0) == 0.0
         f2 = V * np.array([math.cos(0.7), math.sin(0.7)])
-        assert heading_rate(f2, np.zeros(2), f2, V, 2.5) == pytest.approx(0.0, abs=1e-15)
+        assert heading_rate_core(f2, np.zeros(2), f2, V, 2.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_quarter_turn_cases(self):
         # f east, flying north: f^T E pdot = f_y vx - f_x vy = -v^2
         f = np.array([V, 0.0])
-        assert heading_rate(f, np.zeros(2), np.array([0.0, V]), V, 1.0) == pytest.approx(-1.0)
-        assert heading_rate(f, np.zeros(2), np.array([0.0, -V]), V, 1.0) == pytest.approx(1.0)
+        assert heading_rate_core(f, np.zeros(2), np.array([0.0, V]), V, 1.0) == pytest.approx(-1.0)
+        assert heading_rate_core(f, np.zeros(2), np.array([0.0, -V]), V, 1.0) == pytest.approx(1.0)
 
     def test_gain_scales_feedback(self):
         f = np.array([V, 0.0])
         vel = np.array([0.0, V])
-        assert heading_rate(f, np.zeros(2), vel, V, 3.0) == pytest.approx(-3.0)
+        assert heading_rate_core(f, np.zeros(2), vel, V, 3.0) == pytest.approx(-3.0)
 
     def test_feedforward_term(self):
         # aligned flight but the field itself is rotating: omega must
@@ -42,13 +35,13 @@ class TestHeadingRate:
         f = np.array([V, 0.0])
         f_dot = np.array([0.0, 4.0])  # field turning left
         vel = np.array([V, 0.0])
-        assert heading_rate(f, f_dot, vel, V, 1.0) == pytest.approx(4.0 / V)
+        assert heading_rate_core(f, f_dot, vel, V, 1.0) == pytest.approx(4.0 / V)
 
     def test_small_misalignment_damps(self):
         # slightly left of the field: the command turns right
         theta = 0.1
         vel = V * np.array([math.cos(theta), math.sin(theta)])
-        w = heading_rate(np.array([V, 0.0]), np.zeros(2), vel, V, 1.0)
+        w = heading_rate_core(np.array([V, 0.0]), np.zeros(2), vel, V, 1.0)
         assert w < 0.0
         assert w == pytest.approx(-math.sin(theta), abs=1e-12)
 
@@ -144,21 +137,6 @@ class TestUnicycleStep:
             pi, ti = unicycle_step(pos[:, i], theta[i], omega[i], V, 0.02)
             assert np.array_equal(p[:, i], pi)
             assert th[i] == ti
-
-
-class TestVehicleState:
-    def test_velocity(self):
-        s = VehicleState(position=np.zeros(2), heading=math.pi / 2)
-        vel = s.velocity(V)
-        assert vel[0] == pytest.approx(0.0, abs=1e-12)
-        assert vel[1] == pytest.approx(V, abs=1e-12)
-
-    def test_step_wrapper(self):
-        s = VehicleState(position=np.array([1.0, 2.0]), heading=0.0)
-        out = step_unicycle(s, 0.0, 0.1, V)
-        assert isinstance(out, VehicleState)
-        assert out.position[0] == pytest.approx(1.0 + V * 0.1, abs=1e-12)
-        assert out.heading == 0.0
 
 
 def _where_wrap(theta):
