@@ -149,6 +149,10 @@ def _cmd_consensus_demo(args) -> int:
             return 2
         x0 = np.array(args.x0, dtype=float)
     else:
+        lo, hi = args.span
+        if not math.isfinite(hi - lo):  # NaN, inf, or a width that overflows
+            print(f"--span must be finite with a finite width, got {lo:g} {hi:g}", file=sys.stderr)
+            return 2
         rng = np.random.default_rng(args.seed)
         x0 = rng.uniform(args.span[0], args.span[1], size=graph.n_nodes)
     try:

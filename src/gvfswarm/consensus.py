@@ -41,6 +41,12 @@ __all__ = [
     "integrate_consensus",
 ]
 
+# cells per block of an observer pass: a block holds this many telemetry
+# cells, or eta values (the simulator without telemetry, and
+# integrate_consensus), so its 32-64 KiB temporaries come from malloc's
+# heap, not from fresh pages
+_SUMMARY_BLOCK = 1 << 12
+
 
 @dataclass(frozen=True)
 class SaturationParams:
@@ -56,6 +62,9 @@ class SaturationParams:
     r: float = 1.0
 
     def __post_init__(self) -> None:
+        for name, value in (("tau_l", self.tau_l), ("tau_h", self.tau_h), ("r", self.r)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.tau_l < 0:
             raise ValueError(f"tau_l must be non-negative, got {self.tau_l}")
         if not self.tau_h > self.tau_l:
@@ -66,8 +75,11 @@ class SaturationParams:
 
 def sat(s, params: SaturationParams):
     """Saturation tau_l + (tau_h - tau_l)/r * clip(s, 0, r). Array-capable."""
-    s = np.asarray(s, dtype=float)
-    out = params.tau_l + (params.tau_h - params.tau_l) / params.r * s.clip(0.0, params.r)
+    # in place on the clipped copy: * and + commute bitwise, so the bits
+    # are those of tau_l + slope * clip(s, 0, r)
+    out = np.asarray(s, dtype=float).clip(0.0, params.r)
+    out *= (params.tau_h - params.tau_l) / params.r
+    out += params.tau_l
     return float(out) if out.ndim == 0 else out
 
 
@@ -221,7 +233,8 @@ def neighbor_disagreement(x, idx: np.ndarray, mask: np.ndarray, own=None):
     itself, and x_i - x_i is what weight 0 gives (+0.0, or NaN).
     """
     x = np.asarray(x, dtype=float)
-    diff = x[idx.T] - (x if own is None else np.asarray(own, dtype=float))
+    diff = x[idx.T]  # a fresh gather, so the in-place ops touch no caller's array
+    diff -= x if own is None else np.asarray(own, dtype=float)
     if own is not None:
         diff *= mask.T.reshape(mask.T.shape + (1,) * (x.ndim - 1))
     return diff.sum(axis=0)
@@ -255,12 +268,24 @@ def integrate_consensus(
     when ``record_states``, all in the (..., n_nodes) layout of x0.
 
     The state integrates node-first, (n_nodes, ...): one transpose in,
-    transposed views out. lyapunov_value gets a C-ordered copy of eta,
-    as it sums pairwise only over a contiguous last axis.
+    transposed views out. A step allocates little beyond what sat and
+    neighbor_disagreement return: the stage inputs x + (dt/2) k and the
+    combination k1 + 2 k2 + 2 k3 + k4 go into two preallocated
+    node-first buffers through ``out=`` and in-place ufuncs, in the
+    operation order of the plain expressions, and x advances in place,
+    so every bit is that of the textbook loop.
 
     Each step evaluates the disagreement four times: the RK4 stages 2-4
     and eta(x_{k+1}) for the Lyapunov record. That eta is reused as the
     next step's k1 input and, after the last step, for ``final_input``.
+    sat and neighbor_disagreement stay calls through this module's
+    globals, sat once per stage, so a wrapper installed on the module
+    sees every step.
+
+    V is computed once per block of about _SUMMARY_BLOCK cells: each
+    step's eta is copied into a C-ordered (rows, ..., n_nodes) block,
+    and lyapunov_value sums each row's nodes as one contiguous pairwise
+    run, as it would for that step alone, so V keeps its bits.
     """
     check = graph.check_spanning_tree()
     if not check.is_tree:
@@ -268,6 +293,9 @@ def integrate_consensus(
     x = np.asarray(x0, dtype=float)
     if x.ndim == 0 or x.shape[-1] != graph.n_nodes:
         raise ValueError(f"x0 shape {x.shape} does not end in n_nodes {graph.n_nodes}")
+    bad = np.count_nonzero(~np.isfinite(x))
+    if bad:
+        raise ValueError(f"x0 must be finite; {bad} of its values are NaN or inf")
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if not (math.isfinite(t_end) and t_end > 0):
@@ -282,25 +310,36 @@ def integrate_consensus(
     to_last = tuple(range(1, x.ndim)) + (0,)
     lyap = np.empty((n_steps + 1,) + x.shape[:-1])
     states = np.empty((n_steps + 1,) + x.shape) if record_states else None
+    rows = max(1, _SUMMARY_BLOCK // x.size)
+    etas = np.empty((rows,) + x.shape)
     x = x.transpose(to_nodes).copy()
+    stage, acc = np.empty_like(x), np.empty_like(x)
 
     def rate(state: np.ndarray) -> np.ndarray:
         return sat(neighbor_disagreement(state, idx, mask), params)
 
     eta = neighbor_disagreement(x, idx, mask)
-    lyap[0] = lyapunov_value(eta.transpose(to_last).copy(), params)
-    if states is not None:
-        states[0] = x.transpose(to_last)
-    for k in range(n_steps):
-        k1 = sat(eta, params)
-        k2 = rate(x + half_dt * k1)
-        k3 = rate(x + half_dt * k2)
-        k4 = rate(x + dt * k3)
-        x = x + sixth_dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        eta = neighbor_disagreement(x, idx, mask)
-        lyap[k + 1] = lyapunov_value(eta.transpose(to_last).copy(), params)
+    for k in range(n_steps + 1):
+        # record x_k and eta_k; V for the block once its last row is in
+        j = k % rows
+        etas[j] = eta.transpose(to_last)
+        if j == rows - 1 or k == n_steps:
+            lyap[k - j:k + 1] = lyapunov_value(etas[:j + 1], params)
         if states is not None:
-            states[k + 1] = x.transpose(to_last)
+            states[k] = x.transpose(to_last)
+        if k == n_steps:
+            break
+        k1 = sat(eta, params)
+        k2 = rate(np.add(x, np.multiply(half_dt, k1, out=stage), out=stage))
+        k3 = rate(np.add(x, np.multiply(half_dt, k2, out=stage), out=stage))
+        k4 = rate(np.add(x, np.multiply(dt, k3, out=stage), out=stage))
+        # x += sixth_dt * (((k1 + 2 k2) + 2 k3) + k4)
+        np.add(k1, np.multiply(2.0, k2, out=acc), out=acc)
+        acc += np.multiply(2.0, k3, out=stage)
+        acc += k4
+        acc *= sixth_dt
+        x += acc
+        eta = neighbor_disagreement(x, idx, mask)
     return ConsensusRun(
         times=np.arange(n_steps + 1) * dt,
         lyapunov=lyap,

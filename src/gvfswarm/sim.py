@@ -43,12 +43,18 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import oscillation as osc
-from .consensus import WindowAverager, lyapunov_value, neighbor_disagreement, neighbor_gather, sat
+from .consensus import (
+    _SUMMARY_BLOCK,
+    WindowAverager,
+    lyapunov_value,
+    neighbor_disagreement,
+    neighbor_gather,
+    sat,
+)
 from .gvf import field_core
 from .scenario import Scenario
 from .vehicle import heading_rate_core, unicycle_step
@@ -56,11 +62,6 @@ from .vehicle import heading_rate_core, unicycle_step
 __all__ = ["SimulationResult", "TelemetryHelperError", "run", "TELEMETRY_FLOAT_FORMAT"]
 
 TELEMETRY_FLOAT_FORMAT = "%.9g"
-
-# cells per block of the observer pass: a block holds this many
-# telemetry cells, or eta values without telemetry, so its 32-64 KiB
-# temporaries come from malloc's heap, not from fresh pages
-_SUMMARY_BLOCK = 1 << 12
 
 # per-drone telemetry column stems, in row order
 _DRONE_COLUMNS = (
@@ -94,7 +95,8 @@ class SimulationResult:
     telemetry_digest: str | None = None
     # wall ns per stage (publish, control, telemetry, advance, summary);
     # telemetry includes the per-block observer pass and this process's
-    # share of the rows (send, final wait), summary only the final
+    # share of the rows, which telemetry_send counts alone (helper start,
+    # sends, final wait; 0 with telemetry off); summary only the final
     # assembly; never part of the summary or the digest
     timings: dict = field(default_factory=dict)
 
@@ -337,7 +339,7 @@ def run(
     ground_max = omega_max = -np.inf
     fh = sink = None
     clock = time.perf_counter_ns
-    ns_publish = ns_control = ns_telemetry = ns_advance = 0
+    ns_publish = ns_control = ns_telemetry = ns_advance = ns_send = 0
     try:
         if rows_on:
             # one float row per tick: t, 13 cells per drone, z, V; the drone
@@ -427,11 +429,13 @@ def run(
                         drone_cells[:b, :, c] = column[ticks]
                     block[:b, 1 + 13 * n:-1] = z
                     block[:b, -1] = v
+                    t_send = clock()
                     if sink is None:
                         sink = _row_sink(header, block.shape[1], rows, fh)
                     sink.write(memoryview(block[:b]).cast("B"))
                     if k == n_ticks:
                         hist.telemetry_digest = sink.finish()
+                    ns_send += clock() - t_send
             t3 = clock()
             # advance
             if k < n_ticks:
@@ -459,6 +463,7 @@ def run(
         "telemetry": ns_telemetry,
         "advance": ns_advance,
         "summary": clock() - t0,
+        "telemetry_send": ns_send,
     }
     return hist
 

@@ -5,6 +5,7 @@ its budget, then asserts. Heavy runs are shared through module-scoped
 fixtures so the suite stays fast.
 """
 
+import hashlib
 import math
 import time
 
@@ -98,6 +99,24 @@ def test_lyapunov_never_increases(report, consensus_batch):
         ok,
         f"largest per-step increase {worst:.3g} (tol 1e-9) over "
         f"{increments.shape[0]} steps x {increments.shape[1]} runs",
+    )
+
+
+# SHA-256 of the consensus_batch run's lyapunov, final_state and
+# final_input bytes (C order), in that order
+CONSENSUS_BATCH_SHA256 = "18b9fdf0b2645ca3d48a48a43cf70ba72f7e7aa12540fce985d7373e26fb4378"
+
+
+def test_consensus_batch_bits_are_pinned(report, consensus_batch):
+    _, result, _ = consensus_batch
+    digest = hashlib.sha256()
+    for array in (result.lyapunov, result.final_state, result.final_input):
+        digest.update(array.tobytes())
+    got = digest.hexdigest()
+    report(
+        "consensus-200-starts-bits",
+        got == CONSENSUS_BATCH_SHA256,
+        f"sha256 {got[:12]}... (pinned {CONSENSUS_BATCH_SHA256[:12]}...)",
     )
 
 

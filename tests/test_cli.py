@@ -247,6 +247,32 @@ class TestConsensusDemo:
         assert out == ""
         assert err == f"t_end must be a positive finite number, got {t_end}\n"
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--tau-h", "inf", "--t-end", "1"], "tau_h must be finite, got inf"),
+            (["--tau-l", "nan", "--t-end", "1"], "tau_l must be finite, got nan"),
+            (["--r", "inf", "--t-end", "1"], "r must be finite, got inf"),
+            (["--x0", "nan", "0", "0", "0", "0", "0", "0", "0"],
+             "x0 must be finite; 1 of its values are NaN or inf"),
+            (["--x0", "0", "nan", "0", "0", "inf", "0", "0", "0", "--t-end", "1"],
+             "x0 must be finite; 2 of its values are NaN or inf"),
+            (["--span", "0", "inf", "--t-end", "1"],
+             "--span must be finite with a finite width, got 0 inf"),
+            (["--span", "nan", "1", "--t-end", "1"],
+             "--span must be finite with a finite width, got nan 1"),
+        ],
+        ids=["tau-h-inf", "tau-l-nan", "r-inf", "x0-nan", "x0-inf", "span-inf", "span-nan"],
+    )
+    def test_rejects_non_finite_inputs(self, args, message, capsys):
+        # one line and exit 2, before any step: no RuntimeWarning, no nan spread
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["consensus-demo", *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == message + "\n"
+
 
 class TestFitCurve:
     def test_routes_agree_in_output(self, tmp_path, capsys):

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from gvfswarm import consensus
 from gvfswarm.consensus import (
+    _SUMMARY_BLOCK,
     ConsensusRun,
     SaturationParams,
     WindowAverager,
@@ -130,6 +132,13 @@ class TestSaturation:
             SaturationParams(tau_l=1.0, tau_h=1.0)
         with pytest.raises(ValueError):
             SaturationParams(r=0.0)
+
+    @pytest.mark.parametrize("field", ["tau_l", "tau_h", "r"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_params(self, field, value):
+        kwargs = {"tau_l": 0.0, "tau_h": 1.0, "r": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SaturationParams(**kwargs)
 
     def test_unit_params(self):
         p = SaturationParams(0.0, 1.0, 1.0)
@@ -488,6 +497,57 @@ class TestNeighborOps:
         assert np.array_equal(mask.sum(axis=1), degrees.astype(float))
 
 
+class TestInputsUntouched:
+    """The kernels work in place only on arrays they created, so no
+    caller's array (the simulator passes the averager's output, the
+    integrator its stage buffers) is ever written."""
+
+    PARAMS = SaturationParams(0.2, 2.2, 4.0)
+
+    @staticmethod
+    def _frozen(*arrays):
+        copies = [np.array(a) for a in arrays]
+        for a in copies:
+            a.setflags(write=False)
+        return copies
+
+    def test_read_only_inputs(self):
+        rng = np.random.default_rng(18)
+        for graph in (TREE8, STAR40):
+            idx, mask = neighbor_gather(graph)
+            for shape in ((graph.n_nodes,), (graph.n_nodes, 3)):
+                x, own = rng.uniform(-10.0, 10.0, (2,) + shape)
+                x, own, idx_ro, mask_ro = self._frozen(x, own, idx, mask)
+                before = [a.copy() for a in (x, own, idx_ro, mask_ro)]
+                for o in (None, own):
+                    got = neighbor_disagreement(x, idx_ro, mask_ro, own=o)
+                    assert got.flags.writeable
+                    assert np.array_equal(
+                        got, disagreement_slot_major(x.T, idx, mask, None if o is None else o.T).T
+                    )
+                sat(x, self.PARAMS)
+                lyapunov_value(x, self.PARAMS)
+                for a, b in zip((x, own, idx_ro, mask_ro), before):
+                    assert a.tobytes() == b.tobytes()
+
+    def test_scalar_results_are_python_floats(self):
+        (s,) = self._frozen(np.float64(3.0))
+        assert type(sat(s, self.PARAMS)) is float
+        assert type(sat(-1.0, self.PARAMS)) is float
+        assert sat(s, self.PARAMS) == 1.7
+        (eta,) = self._frozen(np.arange(8.0))
+        assert type(lyapunov_value(eta, self.PARAMS)) is float
+        assert type(lyapunov_value(3.0 * np.ones(1), self.PARAMS)) is float
+
+    def test_sat_matches_the_plain_expression(self):
+        # the in-place body is bitwise tau_l + slope * clip(s, 0, r)
+        rng = np.random.default_rng(19)
+        s = np.concatenate([rng.uniform(-10.0, 10.0, 512), [0.0, -0.0, 4.0, np.inf, -np.inf]])
+        p = self.PARAMS
+        want = p.tau_l + (p.tau_h - p.tau_l) / p.r * s.clip(0.0, p.r)
+        assert sat(s, p).tobytes() == want.tobytes()
+
+
 class TestIntegrateConsensus:
     PARAMS = SaturationParams(0.0, 20.0, 5.0)
 
@@ -561,14 +621,11 @@ class TestIntegrateConsensus:
         shifted = integrate_consensus(TREE8, x0 + 64.0, self.PARAMS, 0.01, 40.0)
         assert np.max(np.abs(shifted.final_state - base.final_state - 64.0)) < 1e-9
 
-    def test_bitwise_equal_to_five_evaluation_rk4(self):
-        # reference loop evaluates the disagreement afresh for k1, the
-        # Lyapunov record and the final input; the integrator reuses eta
+    def _five_evaluation_rk4(self, x0, dt, n_steps):
+        """Reference loop: evaluates the disagreement afresh for k1, the
+        Lyapunov record and the final input, and V step by step; returns
+        (states, lyapunov, final state, final input)."""
         idx, mask = neighbor_gather(TREE8)
-        rng = np.random.default_rng(13)
-        x0 = rng.uniform(-30.0, 30.0, (4, 8))
-        dt, n_steps = 0.01, 2000
-        run = integrate_consensus(TREE8, x0, self.PARAMS, dt, n_steps * dt, record_states=True)
 
         def rate(state):
             return sat(disagreement_node_major(state, idx, mask), self.PARAMS)
@@ -584,10 +641,52 @@ class TestIntegrateConsensus:
             x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             states.append(x)
             lyap.append(lyapunov_value(disagreement_node_major(x, idx, mask), self.PARAMS))
-        assert np.array_equal(run.states, np.array(states))
-        assert np.array_equal(run.lyapunov, np.array(lyap))
+        return np.array(states), np.array(lyap), x, rate(x)
+
+    def test_bitwise_equal_to_five_evaluation_rk4(self):
+        # the integrator reuses eta, stages in place and V per block
+        rng = np.random.default_rng(13)
+        x0 = rng.uniform(-30.0, 30.0, (4, 8))
+        dt, n_steps = 0.01, 2000
+        run = integrate_consensus(TREE8, x0, self.PARAMS, dt, n_steps * dt, record_states=True)
+        states, lyap, x, u = self._five_evaluation_rk4(x0, dt, n_steps)
+        assert np.array_equal(run.states, states)
+        assert np.array_equal(run.lyapunov, lyap)
         assert np.array_equal(run.final_state, x)
-        assert np.array_equal(run.final_input, rate(x))
+        assert np.array_equal(run.final_input, u)
+
+    @pytest.mark.parametrize("record_states", [True, False], ids=["states", "no-states"])
+    @pytest.mark.parametrize("shape", [(8,), (4, 8)], ids=["row", "batch"])
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1], ids=["1", "rows-1", "rows", "rows+1"])
+    def test_block_boundaries_bitwise(self, shape, offset, record_states, monkeypatch):
+        # V runs once per block of rows = _SUMMARY_BLOCK // cells records;
+        # n_steps + 1 records fill part of one block, exactly one, or
+        # spill one or two records into the next
+        rows = _SUMMARY_BLOCK // math.prod(shape)
+        n_steps = 1 if offset is None else rows + offset
+        calls = {"sat": 0, "lyapunov_value": 0}
+        for name in calls:
+            inner = getattr(consensus, name)
+
+            def counted(*args, _inner=inner, _name=name):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(consensus, name, counted)
+        x0 = np.random.default_rng(16).uniform(-30.0, 30.0, shape)
+        dt = 0.01
+        run = integrate_consensus(TREE8, x0, self.PARAMS, dt, n_steps * dt, record_states)
+        assert calls == {"sat": 4 * n_steps + 1, "lyapunov_value": math.ceil((n_steps + 1) / rows)}
+        monkeypatch.undo()
+        states, lyap, x, u = self._five_evaluation_rk4(x0, dt, n_steps)
+        if record_states:
+            assert np.array_equal(run.states, states)
+        else:
+            assert run.states is None
+        assert run.lyapunov.shape == lyap.shape
+        assert np.array_equal(run.lyapunov, lyap)
+        assert np.array_equal(run.final_state, x)
+        assert np.array_equal(run.final_input, u)
 
     @pytest.mark.parametrize("shape", [(40,), (16, 40)], ids=["row", "batch"])
     def test_bitwise_equal_to_slot_major_rk4_on_a_wide_star(self, shape):
@@ -629,6 +728,14 @@ class TestIntegrateConsensus:
         assert run.lyapunov.shape == (11, 4)
         assert run.states.shape == (11, 4, 5)
         assert run.final_input.shape == (4, 5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("shape", [(5,), (3, 5)], ids=["row", "batch"])
+    def test_rejects_non_finite_x0(self, bad, shape):
+        x0 = np.zeros(shape)
+        x0[(0,) * len(shape)] = bad
+        with pytest.raises(ValueError, match="^x0 must be finite; 1 of its values are NaN or inf$"):
+            integrate_consensus(CHAIN5, x0, self.PARAMS, 0.01, 1.0)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):

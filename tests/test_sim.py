@@ -637,9 +637,15 @@ class TestTimings:
         sc = build_scenario(pair_doc())
         a = run(sc, compute_digest=True)
         b = run(sc, compute_digest=True)
-        assert list(a.timings) == ["publish", "control", "telemetry", "advance", "summary"]
-        for timings in (a.timings, b.timings):
+        off = run(sc)
+        assert list(a.timings) == [
+            "publish", "control", "telemetry", "advance", "summary", "telemetry_send",
+        ]
+        for timings in (a.timings, b.timings, off.timings):
             assert all(type(v) is int and v >= 0 for v in timings.values())
+        # the helper start, sends and final wait are part of the telemetry stage
+        assert 0 < a.timings["telemetry_send"] <= a.timings["telemetry"]
+        assert list(off.timings) == list(a.timings) and off.timings["telemetry_send"] == 0
         assert a.telemetry_digest == b.telemetry_digest
         assert a.summary == b.summary
         assert not any("timing" in key for key in a.summary)
