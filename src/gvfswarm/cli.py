@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import re
 import sys
 
 import numpy as np
@@ -82,6 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dem.add_argument("--dt", type=float, default=0.01)
     p_dem.add_argument("--t-end", type=float, default=150.0)
     p_dem.add_argument("--out", metavar="CSV", help="write t, states, V per step here")
+    # argparse 3.11 reads -1e3 as an option, since its matcher knows only
+    # -1 and -1.5; no option here looks like a number, so -x stays one
+    p_dem._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     p_fit = sub.add_parser("fit-curve", help="tabulate the slowdown curve by both routes")
     p_fit.add_argument("--speed", type=float, required=True)

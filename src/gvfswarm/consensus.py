@@ -91,19 +91,29 @@ def lyapunov_value(eta, params: SaturationParams):
 
         |etabar| <= r/2:  k etabar^2 / 2
         otherwise:        k r^2 / 8 + a (|etabar| - r/2)
+
+    np.where evaluates both pieces everywhere, and the quadratic one
+    overflows for |etabar| above about 1e154, where it is not taken;
+    that overflow is ignored, so a finite V raises no warning.
     """
+    out = np.sum(_lyapunov_terms(eta, params), axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
+def _lyapunov_terms(eta, params: SaturationParams) -> np.ndarray:
+    """The per-component terms of V(eta), in the layout of eta."""
     eta = np.asarray(eta, dtype=float)
     etabar = eta - params.r / 2.0
     k = (params.tau_h - params.tau_l) / params.r
     a = (params.tau_h - params.tau_l) / 2.0
     abse = np.abs(etabar)
-    per_node = np.where(
+    with np.errstate(over="ignore"):
+        quad = 0.5 * k * etabar * etabar
+    return np.where(
         abse <= params.r / 2.0,
-        0.5 * k * etabar * etabar,
+        quad,
         k * params.r * params.r / 8.0 + a * (abse - params.r / 2.0),
     )
-    out = np.sum(per_node, axis=-1)
-    return float(out) if out.ndim == 0 else out
 
 
 class WindowAverager:
@@ -285,7 +295,9 @@ def integrate_consensus(
     V is computed once per block of about _SUMMARY_BLOCK cells: each
     step's eta is copied into a C-ordered (rows, ..., n_nodes) block,
     and lyapunov_value sums each row's nodes as one contiguous pairwise
-    run, as it would for that step alone, so V keeps its bits.
+    run, as it would for that step alone, so V keeps its bits. An x0
+    whose V is not a finite number, such as states 1e308 apart, raises
+    ValueError before the first step.
     """
     check = graph.check_spanning_tree()
     if not check.is_tree:
@@ -318,7 +330,11 @@ def integrate_consensus(
     def rate(state: np.ndarray) -> np.ndarray:
         return sat(neighbor_disagreement(state, idx, mask), params)
 
-    eta = neighbor_disagreement(x, idx, mask)
+    with np.errstate(over="ignore"):
+        eta = neighbor_disagreement(x, idx, mask)
+        v0 = _lyapunov_terms(eta, params).sum(axis=0)
+    if not np.isfinite(v0).all():
+        raise ValueError("x0 is too far from agreement: V(x0) is not a finite number")
     for k in range(n_steps + 1):
         # record x_k and eta_k; V for the block once its last row is in
         j = k % rows

@@ -24,8 +24,12 @@ drones:
    line per tick, every cell ``%.9g`` of a float, comma-separated with
    no quoting and ended by CR LF. It formats each block once, feeds
    the same bytes to the SHA-256 and the file, so the file grows one
-   block at a time, and returns the hexdigest at the end. Where no
-   helper can start, the same writer runs in-process.
+   block at a time, and returns the hexdigest at the end. The helper
+   may run on every CPU this process may use except the one the tick
+   is on, so the pipe's wakeups do not pull it onto the tick's CPU;
+   with one allowed CPU, or where affinity or /proc is unavailable, it
+   is left where the kernel puts it. Where no helper can start, the
+   same writer runs in-process.
 4. advance: RK4 on the unicycle under the held heading rate plus
    wind, and the exact exponential amplitude filter.
 
@@ -173,6 +177,7 @@ class _Helper:
         os.close(data_r)
         os.close(reply_w)
         self.pid, self.out, self.reply, self.status = pid, data_w, reply_r, None
+        _place_apart(pid)
 
     def write(self, data) -> None:
         view = memoryview(data)
@@ -212,6 +217,34 @@ class _Helper:
                 f"telemetry helper was killed by signal {-self.status} before the run ended")
         detail = reply.decode(errors="replace") or f"exit status {self.status}"
         return TelemetryHelperError(f"telemetry helper failed: {detail}")
+
+
+def _tick_cpu() -> int:
+    """The CPU this process last ran on: field 39 of /proc/self/stat."""
+    with open("/proc/self/stat", "rb") as fh:
+        stat = fh.read()
+    # field 2, the command name, may hold spaces and parentheses
+    return int(stat.rsplit(b")", 1)[1].split()[36])
+
+
+def _place_apart(pid: int) -> None:
+    """Keep the helper off the CPU the tick runs on.
+
+    A pipe write wakes the reader as a sync wakeup, and when the writer
+    runs alone on its CPU, Linux puts the woken reader there unless it
+    finds another CPU idle; the helper then shares the tick's CPU. So
+    the helper may run on every allowed CPU but that one, and this
+    process keeps its own affinity. With one allowed CPU, no affinity
+    call or no /proc, the helper stays where it is.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        allowed = os.sched_getaffinity(0)
+        if len(allowed) > 1:
+            os.sched_setaffinity(pid, allowed - {_tick_cpu()})
+    except (OSError, ValueError, IndexError):
+        pass
 
 
 def _serve(data_r, data_w, reply_r, reply_w, header, cells, rows, fh) -> None:

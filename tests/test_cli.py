@@ -261,8 +261,13 @@ class TestConsensusDemo:
              "--span must be finite with a finite width, got 0 inf"),
             (["--span", "nan", "1", "--t-end", "1"],
              "--span must be finite with a finite width, got nan 1"),
+            (["--span", "0", "1e308", "--t-end", "1"],
+             "x0 is too far from agreement: V(x0) is not a finite number"),
         ],
-        ids=["tau-h-inf", "tau-l-nan", "r-inf", "x0-nan", "x0-inf", "span-inf", "span-nan"],
+        ids=[
+            "tau-h-inf", "tau-l-nan", "r-inf", "x0-nan", "x0-inf", "span-inf", "span-nan",
+            "span-overflows-v",
+        ],
     )
     def test_rejects_non_finite_inputs(self, args, message, capsys):
         # one line and exit 2, before any step: no RuntimeWarning, no nan spread
@@ -272,6 +277,25 @@ class TestConsensusDemo:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == message + "\n"
+
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--span", "-1e3", "1e3"], ["--nodes", "2", "--x0", "-1e2", "3"], ["--span", "-1E+3", "-5e-1"]],
+        ids=["span", "x0", "both-negative"],
+    )
+    def test_negative_numbers_in_exponent_form(self, args, capsys):
+        assert main(["consensus-demo", *args, "--t-end", "1"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        initial = [float(v) for v in out.split("[", 1)[1].split("]", 1)[0].split()]
+        assert min(initial) < 0.0
+
+    def test_unknown_option_is_still_an_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["consensus-demo", "--span", "-1e3", "1e3", "-x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: -x" in capsys.readouterr().err
 
 
 class TestFitCurve:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +241,45 @@ class TestLyapunov:
         eta = rng.uniform(-50, 50, (100, 8))
         vals = lyapunov_value(eta, self.PARAMS)
         assert np.all(vals >= 0.0)
+
+    def test_finite_value_far_outside_the_linear_zone_raises_no_warning(self):
+        # the quadratic piece of 1e160 would overflow if it were evaluated
+        # where the linear piece is taken
+        p = SaturationParams(0.0, 20.0, 5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = lyapunov_value([1e160, 0.0], p)
+        assert value == 20.0 * 5.0 / 8.0 + 10.0 * (1e160 - 5.0) + 20.0 * 5.0 / 8.0
+        assert value == pytest.approx(1e161, rel=1e-15)
+
+    def test_bitwise_equal_to_the_plain_formula(self):
+        def plain_formula(eta, params):
+            # the two-piece formula as written in the docstring
+            etabar = eta - params.r / 2.0
+            k = (params.tau_h - params.tau_l) / params.r
+            a = (params.tau_h - params.tau_l) / 2.0
+            abse = np.abs(etabar)
+            per_node = np.where(
+                abse <= params.r / 2.0,
+                0.5 * k * etabar * etabar,
+                k * params.r * params.r / 8.0 + a * (abse - params.r / 2.0),
+            )
+            return np.sum(per_node, axis=-1)
+
+        rng = np.random.default_rng(23)
+        for params in (self.PARAMS, SaturationParams(0.0, 20.0, 5.0), SaturationParams(0.3, 0.7, 1e-3)):
+            r = params.r
+            edges = [0.0, r, -r, np.nextafter(0.0, 1.0), np.nextafter(r, 2 * r), np.nextafter(r, 0.0)]
+            special = np.array([0.0, -0.0, r / 2.0, -r / 2.0] + edges)
+            for eta in (
+                rng.uniform(-3 * r, 4 * r, (64, 8)),
+                rng.normal(r / 2.0, r, (3, 5, 7)),
+                special,
+                special[:, None] * np.ones(3),
+            ):
+                got = lyapunov_value(eta, params)
+                want = plain_formula(eta, params)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestWindowAverager:
@@ -736,6 +776,17 @@ class TestIntegrateConsensus:
         x0[(0,) * len(shape)] = bad
         with pytest.raises(ValueError, match="^x0 must be finite; 1 of its values are NaN or inf$"):
             integrate_consensus(CHAIN5, x0, self.PARAMS, 0.01, 1.0)
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 5)])
+    def test_rejects_x0_whose_lyapunov_value_is_not_finite(self, shape):
+        # finite states, but 1e308 apart: V(x0) overflows, so no step runs
+        x0 = np.zeros(shape)
+        x0[..., 1] = 1.7e308
+        x0[..., 3] = -1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^x0 .*V\(x0\) is not a finite number$"):
+                integrate_consensus(CHAIN5, x0, self.PARAMS, 0.01, 1.0)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):

@@ -265,8 +265,85 @@ def assert_reaped(pid: int) -> None:
         os.waitpid(pid, os.WNOHANG)
 
 
+@pytest.fixture
+def helper_affinity(monkeypatch):
+    """(pid, allowed CPUs) of every telemetry helper that run starts, read as it starts."""
+    seen = []
+    start = sim._Helper
+
+    def recording_start(*args):
+        helper = start(*args)
+        seen.append((helper.pid, os.sched_getaffinity(helper.pid)))
+        return helper
+
+    monkeypatch.setattr(sim, "_Helper", recording_start)
+    return seen
+
+
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two or more allowed CPUs",
+)
+
+
 class TestTelemetryHelper:
     """A forked helper formats, hashes and writes the rows; the bytes do not depend on it."""
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+    def test_tick_cpu_is_an_allowed_cpu(self):
+        assert sim._tick_cpu() in os.sched_getaffinity(0)
+
+    @needs_two_cpus
+    @pytest.mark.parametrize("pick", [min, max], ids=["lowest", "highest"])
+    def test_helper_runs_off_the_tick_cpu(self, pick, helper_affinity, monkeypatch):
+        allowed = os.sched_getaffinity(0)
+        tick_cpu = pick(allowed)
+        monkeypatch.setattr(sim, "_tick_cpu", lambda: tick_cpu)
+        res = run(build_scenario(pair_doc()), compute_digest=True)
+        [(pid, helper_cpus)] = helper_affinity
+        assert helper_cpus == allowed - {tick_cpu}
+        assert os.sched_getaffinity(0) == allowed  # this process is never moved
+        assert_reaped(pid)
+        assert res.telemetry_digest == hashlib.sha256(reference_telemetry(res)).hexdigest()
+
+    @pytest.mark.parametrize(
+        "case", ["one-cpu", "setaffinity-fails", "no-proc", "no-setaffinity"]
+    )
+    def test_unplaced_helper_writes_the_same_bytes(self, case, helper_pids, monkeypatch, tmp_path):
+        sc = build_scenario(pair_doc())
+        placed = run(sc, compute_digest=True)
+        set_calls = []
+        set_affinity = getattr(os, "sched_setaffinity", None)
+
+        def recording_setaffinity(pid, cpus):
+            set_calls.append(pid)
+            if case == "setaffinity-fails":
+                raise OSError("affinity refused")
+            set_affinity(pid, cpus)
+
+        def no_proc():
+            raise FileNotFoundError("/proc/self/stat")
+
+        if case == "no-setaffinity":
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_setaffinity", recording_setaffinity, raising=False)
+        if case == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        if case == "no-proc":
+            monkeypatch.setattr(sim, "_tick_cpu", no_proc)
+        out = tmp_path / "telemetry.csv"
+        res = run(sc, telemetry_path=out)
+        data = out.read_bytes()
+        assert data == reference_telemetry(res)
+        assert res.telemetry_digest == placed.telemetry_digest == hashlib.sha256(data).hexdigest()
+        assert len(helper_pids) == 2
+        for pid in helper_pids:
+            assert_reaped(pid)
+        if case == "setaffinity-fails" and len(os.sched_getaffinity(0)) > 1:
+            assert set_calls == [helper_pids[1]]
+        elif case != "no-setaffinity":
+            assert set_calls == []
 
     @pytest.mark.parametrize("case", ["windy-delayed-eight", "single-drone"])
     def test_in_process_fallback_writes_the_same_bytes(
