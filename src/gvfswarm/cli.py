@@ -114,13 +114,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    mapping = load_mapping(args.scenario)
-    mapping = apply_overrides(mapping, args.overrides)
-    violations = validate_mapping(mapping)
+    violations = validate_mapping(apply_overrides(load_mapping(args.scenario), args.overrides))
     if violations:
-        for v in violations:
-            print(f"invalid: {v}", file=sys.stderr)
-        return 2
+        raise ScenarioError(violations)  # main reports it, exit 2
     print("ok")
     return 0
 

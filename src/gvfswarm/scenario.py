@@ -55,6 +55,7 @@ from pathlib import Path
 
 import numpy as np
 import yaml
+from yaml.composer import Composer
 
 from .graph import Graph
 from .oscillation import OscillationConfig, epsilon
@@ -83,12 +84,22 @@ _CONS_KEYS = {"k_u", "r_m", "tau_l", "tau_h", "comm_delay_ticks"}
 _INIT_KEYS = {"parameters_m", "parameter_span_m", "offsets_m", "headings_rad"}
 
 
-class _Loader(yaml.SafeLoader):
-    """SafeLoader that also reads 1e2, 1e+3 and 1.5e3 as floats.
+_SAFE = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # SafeLoader: PyYAML without libyaml
+
+
+class _Loader(*(() if issubclass(_SAFE, Composer) else (Composer,)), _SAFE):
+    """Safe loader that also reads 1e2, 1e+3 and 1.5e3 as floats.
 
     PyYAML's float rule is YAML 1.1's, which needs a dot and a signed
     exponent; the scenario file and every override share this loader.
+    libyaml parses; PyYAML's Python composer builds the nodes, since
+    libyaml's own recurses in C unchecked and overflows the C stack at
+    about 40 000 nested brackets, where Python raises RecursionError.
     """
+
+    def __init__(self, stream):
+        _SAFE.__init__(self, stream)
+        self.anchors = {}  # the Python composer's state
 
 
 _Loader.add_implicit_resolver(
@@ -119,7 +130,11 @@ class Scenario:
     t_end: float
     seed: int | None
     graph: Graph
-    paths: tuple[StraightLinePath, ...]
+    # every line has heading alpha; origins, unit tangents, left normals are (2, N)
+    alpha: float
+    origins: np.ndarray
+    tangents: np.ndarray
+    normals: np.ndarray
     k_e: np.ndarray
     k_n: np.ndarray
     oscillation: OscillationConfig
@@ -141,20 +156,23 @@ class Scenario:
     def n_ticks(self) -> int:
         return int(round(self.t_end / self.dt))
 
+    @property
+    def paths(self) -> tuple[StraightLinePath, ...]:
+        """One StraightLinePath per drone, built on each access."""
+        return tuple(StraightLinePath((a, b), self.alpha) for a, b in self.origins.T.tolist())
+
     def initial_positions(self) -> np.ndarray:
         """Initial planar positions, shape (n_drones, 2)."""
-        out = np.empty((self.n_drones, 2))
-        for i, path in enumerate(self.paths):
-            foot = path.parametric_point(self.initial_parameters[i])
-            out[i] = foot + self.initial_offsets[i] * path.gradient(foot)
-        return out
+        foot = self.origins + self.initial_parameters * self.tangents
+        return (foot + self.initial_offsets * self.normals).T
 
 
 def load_mapping(path) -> dict:
     """Read a scenario document from a YAML file."""
     try:
         data = yaml.load(Path(path).read_text(), Loader=_Loader)
-    except (yaml.YAMLError, ValueError) as exc:  # ValueError: not UTF-8, ints of > 4300 digits
+    # ValueError: not UTF-8, ints of > 4300 digits; RecursionError: nested too deeply
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ScenarioError([f"scenario file {path} is unparsable: {exc}"]) from exc
     if not isinstance(data, dict):
         raise ScenarioError([f"scenario file {path} is not a mapping"])
@@ -179,7 +197,7 @@ def apply_overrides(mapping: dict, overrides) -> dict:
             raise ScenarioError([f"override {shown} has an empty key path"])
         try:
             value = yaml.load(raw, Loader=_Loader)
-        except (yaml.YAMLError, ValueError) as exc:
+        except (yaml.YAMLError, ValueError, RecursionError) as exc:
             raise ScenarioError([f"override {shown} has an unparsable value: {exc}"]) from exc
         node = out
         for key in keys[:-1]:
@@ -243,7 +261,7 @@ def _per_drone(value, n: int, label: str, bad: list) -> np.ndarray | None:
     if _finite(value):
         return np.full(n, float(value))
     if _seq(value, n) and all(map(_finite, value)):
-        return np.array([float(v) for v in value])
+        return np.array(value, dtype=float)
     bad.append(f"{label}: expected a number or {n} numbers")
     return None
 
@@ -322,7 +340,7 @@ def _parse(mapping) -> tuple[Scenario | None, list[str]]:
             base = np.array([float(origin[0]), float(origin[1])])
             normal = np.array([-math.sin(alpha), math.cos(alpha)])
             with np.errstate(all="ignore"):
-                origins = [base + i * float(spacing) * normal for i in range(n)]
+                origins = base + (np.arange(n) * float(spacing))[:, None] * normal
             if not np.isfinite(origins).all():
                 bad.append(f"paths.spacing_m: {spacing} puts the lines beyond the float range")
 
@@ -416,19 +434,21 @@ def _parse(mapping) -> tuple[Scenario | None, list[str]]:
 
     alpha = float(alpha)
     if params is not None:
-        initial_parameters = np.array([float(v) for v in params])
+        initial_parameters = np.array(params, dtype=float)
     else:
-        rng = np.random.default_rng(seed)
-        initial_parameters = rng.uniform(float(span[0]), float(span[1]), size=n)
+        initial_parameters = np.random.default_rng(seed).uniform(float(span[0]), float(span[1]), n)
     oscillation = OscillationConfig(
         speed=float(speed), w_gamma=float(w), k_a=float(k_a),
         amplitude_cap=None if cap == "auto" else float(cap),
         tau_a=None if tau_a == "auto" else float(tau_a),
     )
-    paths = (StraightLinePath(origin=(float(o[0]), float(o[1])), alpha_rad=alpha) for o in origins)
+    cos, sin = math.cos(alpha), math.sin(alpha)
     scenario = Scenario(
         name=name, speed=float(speed), dt=float(dt), t_end=float(t_end), seed=seed,
-        graph=graph, paths=tuple(paths), k_e=gains["k_e"], k_n=gains["k_n"],
+        graph=graph, alpha=alpha, origins=np.array(origins, dtype=float).T.copy(),
+        tangents=np.array([[cos], [sin]]).repeat(n, 1),
+        normals=np.array([[-sin], [cos]]).repeat(n, 1),
+        k_e=gains["k_e"], k_n=gains["k_n"],
         oscillation=oscillation,
         saturation=SaturationParams(tau_l=float(tau_l), tau_h=float(tau_h), r=float(r)),
         k_u=float(k_u), comm_delay_ticks=delay,

@@ -312,23 +312,14 @@ def run(
         content even when no file is written).
     """
     sc = scenario
-    n = sc.n_drones
-    m = sc.graph.n_edges
-    dt = sc.dt
-    n_ticks = sc.n_ticks
-    speed = sc.speed
-    cfg = sc.oscillation
-    w = cfg.w_gamma
-    sat_p = sc.saturation
-    cap = cfg.amplitude_cap
-    wind = sc.wind
+    n, m = sc.n_drones, sc.graph.n_edges
+    dt, n_ticks, speed, wind = sc.dt, sc.n_ticks, sc.speed, sc.wind
+    cfg, sat_p = sc.oscillation, sc.saturation
+    w, cap = cfg.w_gamma, cfg.amplitude_cap
 
-    origins = np.stack([np.asarray(p.origin, dtype=float) for p in sc.paths], axis=1)
-    tangents = np.stack([p.tangent() for p in sc.paths], axis=1)
-    normals = np.stack([p.gradient(p.origin) for p in sc.paths], axis=1)
+    origins, tangents, normals = sc.origins, sc.tangents, sc.normals
     idx, mask = neighbor_gather(sc.graph)
-    tails = np.array([e[0] for e in sc.graph.edges], dtype=np.int64)
-    heads = np.array([e[1] for e in sc.graph.edges], dtype=np.int64)
+    tails, heads = np.array(sc.graph.edges, dtype=np.int64).reshape(m, 2).T
 
     # mutable state
     pos = sc.initial_positions().T.copy()
@@ -343,23 +334,16 @@ def run(
     p_dot = np.empty((2, n))
 
     times = np.arange(n_ticks + 1) * dt
+
+    def history(*shape, dtype=float):
+        return np.empty((n_ticks + 1, *shape), dtype=dtype)
+
     hist = SimulationResult(
-        scenario=sc,
-        times=times,
-        positions=np.empty((n_ticks + 1, n, 2)),
-        headings=np.empty((n_ticks + 1, n)),
-        path_parameters=np.empty((n_ticks + 1, n)),
-        averaged_parameters=np.empty((n_ticks + 1, n)),
-        phis=np.empty((n_ticks + 1, n)),
-        gammas=np.empty((n_ticks + 1, n)),
-        amplitudes=np.empty((n_ticks + 1, n)),
-        commanded_amplitudes=np.empty((n_ticks + 1, n)),
-        inputs=np.empty((n_ticks + 1, n)),
-        desired_velocities=np.empty((n_ticks + 1, n)),
-        omegas=np.empty((n_ticks + 1, n)),
-        branches=np.empty((n_ticks + 1, n), dtype=np.int8),
-        edge_diffs=np.empty((n_ticks + 1, m)),
-        lyapunov=np.empty(n_ticks + 1),
+        scenario=sc, times=times, positions=history(n, 2), headings=history(n),
+        path_parameters=history(n), averaged_parameters=history(n), phis=history(n),
+        gammas=history(n), amplitudes=history(n), commanded_amplitudes=history(n),
+        inputs=history(n), desired_velocities=history(n), omegas=history(n),
+        branches=history(n, dtype=np.int8), edge_diffs=history(m), lyapunov=history(),
     )
 
     rows_on = compute_digest or telemetry_path is not None

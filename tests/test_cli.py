@@ -61,6 +61,21 @@ class TestValidate:
         assert lines[0].startswith("invalid: override ") and len(lines[0]) < 300
         assert f"({len(override)} characters)" in lines[0]
 
+    @pytest.mark.parametrize("where", ["file", "set"])
+    def test_deeply_nested_value_is_unparsable(self, where, scenario_dir, tmp_path, capsys):
+        # once a RecursionError traceback
+        deep = "[" * 3000 + "]" * 3000
+        bundled = scenario_dir / "two_drones.scn"
+        if where == "file":
+            path = tmp_path / "deep.scn"
+            path.write_text(bundled.read_text() + f"extra: {deep}\n")
+            args = ["validate", str(path)]
+        else:
+            args = ["validate", str(bundled), "--set", f"extra={deep}"]
+        assert main(args) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("invalid: ") and "unparsable" in lines[0]
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.scn")]) == 1
         capsys.readouterr()

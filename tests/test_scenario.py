@@ -1,12 +1,19 @@
 import copy
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gvfswarm import scenario as scenario_module
+from gvfswarm.paths import StraightLinePath
 from gvfswarm.scenario import (
     Scenario,
     ScenarioError,
@@ -81,6 +88,133 @@ class TestLoad:
         f.write_text(f"name: {spelling}\n")
         assert load_mapping(f) == {"name": 1000.0}
         assert "name: must be a non-empty string" in validate_mapping({**base_doc(), "name": 1000.0})
+
+
+class _PureLoader(yaml.SafeLoader):
+    """The scenario loader's pure-Python twin: the same implicit resolvers."""
+
+    yaml_implicit_resolvers = scenario_module._Loader.yaml_implicit_resolvers
+
+
+@pytest.fixture(params=["libyaml", "pure"])
+def loader(request, monkeypatch):
+    """Run load_mapping and apply_overrides under the scenario loader or its twin."""
+    if request.param == "pure":
+        monkeypatch.setattr(scenario_module, "_Loader", _PureLoader)
+    return request.param
+
+
+def under_both(monkeypatch, fn, *args):
+    """fn(*args) under the scenario loader, then under the pure twin."""
+    out = fn(*args)
+    with monkeypatch.context() as m:
+        m.setattr(scenario_module, "_Loader", _PureLoader)
+        return out, fn(*args)
+
+
+def nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+def recursive_tree_edges(n: int, rng: np.random.Generator) -> list[list[int]]:
+    """1-based edges of a random recursive tree on n nodes."""
+    return [[int(rng.integers(0, i)) + 1, i + 1] for i in range(1, n)]
+
+
+def swarm_text(scenario_dir, n: int) -> str:
+    """The bundled eight drones grown to n on a random tree, as YAML."""
+    doc = load_mapping(scenario_dir / "eight_drones.scn")
+    doc["graph"] = {"n_drones": n, "edges": recursive_tree_edges(n, np.random.default_rng(n))}
+    doc["initial"]["offsets_m"] = np.random.default_rng(n + 1).normal(0, 3, n).tolist()
+    return yaml.safe_dump(doc, sort_keys=True)
+
+
+class TestDeepNesting:
+    # once a RecursionError traceback under either loader. The pure
+    # scanner looks ahead over every open bracket, so its cost grows with
+    # the square of the depth: 3000 takes it about 1.5 s
+    def test_deeply_nested_file_is_unparsable(self, loader, tmp_path):
+        f = tmp_path / "deep.scn"
+        f.write_text(f"extra: {nested(3000)}\n")
+        with pytest.raises(ScenarioError, match="unparsable"):
+            load_mapping(f)
+
+    def test_deeply_nested_override_is_unparsable(self, loader):
+        with pytest.raises(ScenarioError, match="unparsable value"):
+            apply_overrides(base_doc(), [f"extra={nested(3000)}"])
+
+    # libyaml's own composer overflows the C stack at this depth, which
+    # would end the test session, so these run in a fresh interpreter
+    @pytest.mark.parametrize("call", [
+        "load_mapping(sys.argv[1])",
+        "apply_overrides({}, ['extra=' + open(sys.argv[1]).read()])",
+    ], ids=["file", "override"])
+    def test_very_deep_nesting_does_not_crash_the_interpreter(self, call, tmp_path):
+        f = tmp_path / "deep.scn"
+        f.write_text(nested(100_000))
+        env = dict(os.environ)
+        src = str(Path(scenario_module.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import sys\nfrom gvfswarm.scenario import *\n"
+                f"try:\n    {call}\nexcept ScenarioError as exc:\n    print(exc)\n")
+        proc = subprocess.run([sys.executable, "-c", code, str(f)], capture_output=True,
+                              text=True, timeout=60, env=env)
+        assert proc.returncode == 0 and "unparsable" in proc.stdout, proc.stderr[-2000:]
+
+
+class TestLoaderOracle:
+    def test_loader_is_libyaml_backed_where_pyyaml_has_it(self):
+        c_backed = issubclass(scenario_module._Loader, getattr(yaml, "CSafeLoader", ()))
+        assert c_backed == yaml.__with_libyaml__
+
+    @pytest.mark.parametrize("name", ["eight_drones.scn", "two_drones.scn"])
+    def test_bundled_files(self, name, scenario_dir, monkeypatch):
+        new, old = under_both(monkeypatch, load_mapping, scenario_dir / name)
+        assert new == old and validate_mapping(new) == []
+
+    def test_generated_512_drone_document(self, scenario_dir, tmp_path, monkeypatch):
+        f = tmp_path / "swarm.scn"
+        f.write_text(swarm_text(scenario_dir, 512))
+        new, old = under_both(monkeypatch, load_mapping, f)
+        assert new == old and new["graph"]["n_drones"] == 512 and validate_mapping(new) == []
+
+    @pytest.mark.parametrize("text,expected", [
+        ("a: 1e2\nb: 1e+3\nc: 1.5e3\nd: -2E-2\n",
+         {"a": 100.0, "b": 1000.0, "c": 1500.0, "d": -0.02}),
+        ("\ufeffname: bom\nseed: 3\n", {"name": "bom", "seed": 3}),
+        ("name: crlf\r\nwind_mps: [1.0,\r\n  2]\r\n", {"name": "crlf", "wind_mps": [1.0, 2]}),
+        ("base: &b {k_e: 1.0, k_n: 2.0}\ngvf:\n  <<: *b\n  k_n: 3.0\n",
+         {"base": {"k_e": 1.0, "k_n": 2.0}, "gvf": {"k_e": 1.0, "k_n": 3.0}}),
+        ("seed: 1\nseed: 2\n", {"seed": 2}),
+        ("t_end_s: 1:30\ndt_s: 1:30.5\n", {"t_end_s": 90, "dt_s": 90.5}),
+    ], ids=["exponents", "bom", "crlf", "merge-key", "duplicate-key", "sexagesimal"])
+    def test_file_cases(self, text, expected, tmp_path, monkeypatch):
+        f = tmp_path / "case.scn"
+        f.write_bytes(text.encode())
+        assert under_both(monkeypatch, load_mapping, f) == (expected, expected)
+
+    @pytest.mark.parametrize("value,expected", [
+        ("1e2", 100.0), ("1e+3", 1000.0), ("1.5e3", 1500.0), ("\ufeff7", 7),
+        ("[1,\r\n 2]", [1, 2]), ("{<<: {a: 1}, b: 2}", {"a": 1, "b": 2}),
+        ("{a: 1, a: 2}", {"a": 2}), ("1:30", 90),
+    ], ids=["1e2", "1e+3", "1.5e3", "bom", "crlf", "merge-key", "duplicate-key", "sexagesimal"])
+    def test_override_cases(self, value, expected, monkeypatch):
+        new, old = under_both(monkeypatch, apply_overrides, base_doc(), [f"consensus.r_m={value}"])
+        assert new == old and new["consensus"]["r_m"] == expected
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml")
+    def test_lone_surrogate_escape_is_unparsable(self, tmp_path, monkeypatch):
+        # the one known difference: the pure parser reads the escape into a
+        # lone surrogate, which libyaml rejects
+        f = tmp_path / "surrogate.scn"
+        f.write_text('name: "\\ud800"\n')
+        with pytest.raises(ScenarioError, match="unparsable"):
+            load_mapping(f)
+        with pytest.raises(ScenarioError, match="unparsable value"):
+            apply_overrides({}, ['name="\\ud800"'])
+        monkeypatch.setattr(scenario_module, "_Loader", _PureLoader)
+        assert load_mapping(f) == {"name": "\ud800"}
+        assert apply_overrides({}, ['name="\\ud800"']) == {"name": "\ud800"}
 
 
 class TestOverrides:
@@ -348,3 +482,92 @@ class TestBuild:
         assert sc.n_drones == 2
         assert np.array_equal(sc.initial_parameters, [-10.0, 15.0])
         assert sc.speed == 16.0
+
+
+def oracle_geometry(doc: dict, sc: Scenario) -> tuple[np.ndarray, ...]:
+    """The per-drone loop the stacked arrays replaced: one StraightLinePath each.
+
+    Returns origins, tangents and normals as (2, N), and the initial
+    positions as (N, 2).
+    """
+    psec = doc.get("paths") or {}
+    alpha = psec.get("alpha_rad", 0.0)
+    if psec.get("origins_m") is not None:
+        origins = psec["origins_m"]
+    else:
+        base = np.array([float(v) for v in psec.get("origin_m", [0.0, 0.0])])
+        normal = np.array([-math.sin(alpha), math.cos(alpha)])
+        spacing = psec.get("spacing_m")
+        spacing = 0.0 if spacing is None else spacing
+        origins = [base + i * float(spacing) * normal for i in range(sc.n_drones)]
+    paths = [StraightLinePath(origin=(float(o[0]), float(o[1])), alpha_rad=float(alpha))
+             for o in origins]
+    positions = np.empty((sc.n_drones, 2))
+    for i, path in enumerate(paths):
+        foot = path.parametric_point(sc.initial_parameters[i])
+        positions[i] = foot + sc.initial_offsets[i] * path.gradient(foot)
+    return (np.stack([np.asarray(p.origin, dtype=float) for p in paths], axis=1),
+            np.stack([p.tangent() for p in paths], axis=1),
+            np.stack([p.gradient(p.origin) for p in paths], axis=1),
+            positions)
+
+
+def assert_geometry_matches_oracle(doc: dict) -> Scenario:
+    sc = build_scenario(doc)
+    got = (sc.origins, sc.tangents, sc.normals, sc.initial_positions())
+    for name, a, b in zip(("origins", "tangents", "normals", "positions"), got,
+                          oracle_geometry(doc, sc)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    return sc
+
+
+def alpha_doc(alpha: float, explicit: bool) -> dict:
+    # drones at parameter 0.0 with offsets of both signed zeros meet the
+    # -0.0 products of TestTickSums
+    doc = base_doc()
+    doc["graph"] = {"n_drones": 4, "edges": [[1, 2], [2, 3], [2, 4]]}
+    doc["paths"] = {"alpha_rad": alpha, "origin_m": [3.0, -7.0], "spacing_m": 30.0}
+    if explicit:
+        doc["paths"] = {"alpha_rad": alpha, "origins_m": [[0, 0], [3.0, -7.0], [-0.0, 5], [1e3, 2.5]]}
+    doc["initial"] = {"parameters_m": [0.0, 0.0, -12.5, 40.0], "offsets_m": [0.0, -0.0, 2.0, -3.5]}
+    return doc
+
+
+def tree_doc(n: int, seed: int, explicit: bool) -> dict:
+    rng = np.random.default_rng(seed)
+    doc = base_doc()
+    doc["graph"] = {"n_drones": n, "edges": recursive_tree_edges(n, rng)}
+    alpha = float(rng.uniform(-math.pi, math.pi))
+    doc["paths"] = {"alpha_rad": alpha, "origin_m": rng.normal(0, 100, 2).tolist(),
+                    "spacing_m": float(rng.uniform(-60, 60))}
+    if explicit:
+        doc["paths"] = {"alpha_rad": alpha, "origins_m": rng.normal(0, 500, (n, 2)).tolist()}
+    doc["initial"] = {"parameters_m": rng.uniform(-50, 50, n).tolist(),
+                      "offsets_m": rng.normal(0, 5, n).tolist()}
+    return doc
+
+
+class TestPathArrays:
+    @pytest.mark.parametrize("name", ["eight_drones.scn", "two_drones.scn"])
+    def test_bundled_files(self, name, scenario_dir):
+        assert_geometry_matches_oracle(load_mapping(scenario_dir / name))
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["spacing", "origins"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.7, 2.5, 4.0, -math.pi])
+    def test_headings(self, alpha, explicit):
+        assert_geometry_matches_oracle(alpha_doc(alpha, explicit))
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["spacing", "origins"])
+    @pytest.mark.parametrize("n", [1, 2, 64, 4096])
+    def test_random_recursive_trees(self, n, explicit):
+        assert_geometry_matches_oracle(tree_doc(n, 100 + n, explicit))
+
+    def test_paths_are_built_from_the_arrays(self, scenario_dir):
+        sc = build_scenario(alpha_doc(2.5, explicit=True))
+        paths = sc.paths
+        assert len(paths) == sc.n_drones
+        for i, path in enumerate(paths):
+            assert path.alpha_rad == 2.5
+            assert np.asarray(path.origin).tobytes() == sc.origins[:, i].tobytes()
+        with pytest.raises(AttributeError):
+            sc.paths = ()

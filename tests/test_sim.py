@@ -445,6 +445,17 @@ class TestTickSums:
         assert res.phis[0].tobytes() == np.zeros(1).tobytes()
 
 
+class TestScenarioArrays:
+    def test_runs_leave_the_path_arrays_as_built(self):
+        # run reads the scenario's origins, tangents and normals in place
+        sc = build_scenario({**pair_doc(), "t_end_s": 2.0, "wind_mps": [0.5, -1.0]})
+        built = [a.copy() for a in (sc.origins, sc.tangents, sc.normals)]
+        first, second = run(sc, compute_digest=True), run(sc, compute_digest=True)
+        assert first.telemetry_digest == second.telemetry_digest
+        for a, b in zip(built, (sc.origins, sc.tangents, sc.normals)):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestSummary:
     def test_fields(self, scenario_dir):
         doc = apply_overrides(load_mapping(scenario_dir / "two_drones.scn"), ["t_end_s=150"])
