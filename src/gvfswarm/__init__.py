@@ -7,9 +7,10 @@ progress until the formation agrees. Agreement runs over a spanning
 tree with a saturated, non-negative consensus input on sliding-window
 averaged path parameters, so no drone ever needs to speed up.
 
-The package provides the building blocks (paths, guiding vector
-field, oscillation scheduling, consensus) plus a deterministic
-lock-step simulator and a CLI.
+The package provides the building blocks (guiding vector field,
+oscillation scheduling, consensus) plus a deterministic lock-step
+simulator, the scenario documents that hold each drone's line, and a
+CLI.
 """
 
 __version__ = "0.1.0"
@@ -35,7 +36,6 @@ from .oscillation import (
     gamma_ddot,
     gamma_dot,
 )
-from .paths import StraightLinePath
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -68,7 +68,6 @@ __all__ = [
     "gamma",
     "gamma_ddot",
     "gamma_dot",
-    "StraightLinePath",
     "Scenario",
     "ScenarioError",
     "apply_overrides",

@@ -28,18 +28,8 @@ __all__ = ["field_core"]
 ALPHA_FLOOR_REL = 1e-6
 
 
-def field_core(
-    phi,
-    normal,
-    tangent,
-    speed: float,
-    k_e: float,
-    gamma,
-    gamma_dot,
-    gamma_ddot=None,
-    p_dot=None,
-) -> dict:
-    """Vectorized field evaluation on stacked line geometry.
+def field_core(phi, normal, tangent, speed: float, k_e: float, gamma, gamma_dot, gamma_ddot, p_dot):
+    """Vectorized field and field rate on stacked line geometry.
 
     Parameters
     ----------
@@ -50,15 +40,15 @@ def field_core(
         each line.
     speed, k_e : float
         Ground speed and convergence gain.
-    gamma, gamma_dot : array (...)
-        Offset reference and its rate.
-    gamma_ddot, p_dot : array (...), array (2, ...), optional
-        Supply both to also get the field time derivative along p_dot.
+    gamma, gamma_dot, gamma_ddot : array (...)
+        Offset reference and its first two rates.
+    p_dot : array (2, ...)
+        Velocity along which the field rate is taken.
 
     Returns
     -------
-    dict with f (2, ...), interior (... bool), alpha, u_phi (...),
-    beta (2, ...), and f_dot ((2, ...) or None).
+    (f, f_dot, interior): the field and its time derivative, both
+    (2, ...), and the interior-branch flag (... bool).
 
     When every point is interior, the exterior arrays and the ``where``
     selects are skipped and the interior arrays are returned as they
@@ -73,36 +63,23 @@ def field_core(
     all_interior = bool(interior.all())
     alpha = np.sqrt(np.maximum(speed * speed - u_phi * u_phi, 0.0))
     f = alpha * tangent + beta
+
+    # a sum over axis 0, not a[0]*b[0] + a[1]*b[1]: -0.0 + -0.0 sums to +0.0
+    phi_dot = (normal * p_dot).sum(axis=0)
+    u_phi_dot = -k_e * (phi_dot - gamma_dot) + gamma_ddot
+    beta_dot = u_phi_dot * normal
+    # interior: f_dot = alpha_dot t_hat + beta_dot, with
+    # alpha_dot = -(beta . beta_dot)/alpha floored near the boundary
+    alpha_safe = np.maximum(alpha, ALPHA_FLOOR_REL * speed)
+    alpha_dot = -(u_phi * u_phi_dot) / alpha_safe
+    f_dot = alpha_dot * tangent + beta_dot
     if not all_interior:
         safe_norm = np.where(interior, 1.0, beta_norm)
-        f_exterior = speed * beta / safe_norm
-        f = np.where(interior, f, f_exterior)
-
-    f_dot = None
-    if gamma_ddot is not None and p_dot is not None:
-        # a sum over axis 0, not a[0]*b[0] + a[1]*b[1]: -0.0 + -0.0 sums to +0.0
-        phi_dot = (normal * p_dot).sum(axis=0)
-        u_phi_dot = -k_e * (phi_dot - gamma_dot) + gamma_ddot
-        beta_dot = u_phi_dot * normal
-        # interior: f_dot = alpha_dot t_hat + beta_dot, with
-        # alpha_dot = -(beta . beta_dot)/alpha floored near the boundary
-        alpha_safe = np.maximum(alpha, ALPHA_FLOOR_REL * speed)
-        alpha_dot = -(u_phi * u_phi_dot) / alpha_safe
-        f_dot = alpha_dot * tangent + beta_dot
-        if not all_interior:
-            # exterior: f_dot = v (I/||b|| - b b^T/||b||^3) beta_dot, the
-            # derivative of v beta/||beta|| (zero for lines, where beta_dot
-            # stays parallel to beta)
-            b_dot_b = (beta * beta_dot).sum(axis=0)
-            f_dot_exterior = speed * (beta_dot / safe_norm - beta * (b_dot_b / safe_norm**3))
-            f_dot = np.where(interior, f_dot, f_dot_exterior)
-
-    return {
-        "f": f,
-        "interior": interior,
-        "alpha": alpha if all_interior else np.where(interior, alpha, 0.0),
-        "beta": beta,
-        "u_phi": u_phi,
-        "phi": phi,
-        "f_dot": f_dot,
-    }
+        f = np.where(interior, f, speed * beta / safe_norm)
+        # exterior: f_dot = v (I/||b|| - b b^T/||b||^3) beta_dot, the
+        # derivative of v beta/||beta|| (zero for lines, where beta_dot
+        # stays parallel to beta)
+        b_dot_b = (beta * beta_dot).sum(axis=0)
+        f_dot_exterior = speed * (beta_dot / safe_norm - beta * (b_dot_b / safe_norm**3))
+        f_dot = np.where(interior, f_dot, f_dot_exterior)
+    return f, f_dot, interior

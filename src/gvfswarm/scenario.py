@@ -60,7 +60,6 @@ from yaml.composer import Composer
 from .graph import Graph
 from .oscillation import OscillationConfig, epsilon
 from .consensus import SaturationParams
-from .paths import StraightLinePath
 
 __all__ = [
     "Scenario",
@@ -130,8 +129,8 @@ class Scenario:
     t_end: float
     seed: int | None
     graph: Graph
-    # every line has heading alpha; origins, unit tangents, left normals are (2, N)
-    alpha: float
+    # line i passes through origins[:, i] along the unit tangent
+    # tangents[:, i]; normals[:, i] is its left normal; all (2, N)
     origins: np.ndarray
     tangents: np.ndarray
     normals: np.ndarray
@@ -155,11 +154,6 @@ class Scenario:
     @property
     def n_ticks(self) -> int:
         return int(round(self.t_end / self.dt))
-
-    @property
-    def paths(self) -> tuple[StraightLinePath, ...]:
-        """One StraightLinePath per drone, built on each access."""
-        return tuple(StraightLinePath((a, b), self.alpha) for a, b in self.origins.T.tolist())
 
     def initial_positions(self) -> np.ndarray:
         """Initial planar positions, shape (n_drones, 2)."""
@@ -186,7 +180,10 @@ def apply_overrides(mapping: dict, overrides) -> dict:
     inline lists all work: "consensus.r_m=25", "wind_mps=[0, 3.5]".
     Unknown keys are left for validation to flag.
     """
-    out = copy.deepcopy(mapping)
+    try:
+        out = copy.deepcopy(mapping)
+    except RecursionError as exc:
+        raise ScenarioError([f"scenario document is nested too deeply to copy: {exc}"]) from exc
     for item in overrides:
         shown = repr(item) if len(item) <= 80 else f"{item[:60]!r}... ({len(item)} characters)"
         if "=" not in item:
@@ -445,7 +442,7 @@ def _parse(mapping) -> tuple[Scenario | None, list[str]]:
     cos, sin = math.cos(alpha), math.sin(alpha)
     scenario = Scenario(
         name=name, speed=float(speed), dt=float(dt), t_end=float(t_end), seed=seed,
-        graph=graph, alpha=alpha, origins=np.array(origins, dtype=float).T.copy(),
+        graph=graph, origins=np.array(origins, dtype=float).T.copy(),
         tangents=np.array([[cos], [sin]]).repeat(n, 1),
         normals=np.array([[-sin], [cos]]).repeat(n, 1),
         k_e=gains["k_e"], k_n=gains["k_n"],

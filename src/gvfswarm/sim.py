@@ -398,11 +398,9 @@ def run(
             np.cos(theta, out=p_dot[0])
             np.sin(theta, out=p_dot[1])
             p_dot *= speed
-            core = field_core(
-                phi, normals, tangents, speed, sc.k_e,
-                g, g_dot, gamma_ddot=g_ddot, p_dot=p_dot,
-            )
-            omega = heading_rate_core(core["f"], core["f_dot"], p_dot, speed, sc.k_n)
+            f, f_dot, interior = field_core(
+                phi, normals, tangents, speed, sc.k_e, g, g_dot, g_ddot, p_dot)
+            omega = heading_rate_core(f, f_dot, p_dot, speed, sc.k_n)
             t2 = clock()
             # telemetry: the history rows, then the observers once per block
             hist.positions[k] = pos.T
@@ -416,7 +414,7 @@ def run(
             hist.inputs[k] = u
             hist.desired_velocities[k] = xdot_d
             hist.omegas[k] = omega
-            hist.branches[k] = core["interior"]
+            hist.branches[k] = interior
             eta_rows[j] = eta
             p_dot_rows[:, j] = p_dot
             if j == rows - 1 or k == n_ticks:

@@ -4,28 +4,31 @@ import numpy as np
 import pytest
 
 from gvfswarm.gvf import field_core
-from gvfswarm.paths import StraightLinePath
 
 V = 16.0
-X_AXIS = StraightLinePath(origin=(0.0, 0.0), alpha_rad=0.0)
+# the x axis as the simulator stacks one drone's line: phi is the y
+# coordinate, left normal (0, 1), tangent (1, 0). On the interior branch
+# f = alpha t + u_phi n is then exactly (alpha, u_phi)
+NORMAL = np.array([0.0, 1.0])
+TANGENT = np.array([1.0, 0.0])
 
 
-def field(path, position, speed, k_e, gamma=0.0, gamma_dot=0.0, gamma_ddot=None, p_dot=None):
-    """field_core at one position on a line, given as the simulator stacks it per drone."""
+def field(position, speed, k_e, gamma=0.0, gamma_dot=0.0, gamma_ddot=0.0, p_dot=(0.0, 0.0)):
+    """field_core at one position beside the x axis: (f, f_dot, interior)."""
     p = np.asarray(position, dtype=float)
-    if p_dot is not None:
-        p_dot = np.asarray(p_dot, dtype=float)
-    return field_core(
-        path.phi(p), path.gradient(p), path.tangent(), speed, k_e, gamma, gamma_dot,
-        gamma_ddot=gamma_ddot, p_dot=p_dot,
-    )
+    return field_core(p[1], NORMAL, TANGENT, speed, k_e, gamma, gamma_dot, gamma_ddot,
+                      np.asarray(p_dot, dtype=float))
 
 
 def u_phi(phi, gamma, gamma_dot, k_e):
-    """field_core's level-set velocity demand -k_e (phi - gamma) + gamma_dot."""
+    """The level-set velocity demand -k_e (phi - gamma) + gamma_dot, read off f."""
     phi = np.asarray(phi, dtype=float)
-    normal = np.multiply.outer([0.0, 1.0], np.ones_like(phi))
-    return field_core(phi, normal, normal[::-1], V, k_e, gamma, gamma_dot)["u_phi"]
+    normal = np.multiply.outer(NORMAL, np.ones_like(phi))
+    zero = np.zeros_like(phi)
+    f, _, interior = field_core(phi, normal, normal[::-1], V, k_e, gamma, gamma_dot,
+                                zero, 0 * normal)
+    assert np.all(interior)
+    return f[1]
 
 
 class TestVirtualInput:
@@ -46,29 +49,28 @@ class TestVirtualInput:
 
 class TestBranches:
     def test_on_path_runs_along_tangent(self):
-        s = field(X_AXIS, (7.0, 0.0), V, 1.0)
-        assert s["interior"]
-        assert np.allclose(s["f"], [V, 0.0], atol=1e-14)
-        assert s["phi"] == 0.0 and s["u_phi"] == 0.0
+        f, _, interior = field((7.0, 0.0), V, 1.0)
+        assert interior
+        assert np.array_equal(f, [V, 0.0])
 
     def test_interior_example(self):
         # phi = 10, u_phi = -10, beta = (0, -10), alpha = sqrt(256-100)
-        s = field(X_AXIS, (3.0, 10.0), V, 1.0)
-        assert s["interior"]
-        assert s["phi"] == 10.0
-        assert s["u_phi"] == -10.0
-        assert np.allclose(s["beta"], [0.0, -10.0], atol=0)
-        assert float(s["alpha"]) == pytest.approx(12.489995996796797, abs=1e-12)
-        assert np.allclose(s["f"], [math.sqrt(156.0), -10.0], atol=1e-12)
-        assert np.linalg.norm(s["f"]) == pytest.approx(V, abs=1e-12)
+        f, _, interior = field((3.0, 10.0), V, 1.0)
+        assert interior
+        assert f[1] == -10.0
+        assert float(f[0]) == pytest.approx(12.489995996796797, abs=1e-12)
+        assert np.allclose(f, [math.sqrt(156.0), -10.0], atol=1e-12)
+        assert np.linalg.norm(f) == pytest.approx(V, abs=1e-12)
 
     def test_exterior_example(self):
         # phi = 20 exceeds the speed budget: all of v goes lateral
-        s = field(X_AXIS, (3.0, 20.0), V, 1.0)
-        assert not s["interior"]
-        assert s["u_phi"] == -20.0
-        assert s["alpha"] == 0.0
-        assert np.allclose(s["f"], [0.0, -16.0], atol=1e-12)
+        f, _, interior = field((3.0, 20.0), V, 1.0)
+        assert not interior
+        assert f[0] == 0.0
+        assert np.allclose(f, [0.0, -16.0], atol=1e-12)
+        # with twice the budget the same point is interior: u_phi = -20
+        f, _, interior = field((3.0, 20.0), 2 * V, 1.0)
+        assert interior and f[1] == -20.0
 
     def test_speed_is_invariant(self):
         rng = np.random.default_rng(7)
@@ -77,8 +79,8 @@ class TestBranches:
             g = rng.uniform(-30, 30)
             gd = rng.uniform(-20, 20)
             ke = rng.uniform(0.2, 4.0)
-            s = field(X_AXIS, p, V, ke, g, gd)
-            assert np.linalg.norm(s["f"]) == pytest.approx(V, rel=1e-9)
+            f = field(p, V, ke, g, gd)[0]
+            assert np.linalg.norm(f) == pytest.approx(V, rel=1e-9)
 
     def test_branch_boundary_is_continuous(self):
         # approach |u_phi| = v from both sides via gamma_dot; the
@@ -86,22 +88,20 @@ class TestBranches:
         # relative perturbation is about v*sqrt(2e-15) ~ 7e-7
         p = (3.0, 0.0)
         samples = [
-            field(X_AXIS, p, V, 1.0, 0.0, V * (1.0 - 1e-15)),
-            field(X_AXIS, p, V, 1.0, 0.0, V),
-            field(X_AXIS, p, V, 1.0, 0.0, V * (1.0 + 1e-15)),
+            field(p, V, 1.0, 0.0, V * (1.0 - 1e-15)),
+            field(p, V, 1.0, 0.0, V),
+            field(p, V, 1.0, 0.0, V * (1.0 + 1e-15)),
         ]
-        assert samples[0]["interior"]
-        assert samples[1]["interior"]
-        assert not samples[2]["interior"]
-        for a in samples:
-            for b in samples:
-                assert np.linalg.norm(a["f"] - b["f"]) < 1e-6
+        assert [bool(s[2]) for s in samples] == [True, True, False]
+        for a, _, _ in samples:
+            for b, _, _ in samples:
+                assert np.linalg.norm(a - b) < 1e-6
 
     def test_gamma_shifts_the_attractor(self):
         # sitting on the offset level set phi = gamma with a static
         # reference, the field is again pure tangent
-        s = field(X_AXIS, (0.0, 4.0), V, 1.0, gamma=4.0)
-        assert np.allclose(s["f"], [V, 0.0], atol=1e-14)
+        f = field((0.0, 4.0), V, 1.0, gamma=4.0)[0]
+        assert np.allclose(f, [V, 0.0], atol=1e-14)
 
 
 class TestClosedLoop:
@@ -112,13 +112,13 @@ class TestClosedLoop:
         p = np.array([0.0, 10.0])
 
         def f_at(q):
-            return field(X_AXIS, q, V, k_e)["f"]
+            return field(q, V, k_e)[0]
 
         times, logs = [], []
         for k in range(5001):
             t = k * dt
             if k % 250 == 0:
-                ph = float(X_AXIS.phi(p))
+                ph = float(p[1])
                 if abs(ph) > 1e-6:
                     times.append(t)
                     logs.append(math.log(abs(ph)))
@@ -137,18 +137,15 @@ class TestClosedLoop:
         for _ in range(100):
             p = rng.uniform(-40, 40, 2)
             g = rng.uniform(-25, 25)
-            s = field(X_AXIS, p, V, 1.0, g)
-            rate = float(np.dot(X_AXIS.gradient(p), s["f"]))
-            if s["interior"]:
-                assert rate == pytest.approx(float(s["u_phi"]), abs=1e-6)
+            f, _, interior = field(p, V, 1.0, g)
+            rate = float(NORMAL @ f)
+            if interior:
+                assert rate == pytest.approx(-(p[1] - g), abs=1e-6)
             else:
                 assert abs(rate) == pytest.approx(V, abs=1e-9)
 
 
 class TestFieldDerivative:
-    def test_none_without_velocity(self):
-        assert field(X_AXIS, (1.0, 2.0), V, 1.0)["f_dot"] is None
-
     def test_matches_finite_difference(self):
         # compare f_dot against a central difference of f along the
         # actual motion p(t) = p + t pdot, gamma(t) quadratic. States
@@ -163,25 +160,25 @@ class TestFieldDerivative:
             p = rng.uniform(-40, 40, 2)
             pd = rng.uniform(-V, V, 2)
             g0, g1, g2 = rng.uniform(-15, 15), rng.uniform(-10, 10), rng.uniform(-5, 5)
-            s = field(X_AXIS, p, V, k_e, g0, g1, gamma_ddot=g2, p_dot=pd)
-            if abs(abs(s["u_phi"]) - V) < 0.01 * V:
+            if abs(abs(-k_e * (p[1] - g0) + g1) - V) < 0.01 * V:
                 continue
+            f_dot = field(p, V, k_e, g0, g1, gamma_ddot=g2, p_dot=pd)[1]
             checked += 1
 
             def f_at(tau):
                 gg = g0 + g1 * tau + 0.5 * g2 * tau * tau
                 ggd = g1 + g2 * tau
-                return field(X_AXIS, p + tau * pd, V, k_e, gg, ggd)["f"]
+                return field(p + tau * pd, V, k_e, gg, ggd)[0]
 
             fd = (f_at(h) - f_at(-h)) / (2 * h)
-            assert np.linalg.norm(s["f_dot"] - fd) < 1e-4 * V, (p, pd, g0, g1, g2)
+            assert np.linalg.norm(f_dot - fd) < 1e-4 * V, (p, pd, g0, g1, g2)
 
     def test_exterior_rate_is_zero_for_lines(self):
         # outside the speed budget f = -v n_hat regardless of phi, so
         # its time derivative vanishes while the branch persists
-        s = field(X_AXIS, (0.0, 40.0), V, 1.0, 0.0, 0.0, gamma_ddot=0.0, p_dot=(V, 0.0))
-        assert not s["interior"]
-        assert np.linalg.norm(s["f_dot"]) < 1e-12
+        _, f_dot, interior = field((0.0, 40.0), V, 1.0, 0.0, 0.0, gamma_ddot=0.0, p_dot=(V, 0.0))
+        assert not interior
+        assert np.linalg.norm(f_dot) < 1e-12
 
 
 class TestCore:
@@ -191,28 +188,27 @@ class TestCore:
         pts = rng.uniform(-60, 60, (n, 2))
         gam = rng.uniform(-20, 20, n)
         gad = rng.uniform(-15, 15, n)
-        phi = X_AXIS.phi(pts)
-        normal = np.broadcast_to(X_AXIS.gradient(pts[0])[:, None], (2, n))
-        tangent = np.broadcast_to(X_AXIS.tangent()[:, None], (2, n))
-        core = field_core(phi, normal, tangent, V, 1.0, gam, gad)
+        normal = np.broadcast_to(NORMAL[:, None], (2, n))
+        tangent = np.broadcast_to(TANGENT[:, None], (2, n))
+        f, _, interior = field_core(pts[:, 1], normal, tangent, V, 1.0, gam, gad,
+                                    np.zeros(n), np.zeros((2, n)))
+        assert interior.any() and not interior.all()
         for i in range(n):
-            s = field(X_AXIS, pts[i], V, 1.0, gam[i], gad[i])
-            assert np.array_equal(core["f"][:, i], s["f"])
-            assert core["interior"][i] == s["interior"]
-            assert core["alpha"][i] == s["alpha"]
+            f_i, _, interior_i = field(pts[i], V, 1.0, gam[i], gad[i])
+            assert np.array_equal(f[:, i], f_i)
+            assert interior[i] == interior_i
 
     def test_per_drone_gain_array(self):
         # two drones, component-first: both normals (0, 1), both tangents (1, 0)
         phi = np.array([10.0, 10.0])
         normal = np.array([[0.0, 0.0], [1.0, 1.0]])
         tangent = np.array([[1.0, 1.0], [0.0, 0.0]])
-        core = field_core(phi, normal, tangent, V, np.array([1.0, 2.0]), 0.0, 0.0)
-        assert core["u_phi"][0] == -10.0
-        assert core["u_phi"][1] == -20.0
-        assert core["interior"][0] and not core["interior"][1]
-        assert core["f"].shape == (2, 2)
-        assert np.array_equal(core["f"][:, 0], [math.sqrt(156.0), -10.0])
-        assert np.array_equal(core["f"][:, 1], [0.0, -V])
+        f, _, interior = field_core(phi, normal, tangent, V, np.array([1.0, 2.0]), 0.0, 0.0,
+                                    0.0, np.zeros((2, 2)))
+        assert interior[0] and not interior[1]
+        assert f.shape == (2, 2)
+        assert np.array_equal(f[:, 0], [math.sqrt(156.0), -10.0])
+        assert np.array_equal(f[:, 1], [0.0, -V])
 
 
 def _two_branch_core(phi, normal, tangent, speed, k_e, gamma, gamma_dot,
@@ -243,30 +239,22 @@ def _two_branch_core(phi, normal, tangent, speed, k_e, gamma, gamma_dot,
             - beta * (b_dot_b / safe_norm**3)[..., None]
         )
         f_dot = np.where(interior[..., None], f_dot_interior, f_dot_exterior)
-    return {
-        "f": f,
-        "interior": interior,
-        "alpha": np.where(interior, alpha, 0.0),
-        "beta": beta,
-        "u_phi": u_phi,
-        "phi": phi,
-        "f_dot": f_dot,
-    }
+    return {"f": f, "interior": interior, "f_dot": f_dot}
 
 
 def _oracle_core(phi, normal, tangent, speed, k_e, gamma, gamma_dot,
                  gamma_ddot=None, p_dot=None):
-    """_two_branch_core on (2, ...) vectors: they move to the last axis
-    for the oracle and its vector results move back."""
+    """_two_branch_core on (2, ...) vectors as field_core's (f, f_dot,
+    interior): the vectors move to the last axis for the oracle and its
+    vector results move back."""
     def last(a):
         return None if a is None else np.moveaxis(a, 0, -1)
 
     want = _two_branch_core(phi, last(normal), last(tangent), speed, k_e, gamma, gamma_dot,
                             gamma_ddot=gamma_ddot, p_dot=last(p_dot))
-    for key in ("f", "beta", "f_dot"):
-        if want[key] is not None:
-            want[key] = np.moveaxis(want[key], -1, 0)
-    return want
+    f_dot = want["f_dot"]
+    return (np.moveaxis(want["f"], -1, 0), None if f_dot is None else np.moveaxis(f_dot, -1, 0),
+            want["interior"])
 
 
 def _same_bits(a, b) -> bool:
@@ -316,22 +304,26 @@ class TestCoreShortcut:
             phi, normal, tangent, gam, gad, gadd, p_dot = self.inputs(shape, case, seed)
             if shape == ():
                 phi, gam, gad, gadd = float(phi), float(gam), float(gad), float(gadd)
-            extra = {"gamma_ddot": gadd, "p_dot": p_dot} if with_dot else {}
-            got = field_core(phi, normal, tangent, V, 1.0, gam, gad, **extra)
-            want = _oracle_core(phi, normal, tangent, V, 1.0, gam, gad, **extra)
-            assert set(got) == set(want)
-            interior = np.asarray(want["interior"])
+            if with_dot:
+                want = _oracle_core(phi, normal, tangent, V, 1.0, gam, gad,
+                                    gamma_ddot=gadd, p_dot=p_dot)
+            else:
+                # the oracle takes no rate inputs, and field_core gets NaN
+                # ones: f and the branch flag must not read them
+                want = _oracle_core(phi, normal, tangent, V, 1.0, gam, gad)
+                gadd, p_dot = np.full_like(gam, np.nan), np.full_like(p_dot, np.nan)
+            got = field_core(phi, normal, tangent, V, 1.0, gam, gad, gadd, p_dot)
+            interior = np.asarray(want[2])
             if case == "interior":
                 assert interior.all()
             elif case == "exterior":
                 assert not interior.any()
             else:
                 assert interior.any() and not interior.all()
-            for key in want:
-                if want[key] is None:
-                    assert got[key] is None, key
-                else:
-                    assert _same_bits(got[key], want[key]), (key, seed)
+            for key, a, b in zip(("f", "f_dot", "interior"), got, want):
+                if b is not None:
+                    assert _same_bits(a, b), (key, seed)
+            assert want[1] is not None or np.isnan(got[1]).all()
 
     def test_signed_zero_row(self):
         # two drones flying east on the x axis, normal (-0, 1), velocity
@@ -342,9 +334,9 @@ class TestCoreShortcut:
         phi = np.array([0.0, 20.0])
         normal = np.array([[-0.0, -0.0], [1.0, 1.0]])
         tangent = np.array([[1.0, 1.0], [0.0, 0.0]])
-        extra = {"gamma_ddot": np.array([-0.0, 0.0]), "p_dot": np.array([[V, V], [-0.0, -0.0]])}
-        got = field_core(phi, normal, tangent, V, 1.0, 0.0, 0.0, **extra)
-        want = _oracle_core(phi, normal, tangent, V, 1.0, 0.0, 0.0, **extra)
-        assert list(want["interior"]) == [True, False]
-        for key in want:
-            assert _same_bits(got[key], want[key]), key
+        gadd, p_dot = np.array([-0.0, 0.0]), np.array([[V, V], [-0.0, -0.0]])
+        got = field_core(phi, normal, tangent, V, 1.0, 0.0, 0.0, gadd, p_dot)
+        want = _oracle_core(phi, normal, tangent, V, 1.0, 0.0, 0.0, gamma_ddot=gadd, p_dot=p_dot)
+        assert list(want[2]) == [True, False]
+        for key, a, b in zip(("f", "f_dot", "interior"), got, want):
+            assert _same_bits(a, b), key

@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gvfswarm import scenario as scenario_module
-from gvfswarm.paths import StraightLinePath
 from gvfswarm.scenario import (
     Scenario,
     ScenarioError,
@@ -22,6 +21,7 @@ from gvfswarm.scenario import (
     load_mapping,
     validate_mapping,
 )
+from gvfswarm.sim import run
 
 
 def base_doc() -> dict:
@@ -142,6 +142,14 @@ class TestDeepNesting:
     def test_deeply_nested_override_is_unparsable(self, loader):
         with pytest.raises(ScenarioError, match="unparsable value"):
             apply_overrides(base_doc(), [f"extra={nested(3000)}"])
+
+    def test_deeply_nested_mapping_is_a_scenario_error(self):
+        # a library caller's mapping, deeper than copy.deepcopy can recurse
+        doc = inner = {}
+        for _ in range(700):
+            inner["extra"] = inner = {}
+        with pytest.raises(ScenarioError, match="nested too deeply"):
+            apply_overrides(doc, ["seed=1"])
 
     # libyaml's own composer overflows the C stack at this depth, which
     # would end the test session, so these run in a fresh interpreter
@@ -432,11 +440,10 @@ class TestBuild:
     def test_eight_drone_file(self, scenario_dir):
         sc = build_scenario(load_mapping(scenario_dir / "eight_drones.scn"))
         assert sc.n_drones == 8
-        assert len(sc.paths) == 8
         # horizontal lines stacked 30 m apart
-        for i, path in enumerate(sc.paths):
-            assert path.alpha_rad == 0.0
-            assert np.allclose(path.origin, [0.0, 30.0 * i], atol=0)
+        assert np.array_equal(sc.origins, [[0.0] * 8, [30.0 * i for i in range(8)]])
+        assert np.array_equal(sc.tangents, np.repeat([[1.0], [0.0]], 8, axis=1))
+        assert np.array_equal(sc.normals, np.repeat([[0.0], [1.0]], 8, axis=1))
         assert np.array_equal(sc.initial_headings, np.zeros(8))
         # tau_h resolves from the speed deficit at full amplitude
         assert sc.saturation.tau_h == pytest.approx(16.410449727375825, abs=1e-9)
@@ -485,31 +492,31 @@ class TestBuild:
 
 
 def oracle_geometry(doc: dict, sc: Scenario) -> tuple[np.ndarray, ...]:
-    """The per-drone loop the stacked arrays replaced: one StraightLinePath each.
+    """Each drone's line from the document, one drone at a time in plain floats.
 
-    Returns origins, tangents and normals as (2, N), and the initial
-    positions as (N, 2).
+    Line i passes through o_i with tangent t = (cos a, sin a) and left
+    normal n = (-sin a, cos a); drone i starts at o_i + x_i t + d_i n.
+    Spaced lines have o_i = o + (i s) n. Returns origins, tangents and
+    normals as (2, N), and the initial positions as (N, 2).
     """
     psec = doc.get("paths") or {}
     alpha = psec.get("alpha_rad", 0.0)
+    c, s = math.cos(alpha), math.sin(alpha)
     if psec.get("origins_m") is not None:
-        origins = psec["origins_m"]
+        origins = [(float(ox), float(oy)) for ox, oy in psec["origins_m"]]
     else:
-        base = np.array([float(v) for v in psec.get("origin_m", [0.0, 0.0])])
-        normal = np.array([-math.sin(alpha), math.cos(alpha)])
+        bx, by = (float(v) for v in psec.get("origin_m", [0.0, 0.0]))
         spacing = psec.get("spacing_m")
-        spacing = 0.0 if spacing is None else spacing
-        origins = [base + i * float(spacing) * normal for i in range(sc.n_drones)]
-    paths = [StraightLinePath(origin=(float(o[0]), float(o[1])), alpha_rad=float(alpha))
-             for o in origins]
-    positions = np.empty((sc.n_drones, 2))
-    for i, path in enumerate(paths):
-        foot = path.parametric_point(sc.initial_parameters[i])
-        positions[i] = foot + sc.initial_offsets[i] * path.gradient(foot)
-    return (np.stack([np.asarray(p.origin, dtype=float) for p in paths], axis=1),
-            np.stack([p.tangent() for p in paths], axis=1),
-            np.stack([p.gradient(p.origin) for p in paths], axis=1),
-            positions)
+        spacing = 0.0 if spacing is None else float(spacing)
+        origins = [(bx + i * spacing * -s, by + i * spacing * c) for i in range(sc.n_drones)]
+    positions = []
+    for (ox, oy), x, d in zip(origins, sc.initial_parameters.tolist(),
+                              sc.initial_offsets.tolist()):
+        fx, fy = ox + x * c, oy + x * s
+        positions.append((fx + d * -s, fy + d * c))
+    n = sc.n_drones
+    return (np.array(origins).T, np.array([[c] * n, [s] * n]), np.array([[-s] * n, [c] * n]),
+            np.array(positions))
 
 
 def assert_geometry_matches_oracle(doc: dict) -> Scenario:
@@ -562,12 +569,16 @@ class TestPathArrays:
     def test_random_recursive_trees(self, n, explicit):
         assert_geometry_matches_oracle(tree_doc(n, 100 + n, explicit))
 
-    def test_paths_are_built_from_the_arrays(self, scenario_dir):
-        sc = build_scenario(alpha_doc(2.5, explicit=True))
-        paths = sc.paths
-        assert len(paths) == sc.n_drones
-        for i, path in enumerate(paths):
-            assert path.alpha_rad == 2.5
-            assert np.asarray(path.origin).tobytes() == sc.origins[:, i].tobytes()
-        with pytest.raises(AttributeError):
-            sc.paths = ()
+    @pytest.mark.parametrize("explicit", [False, True], ids=["spacing", "origins"])
+    @pytest.mark.parametrize("alpha", [0.7, 2.5, 4.0, -math.pi])
+    def test_round_trip_through_run(self, alpha, explicit):
+        # the first history row measures each drone back onto its line:
+        # parameter and offset are the ones it was placed at
+        sc = build_scenario({**alpha_doc(alpha, explicit), "t_end_s": 0.02})
+        res = run(sc)
+        scale = max(1.0, *(float(np.abs(a).max()) for a in
+                           (sc.origins, sc.initial_parameters, sc.initial_offsets)))
+        assert np.abs(res.path_parameters[0] - sc.initial_parameters).max() <= 1e-12 * scale
+        assert np.abs(res.phis[0] - sc.initial_offsets).max() <= 1e-12 * scale
+        normal = np.array([-math.sin(alpha), math.cos(alpha)])
+        assert all(sc.normals[:, i].tobytes() == normal.tobytes() for i in range(sc.n_drones))

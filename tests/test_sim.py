@@ -436,8 +436,7 @@ class TestTickSums:
         doc["paths"] = {"alpha_rad": alpha, "origin_m": [3.0, -7.0]}
         doc["t_end_s"] = 0.1
         sc = build_scenario(doc)
-        path = sc.paths[0]
-        vector = path.tangent() if alpha == 4.0 else path.gradient(path.origin)
+        vector = sc.tangents[:, 0] if alpha == 4.0 else sc.normals[:, 0]
         assert np.all(vector < 0.0)
         res = run(sc)
         assert np.array_equal(res.positions[0], [[3.0, -7.0]])
@@ -562,7 +561,7 @@ class TestObserverBlocks:
 
         def recording_field_core(*args, **kwargs):
             core = field_core(*args, **kwargs)
-            interior.append(core["interior"].copy())
+            interior.append(core[2].copy())  # (f, f_dot, interior)
             return core
 
         monkeypatch.setattr(sim, "field_core", recording_field_core)
