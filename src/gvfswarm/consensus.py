@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._box import TWO, ZERO, box
 from .graph import Graph
 
 __all__ = [
@@ -71,15 +72,19 @@ class SaturationParams:
             raise ValueError(f"tau_h must exceed tau_l, got {self.tau_h} <= {self.tau_l}")
         if not self.r > 0:
             raise ValueError(f"r must be positive, got {self.r}")
+        # sat's operands, boxed once: the zone width, the slope and the floor
+        object.__setattr__(self, "_r", box(self.r))
+        object.__setattr__(self, "_slope", box((self.tau_h - self.tau_l) / self.r))
+        object.__setattr__(self, "_tau_l", box(self.tau_l))
 
 
 def sat(s, params: SaturationParams):
     """Saturation tau_l + (tau_h - tau_l)/r * clip(s, 0, r). Array-capable."""
     # in place on the clipped copy: * and + commute bitwise, so the bits
     # are those of tau_l + slope * clip(s, 0, r)
-    out = np.asarray(s, dtype=float).clip(0.0, params.r)
-    out *= (params.tau_h - params.tau_l) / params.r
-    out += params.tau_l
+    out = np.asarray(s, dtype=float).clip(ZERO, params._r)
+    out *= params._slope
+    out += params._tau_l
     return float(out) if out.ndim == 0 else out
 
 
@@ -155,6 +160,10 @@ class WindowAverager:
         self._k = int(math.floor(w + 1e-9))  # full intervals in the window
         fr = w - self._k  # the partial interval, as a fraction of dt
         self._fr = fr if fr >= 1e-9 else 0.0
+        # the array operands, boxed once: dt, the window, the lerp weight
+        # 1 - fr of the sliver's left end and the sliver's weight fr dt / 2
+        self._dt, self._window = box(self.dt), box(self.window)
+        self._lerp, self._sliver = box(1.0 - self._fr), box(self._fr * self.dt * 0.5)
         # k full intervals, one partial, one spare slot
         self._capacity = self._k + 3
         self._buffer = np.zeros((self._capacity,) + self.shape)
@@ -173,7 +182,7 @@ class WindowAverager:
         if value.shape != self.shape:
             raise ValueError(f"expected shape {self.shape}, got {value.shape}")
         if self._count:
-            term = self.dt * (value + self._buffer[self._head - 1]) / 2.0
+            term = self._dt * (value + self._buffer[self._head - 1]) / TWO
             self._terms[self._head] = term
             self._terms[self._head + self._capacity] = term
         self._buffer[self._head] = value
@@ -192,19 +201,18 @@ class WindowAverager:
         elapsed = (self._count - 1) * self.dt
         if elapsed < self.window:
             # warm-up: plain trapezoid over [0, elapsed]
-            integral = self._terms[end - (self._count - 1):end].sum(axis=0)
+            integral = np.add.reduce(self._terms[end - (self._count - 1):end], axis=0)
             out = integral / elapsed
             return float(out) if out.ndim == 0 else out
-        integral = self._terms[end - self._k:end].sum(axis=0)
-        fr = self._fr
-        if fr > 0.0:
+        integral = np.add.reduce(self._terms[end - self._k:end], axis=0)
+        if self._fr > 0.0:
             # window start falls inside the next-older interval; take
             # the sliver [start, t_{-(k+1)}] with a lerped left value
             left = self._buffer[(self._head - self._k - 2) % self._capacity]
             right = self._buffer[(self._head - self._k - 1) % self._capacity]
-            x_start = left + (1.0 - fr) * (right - left)
-            integral = integral + fr * self.dt * 0.5 * (x_start + right)
-        out = integral / self.window
+            x_start = left + self._lerp * (right - left)
+            integral = integral + self._sliver * (x_start + right)
+        out = integral / self._window
         return float(out) if out.ndim == 0 else out
 
 
@@ -247,7 +255,7 @@ def neighbor_disagreement(x, idx: np.ndarray, mask: np.ndarray, own=None):
     diff -= x if own is None else np.asarray(own, dtype=float)
     if own is not None:
         diff *= mask.T.reshape(mask.T.shape + (1,) * (x.ndim - 1))
-    return diff.sum(axis=0)
+    return np.add.reduce(diff, axis=0)
 
 
 @dataclass
@@ -316,8 +324,8 @@ def integrate_consensus(
     if n_steps < 1:
         raise ValueError(f"t_end {t_end} shorter than one step dt {dt}")
     idx, mask = neighbor_gather(graph)
-    half_dt = 0.5 * dt
-    sixth_dt = dt / 6.0
+    # the stage scalars, boxed: each is the operand of an (n_nodes, ...) op
+    half_dt, sixth_dt, dt_box = box(0.5 * dt), box(dt / 6.0), box(dt)
     to_nodes = (x.ndim - 1,) + tuple(range(x.ndim - 1))
     to_last = tuple(range(1, x.ndim)) + (0,)
     lyap = np.empty((n_steps + 1,) + x.shape[:-1])
@@ -348,10 +356,10 @@ def integrate_consensus(
         k1 = sat(eta, params)
         k2 = rate(np.add(x, np.multiply(half_dt, k1, out=stage), out=stage))
         k3 = rate(np.add(x, np.multiply(half_dt, k2, out=stage), out=stage))
-        k4 = rate(np.add(x, np.multiply(dt, k3, out=stage), out=stage))
+        k4 = rate(np.add(x, np.multiply(dt_box, k3, out=stage), out=stage))
         # x += sixth_dt * (((k1 + 2 k2) + 2 k3) + k4)
-        np.add(k1, np.multiply(2.0, k2, out=acc), out=acc)
-        acc += np.multiply(2.0, k3, out=stage)
+        np.add(k1, np.multiply(TWO, k2, out=acc), out=acc)
+        acc += np.multiply(TWO, k3, out=stage)
         acc += k4
         acc *= sixth_dt
         x += acc

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._box import ZERO, box
+
 __all__ = ["field_core"]
 
 # relative floor for the tangential magnitude in the interior rate
@@ -39,7 +41,8 @@ def field_core(phi, normal, tangent, speed: float, k_e: float, gamma, gamma_dot,
         Unit left normal (the gradient of phi) and unit tangent of
         each line.
     speed, k_e : float
-        Ground speed and convergence gain.
+        Ground speed and convergence gain; either may be boxed (a
+        read-only 0-d array), and k_e may be one gain per point.
     gamma, gamma_dot, gamma_ddot : array (...)
         Offset reference and its first two rates.
     p_dot : array (2, ...)
@@ -55,22 +58,25 @@ def field_core(phi, normal, tangent, speed: float, k_e: float, gamma, gamma_dot,
     are: the values ``where`` would pick, so the bits are the same.
     """
     phi = np.asarray(phi, dtype=float)
-    u_phi = -k_e * (phi - gamma) + gamma_dot
+    v = float(speed)
+    # gamma_dot - k_e (phi - gamma) is -k_e (phi - gamma) + gamma_dot to
+    # the bit: negation is exact and x - y is x + (-y)
+    u_phi = gamma_dot - k_e * (phi - gamma)
     # unit gradient: zeta = grad/||grad||^2 = normal, so beta = u_phi * normal
     beta = u_phi * normal
     beta_norm = np.abs(u_phi)
     interior = beta_norm <= speed
-    all_interior = bool(interior.all())
-    alpha = np.sqrt(np.maximum(speed * speed - u_phi * u_phi, 0.0))
+    all_interior = bool(np.logical_and.reduce(interior, axis=None))
+    alpha = np.sqrt(np.maximum(box(v * v) - u_phi * u_phi, ZERO))
     f = alpha * tangent + beta
 
     # a sum over axis 0, not a[0]*b[0] + a[1]*b[1]: -0.0 + -0.0 sums to +0.0
-    phi_dot = (normal * p_dot).sum(axis=0)
-    u_phi_dot = -k_e * (phi_dot - gamma_dot) + gamma_ddot
+    phi_dot = np.add.reduce(normal * p_dot, axis=0)
+    u_phi_dot = gamma_ddot - k_e * (phi_dot - gamma_dot)
     beta_dot = u_phi_dot * normal
     # interior: f_dot = alpha_dot t_hat + beta_dot, with
     # alpha_dot = -(beta . beta_dot)/alpha floored near the boundary
-    alpha_safe = np.maximum(alpha, ALPHA_FLOOR_REL * speed)
+    alpha_safe = np.maximum(alpha, box(ALPHA_FLOOR_REL * v))
     alpha_dot = -(u_phi * u_phi_dot) / alpha_safe
     f_dot = alpha_dot * tangent + beta_dot
     if not all_interior:
@@ -79,7 +85,7 @@ def field_core(phi, normal, tangent, speed: float, k_e: float, gamma, gamma_dot,
         # exterior: f_dot = v (I/||b|| - b b^T/||b||^3) beta_dot, the
         # derivative of v beta/||beta|| (zero for lines, where beta_dot
         # stays parallel to beta)
-        b_dot_b = (beta * beta_dot).sum(axis=0)
+        b_dot_b = np.add.reduce(beta * beta_dot, axis=0)
         f_dot_exterior = speed * (beta_dot / safe_norm - beta * (b_dot_b / safe_norm**3))
         f_dot = np.where(interior, f_dot, f_dot_exterior)
     return f, f_dot, interior

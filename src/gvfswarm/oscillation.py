@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._box import TWO, ZERO, box
+
 logger = logging.getLogger(__name__)
 
 __all__ = [
@@ -92,11 +94,14 @@ def wave(sin_wt, cos_wt, amplitude, amplitude_rate, amplitude_accel, w_gamma):
     :func:`gamma_ddot`; the simulator calls it once per tick with the
     phase evaluated once. Broadcasts over array inputs.
     """
+    # w^2 is Python's float ** for a scalar, boxed or not: a 0-d array's
+    # ** squares, which differs from pow(w, 2) in the last bit for some w
+    w_sq = box(float(w_gamma) ** 2) if getattr(w_gamma, "ndim", 0) == 0 else w_gamma**2
     g = amplitude * sin_wt
     g_dot = amplitude_rate * sin_wt + amplitude * w_gamma * cos_wt
     g_ddot = (
-        (amplitude_accel - amplitude * w_gamma**2) * sin_wt
-        + 2.0 * amplitude_rate * w_gamma * cos_wt
+        (amplitude_accel - amplitude * w_sq) * sin_wt
+        + TWO * amplitude_rate * w_gamma * cos_wt
     )
     return g, g_dot, g_ddot
 
@@ -220,7 +225,8 @@ def amplitude_schedule(xdot, speed: float, w_gamma: float, k_a: float, amplitude
     The one schedule kernel: the simulator calls it on every tick, where
     xdot already lies in [0, v]. No clipping and no warnings.
     """
-    raw = k_a * np.sqrt(np.maximum(speed * speed - xdot * xdot, 0.0)) / w_gamma
+    v = float(speed)
+    raw = k_a * np.sqrt(np.maximum(box(v * v) - xdot * xdot, ZERO)) / w_gamma
     return np.minimum(raw, amplitude_cap), raw
 
 
@@ -274,12 +280,13 @@ def relaxation_step(value, target, dt: float, tau: float):
     in [lo, hi] the new value is a convex combination and stays inside
     the same interval, so no clamping is needed downstream.
     """
-    if not tau > 0:
+    h, t = float(dt), float(tau)
+    if not t > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if dt < 0:
+    if h < 0:
         raise ValueError(f"dt must be non-negative, got {dt}")
-    decay = math.exp(-dt / tau)
-    new_value = target + (np.asarray(value, dtype=float) - target) * decay
+    decay = math.exp(-h / t)
+    new_value = target + (np.asarray(value, dtype=float) - target) * box(decay)
     new_rate = (target - new_value) / tau
     new_accel = -new_rate / tau
     return new_value, new_rate, new_accel

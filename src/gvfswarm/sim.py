@@ -14,6 +14,9 @@ drones:
    behind flies straight. In shortfall coordinates delta = v t - xbar
    this is exactly the saturated consensus protocol of
    :mod:`gvfswarm.consensus`, so its agreement guarantee applies.
+   The model velocity v (cos theta, sin theta) that the field and the
+   heading law read is the one the previous tick's advance returned;
+   control takes no cos or sin.
 3. telemetry: the tick's history rows. When a block of ticks closes,
    and at the last tick, one observer pass computes what no control
    reads: branch codes, edge gaps z, the Lyapunov value V, the
@@ -31,7 +34,14 @@ drones:
    is left where the kernel puts it. Where no helper can start, the
    same writer runs in-process.
 4. advance: RK4 on the unicycle under the held heading rate plus
-   wind, and the exact exponential amplitude filter.
+   wind, and the exact exponential amplitude filter. The RK4 step
+   starts from the tick's velocity and hands its end-of-step velocity,
+   v (cos, sin) of the new heading to the bit, to the next tick's
+   control.
+
+Every scalar that a kernel combines with an array goes in boxed, as a
+read-only 0-d float64 array made once per run (see ``_box``): the same
+bits at a lower cost per numpy call.
 
 Planar vectors are component-first, (2, N), inside the tick; the
 history keeps positions as (ticks, N, 2). Neighbor sums run through a
@@ -51,6 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oscillation as osc
+from ._box import box
 from .consensus import (
     _SUMMARY_BLOCK,
     WindowAverager,
@@ -321,9 +332,23 @@ def run(
     idx, mask = neighbor_gather(sc.graph)
     tails, heads = np.array(sc.graph.edges, dtype=np.int64).reshape(m, 2).T
 
+    # every scalar a kernel combines with an array, boxed once (see _box);
+    # the gains k_e and k_n are already per-drone arrays
+    speed_b, k_u_b, dt_b, w_b = box(speed), box(sc.k_u), box(dt), box(w)
+    k_a_b, cap_b, tau_a_b = box(cfg.k_a), box(cap), box(cfg.tau_a)
+    # this tick's sin(w t) and cos(w t), written in place
+    sin_wt, cos_wt = np.empty(()), np.empty(())
+    # relaxation_step and the history only read a fixed command
+    fixed_cmd = None if sc.fixed_amplitude is None else np.full(n, sc.fixed_amplitude)
+
     # mutable state
     pos = sc.initial_positions().T.copy()
     theta = sc.initial_headings.copy()
+    # the model velocity v (cos theta, sin theta); advance returns the next one
+    velocity = np.empty((2, n))
+    np.cos(theta, out=velocity[0])
+    np.sin(theta, out=velocity[1])
+    velocity *= speed
     amp = np.zeros(n)
     amp_rate = np.zeros(n)
     amp_accel = np.zeros(n)
@@ -331,7 +356,6 @@ def run(
     # the queue never holds more than n_ticks + 1 snapshots, so a longer
     # delay behaves as n_ticks and deque's maxlen stays in range
     snapshots: deque[np.ndarray] = deque(maxlen=min(sc.comm_delay_ticks, n_ticks) + 1)
-    p_dot = np.empty((2, n))
 
     times = np.arange(n_ticks + 1) * dt
 
@@ -375,7 +399,7 @@ def run(
             j = k % rows
             # publish
             offset = pos - origins
-            x = (offset * tangents).sum(axis=0)
+            x = np.add.reduce(offset * tangents, axis=0)
             averager.push(x)
             xbar = averager.average()
             snapshots.append(xbar)
@@ -387,20 +411,18 @@ def run(
             else:
                 lead = -neighbor_disagreement(snapshots[0], idx, mask, own=xbar)
             u = sat(lead, sat_p)
-            xdot_d = speed - sc.k_u * u
-            if sc.fixed_amplitude is None:
-                a_cmd = osc.amplitude_schedule(xdot_d, speed, w, cfg.k_a, cap)[0]
+            xdot_d = speed_b - k_u_b * u
+            if fixed_cmd is None:
+                a_cmd = osc.amplitude_schedule(xdot_d, speed_b, w_b, k_a_b, cap_b)[0]
             else:
-                a_cmd = np.full(n, sc.fixed_amplitude)
+                a_cmd = fixed_cmd
             wt = w * float(times[k])
-            g, g_dot, g_ddot = osc.wave(math.sin(wt), math.cos(wt), amp, amp_rate, amp_accel, w)
-            phi = (offset * normals).sum(axis=0)
-            np.cos(theta, out=p_dot[0])
-            np.sin(theta, out=p_dot[1])
-            p_dot *= speed
+            sin_wt[()], cos_wt[()] = math.sin(wt), math.cos(wt)
+            g, g_dot, g_ddot = osc.wave(sin_wt, cos_wt, amp, amp_rate, amp_accel, w_b)
+            phi = np.add.reduce(offset * normals, axis=0)
             f, f_dot, interior = field_core(
-                phi, normals, tangents, speed, sc.k_e, g, g_dot, g_ddot, p_dot)
-            omega = heading_rate_core(f, f_dot, p_dot, speed, sc.k_n)
+                phi, normals, tangents, speed_b, sc.k_e, g, g_dot, g_ddot, velocity)
+            omega = heading_rate_core(f, f_dot, velocity, speed_b, sc.k_n)
             t2 = clock()
             # telemetry: the history rows, then the observers once per block
             hist.positions[k] = pos.T
@@ -416,7 +438,7 @@ def run(
             hist.omegas[k] = omega
             hist.branches[k] = interior
             eta_rows[j] = eta
-            p_dot_rows[:, j] = p_dot
+            p_dot_rows[:, j] = velocity
             if j == rows - 1 or k == n_ticks:
                 b, ticks = j + 1, slice(k - j, k + 1)
                 hist.branches[ticks] ^= 1  # interior flag -> exterior code
@@ -454,8 +476,8 @@ def run(
             t3 = clock()
             # advance
             if k < n_ticks:
-                pos, theta = unicycle_step(pos, theta, omega, speed, dt, wind)
-                amp, amp_rate, amp_accel = osc.relaxation_step(amp, a_cmd, dt, cfg.tau_a)
+                pos, theta, velocity = unicycle_step(pos, theta, velocity, omega, speed_b, dt_b, wind)
+                amp, amp_rate, amp_accel = osc.relaxation_step(amp, a_cmd, dt_b, tau_a_b)
             t4 = clock()
             ns_publish += t1 - t0
             ns_control += t2 - t1

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._box import FOUR, box
+
 __all__ = ["heading_rate_core", "wrap_angle", "unicycle_step"]
 
 
@@ -27,7 +29,8 @@ def heading_rate_core(f, f_dot, velocity, speed: float, k_n: float):
     """
     f = np.asarray(f, dtype=float)
     mismatch = k_n * np.asarray(velocity, dtype=float) - np.asarray(f_dot, dtype=float)
-    return (f[1] * mismatch[0] - f[0] * mismatch[1]) / (speed * speed)
+    v = float(speed)
+    return (f[1] * mismatch[0] - f[0] * mismatch[1]) / box(v * v)
 
 
 def wrap_angle(theta):
@@ -38,7 +41,8 @@ def wrap_angle(theta):
     input, each value outside is wrapped.
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.size and -np.pi < theta.min() and theta.max() <= np.pi:
+    if (theta.size and -np.pi < np.minimum.reduce(theta, axis=None)
+            and np.maximum.reduce(theta, axis=None) <= np.pi):
         out = theta
     else:
         wrapped = -(np.mod(-theta + np.pi, 2.0 * np.pi) - np.pi)
@@ -47,34 +51,53 @@ def wrap_angle(theta):
     return float(out) if out.ndim == 0 else out
 
 
-def unicycle_step(position, heading, omega, speed: float, dt: float, wind=(0.0, 0.0)):
+def unicycle_step(position, heading, velocity, omega, speed: float, dt: float, wind=(0.0, 0.0)):
     """One RK4 step of the unicycle under a zero-order-held omega.
 
     thetadot = omega is state independent, so the heading stages are
     exact and the position update reduces to Simpson weights over the
     stage headings. The step preserves ||p_new - p|| <= v dt (plus the
     wind contribution) because the update is a convex combination of
-    speed-v velocities. ``position`` and the result are (2, ...) for
-    headings of shape (...); ``wind`` is one (2,) vector.
+    speed-v velocities. ``position`` and ``velocity`` are (2, ...) for
+    headings and rates of one shape (...); ``wind`` is one (2,) vector.
 
-    The three stage headings share one (3, ...) array, so one cos and
-    one sin call give all three stage velocities, (2, 3, ...).
+    ``velocity`` is the model velocity v (cos theta, sin theta) of
+    ``heading``, the first RK4 stage, which the caller already holds.
+    The other two stage headings share one (2, ...) array, so one cos
+    and one sin call give both stage velocities. The last stage is the
+    new heading's velocity, returned as the next step's ``velocity``;
+    only where ``wrap_angle`` wrapped the new heading is it recomputed
+    from the wrapped angle, so it is always v (cos, sin) of the
+    returned heading, to the bit.
+
+    Returns (position, heading, velocity) after dt.
     """
     position = np.asarray(position, dtype=float)
     heading = np.asarray(heading, dtype=float)
+    velocity = np.asarray(velocity, dtype=float)
     omega = np.asarray(omega, dtype=float)
     wind = np.asarray(wind, dtype=float)
+    h = float(dt)
 
-    new_heading = heading + dt * omega
-    thetas = np.empty((3,) + new_heading.shape)
-    thetas[0] = heading
-    thetas[1] = heading + 0.5 * dt * omega
-    thetas[2] = new_heading
-    trig = np.empty((2,) + thetas.shape)
-    np.cos(thetas, out=trig[0])
-    np.sin(thetas, out=trig[1])
-    trig *= speed
-    trig += wind.reshape((2,) + (1,) * thetas.ndim)
-    k1, k2, k4 = trig[:, 0], trig[:, 1], trig[:, 2]
-    new_position = position + (dt / 6.0) * (k1 + 4.0 * k2 + k4)
-    return new_position, wrap_angle(new_heading)
+    # the midpoint and end headings, (2, ...); [i, ...] is a view even at 0-d
+    thetas = np.empty((2,) + heading.shape)
+    mid, new_heading = thetas[0, ...], thetas[1, ...]
+    np.add(heading, np.multiply(box(0.5 * h), omega, out=mid), out=mid)
+    np.add(heading, np.multiply(dt, omega, out=new_heading), out=new_heading)
+    # stage velocities, (2 components, 2 stages, ...)
+    stages = np.empty((2,) + thetas.shape)
+    np.cos(thetas, out=stages[0])
+    np.sin(thetas, out=stages[1])
+    stages *= speed
+    new_velocity = stages[:, 1]
+    wind = wind.reshape((2,) + (1,) * heading.ndim)
+    k1 = velocity + wind
+    ground = stages + wind[:, None]
+    k2, k4 = ground[:, 0], ground[:, 1]
+    new_position = position + box(h / 6.0) * (k1 + FOUR * k2 + k4)
+    new_heading_wrapped = wrap_angle(new_heading)
+    if new_heading_wrapped is not new_heading:
+        wrapped = np.asarray(new_heading_wrapped)
+        np.copyto(new_velocity, np.multiply(speed, [np.cos(wrapped), np.sin(wrapped)]),
+                  where=wrapped != new_heading)
+    return new_position, new_heading_wrapped, new_velocity

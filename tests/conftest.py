@@ -28,6 +28,20 @@ def windy_eight(scenario_dir):
     return sc, run(sc)
 
 
+@pytest.fixture(scope="session")
+def westbound_eight(scenario_dir):
+    """60 s of the bundled eight drones flying west in a crosswind, 3-tick delay.
+
+    The headings hover around +-pi, so they wrap 48 times.
+    """
+    doc = apply_overrides(
+        load_mapping(scenario_dir / "eight_drones.scn"),
+        ["t_end_s=60", "paths.alpha_rad=3.141592653589793", "wind_mps=[0.7, -1.2]",
+         "consensus.comm_delay_ticks=3"],
+    )
+    return build_scenario(doc)
+
+
 # Python run before the code of killed_helper_run: the helper is killed
 # at the third observer pass, and sim.run only sees it when it next
 # sends a block or waits for the digest

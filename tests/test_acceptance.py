@@ -355,6 +355,22 @@ def test_bundled_digests_are_pinned(report, formation_run, scenario_dir):
     )
 
 
+# telemetry SHA-256 of the westbound_eight run, whose headings wrap across +-pi
+WESTBOUND_DIGEST = "d869cd4946eebdf8f3e7c11f510805d5200f60f1a5fb712e509f084fb6a19f07"
+
+
+def test_westbound_digest_is_pinned(report, westbound_eight):
+    res = run(westbound_eight, compute_digest=True)
+    wraps = int(np.count_nonzero(np.abs(np.diff(res.headings, axis=0)) > math.pi))
+    ok = res.telemetry_digest == WESTBOUND_DIGEST and wraps == 48
+    report(
+        "westbound-telemetry-digest",
+        ok,
+        f"sha256 {res.telemetry_digest[:16]}... (pinned {WESTBOUND_DIGEST[:16]}...), "
+        f"{wraps} heading wraps (48 at the pin)",
+    )
+
+
 def test_crosswind_keeps_the_pair_together(report, scenario_dir):
     doc = apply_overrides(
         load_mapping(scenario_dir / "two_drones.scn"), ["wind_mps=[0, 3.5]"]

@@ -444,6 +444,31 @@ class TestTickSums:
         assert res.phis[0].tobytes() == np.zeros(1).tobytes()
 
 
+class TestControlVelocity:
+    def test_control_sees_v_cos_sin_of_each_heading(self, monkeypatch, westbound_eight):
+        # advance hands its end-of-step velocity to the next tick's control;
+        # it must be v (cos, sin) of the tick's heading to the bit, also
+        # on the ticks where a heading wrapped across +-pi
+        sc = westbound_eight
+        seen = []
+        heading_rate_core = sim.heading_rate_core
+
+        def recording(f, f_dot, velocity, *args):
+            seen.append(np.array(velocity))
+            return heading_rate_core(f, f_dot, velocity, *args)
+
+        monkeypatch.setattr(sim, "heading_rate_core", recording)
+        res = run(sc)
+        theta = res.headings
+        want = sc.speed * np.array([np.cos(theta), np.sin(theta)])  # (2, ticks, N)
+        got = np.stack(seen, axis=1)
+        same = (got.view(np.int64) == want.view(np.int64)).all(axis=(0, 2))
+        wrapped = np.zeros(len(theta), dtype=bool)
+        wrapped[1:] = (np.abs(np.diff(theta, axis=0)) > math.pi).any(axis=1)
+        assert 0 < wrapped.sum() < len(theta)
+        assert same[wrapped].all() and same[~wrapped].all(), np.flatnonzero(~same)
+
+
 class TestScenarioArrays:
     def test_runs_leave_the_path_arrays_as_built(self):
         # run reads the scenario's origins, tangents and normals in place

@@ -82,12 +82,19 @@ class TestWrapAngle:
         assert math.sin(w) == pytest.approx(math.sin(theta), abs=1e-9)
 
 
+def _velocity(theta):
+    """v (cos theta, sin theta), (2, ...), as the simulator hands it over."""
+    theta = np.asarray(theta, dtype=float)
+    return V * np.array([np.cos(theta), np.sin(theta)])
+
+
 class TestUnicycleStep:
     def test_straight_line(self):
-        p, th = unicycle_step(np.zeros(2), 0.7, 0.0, V, 0.02)
+        p, th, vel = unicycle_step(np.zeros(2), 0.7, _velocity(0.7), 0.0, V, 0.02)
         expected = V * 0.02 * np.array([math.cos(0.7), math.sin(0.7)])
         assert np.linalg.norm(p - expected) <= 1e-12
         assert th == 0.7
+        assert np.array_equal(vel, _velocity(0.7))
 
     def test_circle_closed_form(self):
         # constant omega traces a circle of radius v/omega; quarter turn
@@ -95,9 +102,10 @@ class TestUnicycleStep:
         radius = V / omega
         p = np.zeros(2)
         th = 0.0
+        vel = _velocity(th)
         n = int(round((math.pi / 2) / (omega * dt)))
         for _ in range(n):
-            p, th = unicycle_step(p, th, omega, V, dt)
+            p, th, vel = unicycle_step(p, th, vel, omega, V, dt)
         expected = radius * np.array(
             [math.sin(omega * n * dt), 1.0 - math.cos(omega * n * dt)]
         )
@@ -105,7 +113,7 @@ class TestUnicycleStep:
         assert th == pytest.approx(omega * n * dt, abs=1e-12)
 
     def test_heading_update_is_exact(self):
-        _, th = unicycle_step(np.zeros(2), 1.0, 0.5, V, 0.02)
+        _, th, _ = unicycle_step(np.zeros(2), 1.0, _velocity(1.0), 0.5, V, 0.02)
         assert th == wrap_angle(1.0 + 0.5 * 0.02)
 
     @given(
@@ -116,12 +124,12 @@ class TestUnicycleStep:
     def test_displacement_bound(self, omega, theta):
         # windless step displacement can never exceed v dt
         dt = 0.05
-        p, _ = unicycle_step(np.zeros(2), theta, omega, V, dt)
+        p, _, _ = unicycle_step(np.zeros(2), theta, _velocity(theta), omega, V, dt)
         assert np.linalg.norm(p) <= V * dt + 1e-12
 
     def test_wind_is_additive_drift(self):
         wind = np.array([3.5, -1.0])
-        p, th = unicycle_step(np.zeros(2), 0.3, 0.0, V, 0.02, wind=wind)
+        p, th, _ = unicycle_step(np.zeros(2), 0.3, _velocity(0.3), 0.0, V, 0.02, wind=wind)
         expected = (V * np.array([math.cos(0.3), math.sin(0.3)]) + wind) * 0.02
         assert np.linalg.norm(p - expected) <= 1e-12
         assert th == 0.3
@@ -130,13 +138,15 @@ class TestUnicycleStep:
         pos = np.zeros((2, 4))
         theta = np.array([0.0, 0.5, -1.0, 3.0])
         omega = np.array([0.0, 0.1, -0.2, 0.0])
-        p, th = unicycle_step(pos, theta, omega, V, 0.02)
+        p, th, vel = unicycle_step(pos, theta, _velocity(theta), omega, V, 0.02)
         assert p.shape == (2, 4)
         assert th.shape == (4,)
+        assert vel.shape == (2, 4)
         for i in range(4):
-            pi, ti = unicycle_step(pos[:, i], theta[i], omega[i], V, 0.02)
+            pi, ti, vi = unicycle_step(pos[:, i], theta[i], _velocity(theta[i]), omega[i], V, 0.02)
             assert np.array_equal(p[:, i], pi)
             assert th[i] == ti
+            assert np.array_equal(vel[:, i], vi)
 
 
 def _where_wrap(theta):
@@ -204,11 +214,15 @@ class TestShortcutsAgainstFormulas:
             if shape == ():
                 theta, omega = float(theta), float(omega)
             for dt in (0.02, 0.5):
-                # the kernel takes (2, ...) positions, the oracle (..., 2)
-                got = unicycle_step(np.moveaxis(pos, -1, 0), theta, omega, V, dt, np.array(wind))
+                # the kernel takes (2, ...) positions and velocities, the
+                # oracle (..., 2) positions and the heading alone
+                got = unicycle_step(np.moveaxis(pos, -1, 0), theta, _velocity(theta), omega,
+                                    V, dt, np.array(wind))
                 want = _three_stack_step(pos, theta, omega, V, dt, np.array(wind))
                 assert _same_bits(got[0], np.moveaxis(want[0], -1, 0))
                 assert _same_bits(got[1], want[1])
+                # the returned velocity is v (cos, sin) of the returned heading
+                assert _same_bits(got[2], _velocity(want[1]))
                 raw = np.asarray(theta + dt * omega)
                 in_range.add(bool(((raw > -math.pi) & (raw <= math.pi)).all()))
         assert in_range == {True, False}
