@@ -26,7 +26,7 @@ from .consensus import (
 from .graph import DEMO_TREE_EDGES, Graph, TreeCheck
 from .oscillation import (
     OscillationConfig,
-    amplitude_for_velocity,
+    amplitude_schedule,
     average_parametric_velocity,
     average_parametric_velocity_closed_form,
     complete_elliptic_e,
@@ -59,7 +59,7 @@ __all__ = [
     "Graph",
     "TreeCheck",
     "OscillationConfig",
-    "amplitude_for_velocity",
+    "amplitude_schedule",
     "average_parametric_velocity",
     "average_parametric_velocity_closed_form",
     "complete_elliptic_e",

@@ -15,7 +15,7 @@ I/O), 2 on usage or validation errors.
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import math
 import re
 import sys
@@ -32,7 +32,7 @@ from .oscillation import (
     fit_k_a,
 )
 from .scenario import ScenarioError, apply_overrides, build_scenario, load_mapping, validate_mapping
-from .sim import TELEMETRY_FLOAT_FORMAT, TelemetryHelperError, run as run_sim
+from .sim import TelemetryHelperError, run as run_sim, write_table
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,21 +95,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open_output(path, mode, default=None):
+    """The file at ``path``, opened now so that a bad path fails before the
+    work; without a path, ``default``, which the ``with`` leaves open."""
+    return open(path, mode) if path else contextlib.nullcontext(default)
+
+
 def _cmd_run(args) -> int:
     mapping = apply_overrides(load_mapping(args.scenario), args.overrides)
     scenario = build_scenario(mapping)  # ScenarioError: main reports it, exit 2
-    result = run_sim(
-        scenario,
-        telemetry_path=args.telemetry,
-        overrides=args.overrides,
-        compute_digest=args.digest,
-    )
-    doc = yaml.safe_dump(result.summary, sort_keys=False)
-    if args.summary:
-        with open(args.summary, "w") as fh:
-            fh.write(doc)
-    else:
-        print(doc, end="")
+    with _open_output(args.summary, "w", sys.stdout) as fh:
+        result = run_sim(
+            scenario,
+            telemetry_path=args.telemetry,
+            overrides=args.overrides,
+            compute_digest=args.digest,
+        )
+        fh.write(yaml.safe_dump(result.summary, sort_keys=False))
     return 0
 
 
@@ -155,25 +157,19 @@ def _cmd_consensus_demo(args) -> int:
             return 2
         rng = np.random.default_rng(args.seed)
         x0 = rng.uniform(args.span[0], args.span[1], size=graph.n_nodes)
-    try:
-        params = SaturationParams(tau_l=args.tau_l, tau_h=args.tau_h, r=args.r)
-        result = integrate_consensus(
-            graph, x0, params, dt=args.dt, t_end=args.t_end, record_states=args.out is not None
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["t_s"] + [f"x{i}" for i in range(1, graph.n_nodes + 1)] + ["V"]
+    with _open_output(args.out, "wb") as fh:
+        try:
+            params = SaturationParams(tau_l=args.tau_l, tau_h=args.tau_h, r=args.r)
+            result = integrate_consensus(
+                graph, x0, params, dt=args.dt, t_end=args.t_end, record_states=fh is not None
             )
-            for k, t in enumerate(result.times):
-                row = [TELEMETRY_FLOAT_FORMAT % t]
-                row.extend(TELEMETRY_FLOAT_FORMAT % v for v in result.states[k])
-                row.append(TELEMETRY_FLOAT_FORMAT % result.lyapunov[k])
-                writer.writerow(row)
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
+        if fh is not None:
+            columns = ["t_s"] + [f"x{i}" for i in range(1, graph.n_nodes + 1)] + ["V"]
+            table = np.column_stack((result.times, result.states, result.lyapunov))
+            write_table(fh, columns, table)
     spread = float(result.final_state.max() - result.final_state.min())
     print(f"initial states: {np.array2string(x0, precision=6)}")
     print(f"final spread = {spread:.9g}")
@@ -190,28 +186,19 @@ def _cmd_fit_curve(args) -> int:
     if args.points < 2:
         print("--points must be at least 2", file=sys.stderr)
         return 2
-    amplitudes = np.linspace(0.0, args.speed / args.w_gamma, args.points)
-    rows = [
-        (
-            a,
-            average_parametric_velocity(args.speed, args.w_gamma, a),
-            average_parametric_velocity_closed_form(args.speed, args.w_gamma, a),
-        )
-        for a in amplitudes
-    ]
-    header = ["amplitude_m", "avg_velocity_quadrature_mps", "avg_velocity_elliptic_mps"]
-    if args.out:
-        fh = open(args.out, "w", newline="")
-    else:
-        fh = sys.stdout
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([TELEMETRY_FLOAT_FORMAT % v for v in row])
-    finally:
-        if args.out:
-            fh.close()
+    sys.stdout.flush()  # the table goes to the binary layer underneath
+    with _open_output(args.out, "wb", sys.stdout.buffer) as fh:
+        amplitudes = np.linspace(0.0, args.speed / args.w_gamma, args.points)
+        table = [
+            (
+                a,
+                average_parametric_velocity(args.speed, args.w_gamma, a),
+                average_parametric_velocity_closed_form(args.speed, args.w_gamma, a),
+            )
+            for a in amplitudes
+        ]
+        header = ["amplitude_m", "avg_velocity_quadrature_mps", "avg_velocity_elliptic_mps"]
+        write_table(fh, header, table)
     return 0
 
 

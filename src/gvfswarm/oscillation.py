@@ -9,20 +9,19 @@ of the second kind; both routes are implemented independently and the
 quadrature one is authoritative. The scheduling inverse uses the
 algebraic model xdot(A) ~= sqrt(v^2 - (A w / k_A)^2), giving
 A_d = k_A sqrt(v^2 - xdot_d^2) / w, with k_A fitted once by least
-squares against the quadrature curve.
+squares against the quadrature curve. :func:`amplitude_schedule` is
+the one form of that schedule: the simulator calls it every tick, and
+it returns the capped amplitude together with the uncapped one.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._box import TWO, ZERO, box
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "OscillationConfig",
@@ -35,7 +34,6 @@ __all__ = [
     "average_parametric_velocity_closed_form",
     "epsilon",
     "amplitude_schedule",
-    "amplitude_for_velocity",
     "fit_k_a",
     "relaxation_step",
 ]
@@ -223,39 +221,14 @@ def amplitude_schedule(xdot, speed: float, w_gamma: float, k_a: float, amplitude
     """A_d = min(k_A sqrt(max(v^2 - xdot^2, 0)) / w, cap), and the unclamped value.
 
     The one schedule kernel: the simulator calls it on every tick, where
-    xdot already lies in [0, v]. No clipping and no warnings.
+    xdot already lies in [0, v]. Returns (clamped, raw): the cap binds
+    where raw exceeds it. No input is clipped and nothing is logged;
+    xdot above v gives 0, and xdot below 0 gives the formula as it
+    stands. Broadcasts over array inputs.
     """
     v = float(speed)
     raw = k_a * np.sqrt(np.maximum(box(v * v) - xdot * xdot, ZERO)) / w_gamma
     return np.minimum(raw, amplitude_cap), raw
-
-
-def amplitude_for_velocity(
-    desired_velocity,
-    speed: float,
-    w_gamma: float,
-    k_a: float,
-    amplitude_cap: float,
-):
-    """Scheduled amplitude A_d = k_A sqrt(v^2 - xdot_d^2) / w, clamped.
-
-    Inputs outside [0, v] and outputs above the cap are clamped with a
-    logged warning. Broadcasts over array inputs.
-    """
-    xdot = np.asarray(desired_velocity, dtype=float)
-    clipped = np.clip(xdot, 0.0, speed)
-    if np.any(clipped != xdot):
-        logger.warning(
-            "desired velocity outside [0, v]; clamping (min %.6g, max %.6g, v %.6g)",
-            float(np.min(xdot)), float(np.max(xdot)), speed,
-        )
-    out, raw = amplitude_schedule(clipped, speed, w_gamma, k_a, amplitude_cap)
-    if np.any(raw > amplitude_cap):
-        logger.warning(
-            "scheduled amplitude %.6g above cap %.6g; clamping",
-            float(np.max(raw)), amplitude_cap,
-        )
-    return float(out) if out.ndim == 0 else out
 
 
 def fit_k_a(speed: float, w_gamma: float, n_samples: int = 100) -> float:

@@ -74,7 +74,9 @@ from .gvf import field_core
 from .scenario import Scenario
 from .vehicle import heading_rate_core, unicycle_step
 
-__all__ = ["SimulationResult", "TelemetryHelperError", "run", "TELEMETRY_FLOAT_FORMAT"]
+__all__ = [
+    "SimulationResult", "TelemetryHelperError", "run", "write_table", "TELEMETRY_FLOAT_FORMAT",
+]
 
 TELEMETRY_FLOAT_FORMAT = "%.9g"
 
@@ -162,6 +164,20 @@ class _RowWriter:
 
     def close(self) -> None:
         """Nothing to release: the caller closes the file."""
+
+
+def write_table(fh, columns, table) -> None:
+    """Write a header line and a float64 table in the telemetry byte format.
+
+    ``fh`` is a binary file; the rows go through a _RowWriter in blocks
+    of about _SUMMARY_BLOCK cells, as telemetry does.
+    """
+    table = np.ascontiguousarray(table, dtype=float)
+    rows = max(1, _SUMMARY_BLOCK // table.shape[1])
+    writer = _RowWriter((",".join(columns) + "\r\n").encode(), table.shape[1], rows, fh)
+    for start in range(0, len(table), rows):
+        writer.write(memoryview(table[start:start + rows]).cast("B"))
+    writer.finish()
 
 
 class _Helper:

@@ -36,13 +36,13 @@ def heading_rate_core(f, f_dot, velocity, speed: float, k_n: float):
 def wrap_angle(theta):
     """Wrap into (-pi, pi]; values already inside pass through untouched.
 
-    When every value is already inside, the input array itself is
-    returned (a float for 0-d input); otherwise, and for NaN or empty
-    input, each value outside is wrapped.
+    When every value lies strictly inside (-pi, pi), the input array
+    itself is returned (a float for 0-d input), after one reduction;
+    otherwise, and for +-pi, NaN or empty input, each value outside
+    (-pi, pi] is wrapped, so pi stays pi and -pi becomes pi.
     """
     theta = np.asarray(theta, dtype=float)
-    if (theta.size and -np.pi < np.minimum.reduce(theta, axis=None)
-            and np.maximum.reduce(theta, axis=None) <= np.pi):
+    if theta.size and np.maximum.reduce(np.abs(theta), axis=None) < np.pi:
         out = theta
     else:
         wrapped = -(np.mod(-theta + np.pi, 2.0 * np.pi) - np.pi)

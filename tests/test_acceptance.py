@@ -155,7 +155,7 @@ def test_amplitude_gain_fit_band(report):
 
 def test_lowest_velocity_maps_to_kinematic_limit(report):
     eps = osc.epsilon(V, 1.35)
-    a = osc.amplitude_for_velocity(eps, V, W, 1.35, V / W)
+    a = osc.amplitude_schedule(eps, V, W, 1.35, V / W)[0]
     ok = abs(a - 26.7) <= 0.1
     report(
         "amplitude-at-lowest-velocity",

@@ -1,12 +1,62 @@
 import csv
 import hashlib
+import io
 import warnings
 
 import numpy as np
 import pytest
 import yaml
 
+from gvfswarm import cli
 from gvfswarm.cli import main
+from gvfswarm.oscillation import (
+    average_parametric_velocity,
+    average_parametric_velocity_closed_form,
+)
+
+
+def _csv_oracle(header, rows) -> bytes:
+    """A table's bytes as a per-cell ``%.9g`` csv.writer formatter writes them."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["%.9g" % v for v in row])
+    return buf.getvalue().encode()
+
+
+def _spy(monkeypatch, name) -> list:
+    """Record what cli.<name> returns, calling the real one."""
+    real, results = getattr(cli, name), []
+
+    def spy(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, name, spy)
+    return results
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "two_drones.scn", "--summary"],
+        ["consensus-demo", "--out"],
+        ["fit-curve", "--speed", "16", "--w-gamma", "0.6", "--out"],
+    ],
+    ids=["run-summary", "consensus-demo", "fit-curve"],
+)
+def test_bad_output_path_fails_before_the_work(args, scenario_dir, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the work started before the output file was opened")
+
+    for name in ("run_sim", "integrate_consensus", "average_parametric_velocity"):
+        monkeypatch.setattr(cli, name, never)
+    args = [str(scenario_dir / a) if a.endswith(".scn") else a for a in args]
+    assert main(args + [str(tmp_path / "missing" / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("[Errno 2] ")
 
 
 def test_unknown_verb_is_usage_error(capsys):
@@ -241,6 +291,27 @@ class TestConsensusDemo:
         assert len(v) == 3001
         assert np.all(np.diff(v) <= 1e-9)
 
+    @pytest.mark.parametrize(
+        "args, cells",
+        [
+            (["--t-end", "30", "--seed", "3"], []),
+            (["--nodes", "5", "--x0", "-0.0", "1e300", "-3.5", "2", "7", "--t-end", "5"],
+             [b"0,-0,1e+300,", b",4e+301\r\n"]),
+        ],
+        ids=["seeded-tree", "chain-extremes"],
+    )
+    def test_table_bytes(self, args, cells, tmp_path, monkeypatch, capsys):
+        runs = _spy(monkeypatch, "integrate_consensus")
+        out = tmp_path / "demo.csv"
+        assert main(["consensus-demo", *args, "--out", str(out)]) == 0
+        capsys.readouterr()
+        (res,) = runs
+        n = res.states.shape[1]
+        rows = [[t, *x, v] for t, x, v in zip(res.times, res.states, res.lyapunov)]
+        data = out.read_bytes()
+        assert data == _csv_oracle(["t_s"] + [f"x{i}" for i in range(1, n + 1)] + ["V"], rows)
+        assert all(cell in data for cell in cells)
+
     def test_explicit_x0_chain(self, capsys):
         code = main(
             ["consensus-demo", "--nodes", "3", "--x0", "0", "1", "2", "--t-end", "20"]
@@ -339,6 +410,22 @@ class TestFitCurve:
         assert main(["fit-curve", "--speed", "8", "--w-gamma", "0.6", "--points", "5"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_table_bytes(self, to_file, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        args = ["fit-curve", "--speed", "16", "--w-gamma", "0.6", "--points", "50"]
+        assert main(args + (["--out", str(out)] if to_file else [])) == 0
+        printed = capsys.readouterr().out.encode()
+        data = out.read_bytes() if to_file else printed
+        assert printed == (b"" if to_file else data)
+        rows = [
+            (a, average_parametric_velocity(16.0, 0.6, a),
+             average_parametric_velocity_closed_form(16.0, 0.6, a))
+            for a in np.linspace(0.0, 16.0 / 0.6, 50)
+        ]
+        header = ["amplitude_m", "avg_velocity_quadrature_mps", "avg_velocity_elliptic_mps"]
+        assert data == _csv_oracle(header, rows)
 
     def test_rejects_single_point(self, capsys):
         assert main(["fit-curve", "--speed", "8", "--w-gamma", "0.6", "--points", "1"]) == 2

@@ -1,4 +1,3 @@
-import logging
 import math
 import os
 import subprocess
@@ -12,7 +11,7 @@ import pytest
 import gvfswarm
 from gvfswarm.oscillation import (
     OscillationConfig,
-    amplitude_for_velocity,
+    amplitude_schedule,
     average_parametric_velocity,
     average_parametric_velocity_closed_form,
     complete_elliptic_e,
@@ -259,30 +258,26 @@ class TestEpsilon:
 
 class TestAmplitudeForVelocity:
     def test_full_speed_needs_no_wave(self):
-        assert amplitude_for_velocity(V, V, W, 1.35, 30.0) == 0.0
+        assert amplitude_schedule(V, V, W, 1.35, 30.0)[0] == 0.0
 
     def test_epsilon_maps_to_kinematic_limit(self):
         # at the lowest schedulable velocity the commanded amplitude is
         # exactly v/w, independent of k_a
         eps = epsilon(V, 1.35)
-        a = amplitude_for_velocity(eps, V, W, 1.35, 30.0)
+        a = amplitude_schedule(eps, V, W, 1.35, 30.0)[0]
         assert a == pytest.approx(V / W, abs=1e-9)
 
-    def test_cap_clamps_and_warns(self, caplog):
+    def test_cap_clamps_and_raw_exceeds(self):
         eps = epsilon(V, 1.35)
-        with caplog.at_level(logging.WARNING, logger="gvfswarm.oscillation"):
-            a = amplitude_for_velocity(eps, V, W, 1.35, 20.0)
+        a, raw = amplitude_schedule(eps, V, W, 1.35, 20.0)
         assert a == 20.0
-        assert any("clamp" in rec.message for rec in caplog.records)
+        assert raw > 20.0
 
-    def test_input_clamps_and_warns(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="gvfswarm.oscillation"):
-            high = amplitude_for_velocity(V + 5.0, V, W, 1.35, 40.0)
-        assert high == 0.0
-        assert len(caplog.records) >= 1
+    def test_above_speed_needs_no_wave(self):
+        assert amplitude_schedule(V + 5.0, V, W, 1.35, 40.0)[0] == 0.0
 
     def test_array_input(self):
-        out = amplitude_for_velocity(np.array([V, epsilon(V, 1.35)]), V, W, 1.35, 40.0)
+        out = amplitude_schedule(np.array([V, epsilon(V, 1.35)]), V, W, 1.35, 40.0)[0]
         assert out.shape == (2,)
         assert out[0] == 0.0
         assert out[1] == pytest.approx(V / W, abs=1e-9)
@@ -334,11 +329,11 @@ class TestFitKA:
         eps = epsilon(V, k_a)
         cap = V / W
         for xd in np.linspace(1.05 * eps, V, 40):
-            a = amplitude_for_velocity(float(xd), V, W, k_a, cap)
+            a = amplitude_schedule(float(xd), V, W, k_a, cap)[0]
             realized = average_parametric_velocity(V, W, min(float(a), cap))
             assert abs(realized - xd) < 0.02 * V
         for xd in np.linspace(eps, V, 40):
-            a = amplitude_for_velocity(float(xd), V, W, k_a, cap)
+            a = amplitude_schedule(float(xd), V, W, k_a, cap)[0]
             realized = average_parametric_velocity(V, W, min(float(a), cap))
             assert abs(realized - xd) < 0.036 * V
 

@@ -2,7 +2,6 @@ import csv
 import dataclasses
 import hashlib
 import io
-import logging
 import math
 import os
 
@@ -695,21 +694,18 @@ class TestPublishDelay:
 
 
 class TestAmplitudeSchedule:
-    def test_commands_are_the_public_schedule(self, scenario_dir, caplog):
+    def test_commands_are_the_public_schedule(self, scenario_dir):
         sc = build_scenario(per_cell_case_doc("windy-delayed-eight", scenario_dir))
         res = run(sc)
         cfg = sc.oscillation
         assert np.any(res.commanded_amplitudes > 0.0)
-        with caplog.at_level(logging.WARNING, logger="gvfswarm.oscillation"):
-            want = osc.amplitude_for_velocity(
-                res.desired_velocities, sc.speed, cfg.w_gamma, cfg.k_a, cfg.amplitude_cap
-            )
-        # desired velocities lie in [0, v], so the input clip never acts; the
-        # 12 m cap of the bundled scenario binds early on, and only that
-        # clamp is logged
-        messages = [rec.getMessage() for rec in caplog.records]
+        want, raw = osc.amplitude_schedule(
+            res.desired_velocities, sc.speed, cfg.w_gamma, cfg.k_a, cfg.amplitude_cap
+        )
+        # the 12 m cap of the bundled scenario binds early on, where the
+        # uncapped schedule asks for v/w = 8/0.6 m
         assert res.commanded_amplitudes.max() == cfg.amplitude_cap == 12.0
-        assert messages == ["scheduled amplitude 13.3333 above cap 12; clamping"]
+        assert raw.max() == pytest.approx(40.0 / 3.0, rel=1e-9)
         assert want.shape == res.commanded_amplitudes.shape
         assert want.tobytes() == res.commanded_amplitudes.tobytes()
 
