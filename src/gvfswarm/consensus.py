@@ -49,6 +49,20 @@ __all__ = [
 _SUMMARY_BLOCK = 1 << 12
 
 
+def _addressable(shape: tuple) -> tuple:
+    """``shape``, or MemoryError if no float64 array of it fits the address space.
+
+    numpy reports such a shape as a ValueError ("array is too big",
+    "Maximum allowed dimension exceeded"); one it can address but not
+    allocate is its own MemoryError.
+    """
+    size = math.prod(max(d, 1) for d in shape)
+    if size * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(
+            f"a float64 array of at least 1e{len(str(size)) - 1} values exceeds the address space")
+    return shape
+
+
 @dataclass(frozen=True)
 class SaturationParams:
     """Bounds and linear zone of the consensus saturation.
@@ -157,6 +171,8 @@ class WindowAverager:
         self.dt = float(dt)
         self.shape = tuple(shape)
         w = self.window / self.dt
+        if not math.isfinite(w):
+            raise ValueError(f"window {window} / dt {dt} is not a finite count of steps")
         self._k = int(math.floor(w + 1e-9))  # full intervals in the window
         fr = w - self._k  # the partial interval, as a fraction of dt
         self._fr = fr if fr >= 1e-9 else 0.0
@@ -166,10 +182,10 @@ class WindowAverager:
         self._lerp, self._sliver = box(1.0 - self._fr), box(self._fr * self.dt * 0.5)
         # k full intervals, one partial, one spare slot
         self._capacity = self._k + 3
-        self._buffer = np.zeros((self._capacity,) + self.shape)
         # the term of the interval ending at sample slot j sits at rows
         # j and j + capacity
-        self._terms = np.zeros((2 * self._capacity,) + self.shape)
+        self._terms = np.zeros(_addressable((2 * self._capacity,) + self.shape))
+        self._buffer = np.zeros((self._capacity,) + self.shape)
         self._head = 0  # next write slot
         self._count = 0  # total samples pushed
 
@@ -320,6 +336,8 @@ def integrate_consensus(
         raise ValueError(f"dt must be positive, got {dt}")
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be a positive finite number, got {t_end}")
+    if not math.isfinite(t_end / dt):
+        raise ValueError(f"t_end {t_end} / dt {dt} is not a finite count of steps")
     n_steps = int(round(t_end / dt))
     if n_steps < 1:
         raise ValueError(f"t_end {t_end} shorter than one step dt {dt}")
@@ -328,8 +346,8 @@ def integrate_consensus(
     half_dt, sixth_dt, dt_box = box(0.5 * dt), box(dt / 6.0), box(dt)
     to_nodes = (x.ndim - 1,) + tuple(range(x.ndim - 1))
     to_last = tuple(range(1, x.ndim)) + (0,)
-    lyap = np.empty((n_steps + 1,) + x.shape[:-1])
-    states = np.empty((n_steps + 1,) + x.shape) if record_states else None
+    lyap = np.empty(_addressable((n_steps + 1,) + x.shape[:-1]))
+    states = np.empty(_addressable((n_steps + 1,) + x.shape)) if record_states else None
     rows = max(1, _SUMMARY_BLOCK // x.size)
     etas = np.empty((rows,) + x.shape)
     x = x.transpose(to_nodes).copy()

@@ -286,6 +286,8 @@ def _parse(mapping) -> tuple[Scenario | None, list[str]]:
     t_end = _check(mapping.get("t_end_s"), _pos_num, "t_end_s", "required positive number", bad)
     if dt is not None and t_end is not None and t_end < dt:
         bad.append(f"t_end_s: must cover at least one step of dt_s ({t_end} < {dt})")
+    elif dt is not None and t_end is not None and not math.isfinite(t_end / dt):
+        bad.append(f"t_end_s: {t_end} is not a finite number of steps of dt_s = {dt}")
     seed = mapping.get("seed")
     if seed is not None and not (_is_int(seed) and seed >= 0):
         bad.append("seed: must be a non-negative integer or absent")
@@ -380,6 +382,10 @@ def _parse(mapping) -> tuple[Scenario | None, list[str]]:
     if dt is not None and w is not None and dt >= 0.1 / w:
         bad.append(f"dt_s: {dt} too coarse for the oscillation, "
                    f"need dt < 0.1/w_gamma = {0.1 / w:.6g}")
+    elif dt is not None and w is not None and not math.isfinite(2.0 * math.pi / w / dt):
+        # the window average spans one wave period 2 pi/w in steps of dt
+        bad.append(f"oscillation.w_gamma_rad_s: the wave period 2 pi/{w} is not "
+                   f"a finite number of steps of dt_s = {dt}")
 
     csec = _section(mapping, "consensus", _CONS_KEYS, bad)
     k_u = _check(csec.get("k_u"), _pos_num, "consensus.k_u", "required positive number", bad)

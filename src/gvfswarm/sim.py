@@ -43,10 +43,13 @@ Every scalar that a kernel combines with an array goes in boxed, as a
 read-only 0-d float64 array made once per run (see ``_box``): the same
 bits at a lower cost per numpy call.
 
-Planar vectors are component-first, (2, N), inside the tick; the
-history keeps positions as (ticks, N, 2). Neighbor sums run through a
-padded gather table in a fixed slot order, so a run is bitwise
-reproducible; the test suite compares telemetry digests to enforce that.
+Planar vectors are component-first, (2, N), inside the tick. The
+per-drone history is one (ticks, 12, N) float64 store whose middle axis
+runs in the telemetry's per-drone cell order (``_DRONE_CELLS``); the
+per-drone result fields are views of it, and a block of telemetry rows
+takes its drone cells in one copy. Neighbor sums run through a padded
+gather table in a fixed slot order, so a run is bitwise reproducible;
+the test suite compares telemetry digests to enforce that.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ from ._box import box
 from .consensus import (
     _SUMMARY_BLOCK,
     WindowAverager,
+    _addressable,
     lyapunov_value,
     neighbor_disagreement,
     neighbor_gather,
@@ -80,17 +84,25 @@ __all__ = [
 
 TELEMETRY_FLOAT_FORMAT = "%.9g"
 
-# per-drone telemetry column stems, in row order
-_DRONE_COLUMNS = (
-    "p{i}_x_m", "p{i}_y_m", "theta{i}_rad", "phi{i}_m", "gamma{i}_m",
-    "x{i}_m", "xbar{i}_m", "u{i}", "xdot_d{i}_mps", "A{i}_m", "A_d{i}_m",
-    "omega{i}_rad_s", "branch{i}",
+# the per-drone telemetry cells in row order: header stem and the
+# SimulationResult field that holds it; all but the int8 branch code are
+# the float cells of the history store, in this order, positions two
+_DRONE_CELLS = (
+    ("p{i}_x_m", "positions"), ("p{i}_y_m", "positions"), ("theta{i}_rad", "headings"),
+    ("phi{i}_m", "phis"), ("gamma{i}_m", "gammas"), ("x{i}_m", "path_parameters"),
+    ("xbar{i}_m", "averaged_parameters"), ("u{i}", "inputs"),
+    ("xdot_d{i}_mps", "desired_velocities"), ("A{i}_m", "amplitudes"),
+    ("A_d{i}_m", "commanded_amplitudes"), ("omega{i}_rad_s", "omegas"), ("branch{i}", "branches"),
 )
 
 
 @dataclass
 class SimulationResult:
-    """Complete tick history of one run plus the summary document."""
+    """Complete tick history of one run plus the summary document.
+
+    ``positions`` through ``omegas`` are slices, strided views, of one
+    (ticks, 12, N) float64 array in telemetry cell order (_DRONE_CELLS).
+    """
 
     scenario: Scenario
     times: np.ndarray
@@ -121,7 +133,7 @@ class SimulationResult:
 def _telemetry_header(n_drones: int, n_edges: int) -> list[str]:
     cols = ["t_s"]
     for i in range(1, n_drones + 1):
-        cols.extend(stem.format(i=i) for stem in _DRONE_COLUMNS)
+        cols.extend(stem.format(i=i) for stem, _ in _DRONE_CELLS)
     cols.extend(f"z{k}_m" for k in range(1, n_edges + 1))
     cols.append("V")
     return cols
@@ -373,17 +385,15 @@ def run(
     # delay behaves as n_ticks and deque's maxlen stays in range
     snapshots: deque[np.ndarray] = deque(maxlen=min(sc.comm_delay_ticks, n_ticks) + 1)
 
+    # each tick's float drone cells in telemetry order; the fields are views.
+    # It is the largest history array, so numpy can address the others
+    store = np.empty(_addressable((n_ticks + 1, len(_DRONE_CELLS) - 1, n)))
     times = np.arange(n_ticks + 1) * dt
-
-    def history(*shape, dtype=float):
-        return np.empty((n_ticks + 1, *shape), dtype=dtype)
-
     hist = SimulationResult(
-        scenario=sc, times=times, positions=history(n, 2), headings=history(n),
-        path_parameters=history(n), averaged_parameters=history(n), phis=history(n),
-        gammas=history(n), amplitudes=history(n), commanded_amplitudes=history(n),
-        inputs=history(n), desired_velocities=history(n), omegas=history(n),
-        branches=history(n, dtype=np.int8), edge_diffs=history(m), lyapunov=history(),
+        scenario=sc, times=times, positions=store[:, 0:2].transpose(0, 2, 1),
+        **{name: store[:, c] for c, (_, name) in enumerate(_DRONE_CELLS[2:-1], start=2)},
+        branches=np.empty((n_ticks + 1, n), dtype=np.int8),
+        edge_diffs=np.empty((n_ticks + 1, m)), lyapunov=np.empty(n_ticks + 1),
     )
 
     rows_on = compute_digest or telemetry_path is not None
@@ -403,9 +413,6 @@ def run(
             # cells are an (N, 13) view per row
             block = np.empty((rows, 2 + 13 * n + m))
             drone_cells = block[:, 1:1 + 13 * n].reshape(rows, n, 13)
-            columns = (hist.headings, hist.phis, hist.gammas, hist.path_parameters,
-                       hist.averaged_parameters, hist.inputs, hist.desired_velocities,
-                       hist.amplitudes, hist.commanded_amplitudes, hist.omegas, hist.branches)
             header = (",".join(_telemetry_header(n, m)) + "\r\n").encode()
             if telemetry_path is not None:
                 # opened here, so a bad path fails before the first tick
@@ -441,17 +448,8 @@ def run(
             omega = heading_rate_core(f, f_dot, velocity, speed_b, sc.k_n)
             t2 = clock()
             # telemetry: the history rows, then the observers once per block
-            hist.positions[k] = pos.T
-            hist.headings[k] = theta
-            hist.path_parameters[k] = x
-            hist.averaged_parameters[k] = xbar
-            hist.phis[k] = phi
-            hist.gammas[k] = g
-            hist.amplitudes[k] = amp
-            hist.commanded_amplitudes[k] = a_cmd
-            hist.inputs[k] = u
-            hist.desired_velocities[k] = xdot_d
-            hist.omegas[k] = omega
+            store[k, 0:2] = pos
+            store[k, 2:] = theta, phi, g, x, xbar, u, xdot_d, amp, a_cmd, omega
             hist.branches[k] = interior
             eta_rows[j] = eta
             p_dot_rows[:, j] = velocity
@@ -477,9 +475,8 @@ def run(
                 omega_max = np.maximum(omega_max, hist.omegas[ticks].max())
                 if rows_on:
                     block[:b, 0] = times[ticks]
-                    drone_cells[:b, :, 0:2] = hist.positions[ticks]
-                    for c, column in enumerate(columns, start=2):
-                        drone_cells[:b, :, c] = column[ticks]
+                    drone_cells[:b, :, :-1] = store[ticks].transpose(0, 2, 1)
+                    drone_cells[:b, :, -1] = hist.branches[ticks]
                     block[:b, 1 + 13 * n:-1] = z
                     block[:b, -1] = v
                     t_send = clock()

@@ -225,6 +225,36 @@ class TestRun:
         assert out == ""
         assert err.startswith("error: out of memory") and err.count("\n") == 1
 
+    def test_tick_count_beyond_the_float_range_is_invalid(self, scenario_dir, capsys):
+        args = [str(scenario_dir / "two_drones.scn"), "--set", "dt_s=1e-300", "--set", "t_end_s=1e10"]
+        assert main(["validate"] + args) == 2
+        validated = capsys.readouterr().err
+        assert main(["run"] + args) == 2
+        out, ran = capsys.readouterr()
+        assert out == ""
+        assert validated == ran == (
+            "invalid: t_end_s: 10000000000.0 is not a finite number of steps of dt_s = 1e-300\n"
+        )
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [["dt_s=1e-20", "t_end_s=100"], ["oscillation.w_gamma_rad_s=1e-300"],
+         ["dt_s=1e-17", "t_end_s=10"], ["t_end_s=1e300"]],
+        ids=["window-dimension", "window-of-a-slow-wave", "window-bytes", "history"],
+    )
+    def test_arrays_beyond_the_address_space(self, overrides, scenario_dir, capsys):
+        # numpy would call these sizes a ValueError; no page is asked for
+        args = ["run", str(scenario_dir / "two_drones.scn")]
+        for item in overrides:
+            args += ["--set", item]
+        assert main(["validate"] + args[1:]) == 0
+        capsys.readouterr()
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: out of memory: a float64 array of at least 1e")
+        assert err.endswith(" values exceeds the address space\n") and err.count("\n") == 1
+
     def test_dead_telemetry_helper_is_one_error_line(self, killed_helper_run, scenario_dir):
         scenario = str(scenario_dir / "two_drones.scn")
         proc = killed_helper_run(
@@ -322,6 +352,14 @@ class TestConsensusDemo:
         spread = float(next(l for l in out.splitlines() if "final spread" in l).split("=")[1])
         assert spread < 1e-6
 
+    def test_steps_beyond_the_address_space(self, capsys):
+        assert main(["consensus-demo", "--dt", "1e-20", "--t-end", "100"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: out of memory: a float64 array of at least 1e22 values exceeds the address space\n"
+        )
+
     def test_x0_length_mismatch(self, capsys):
         assert main(["consensus-demo", "--nodes", "3", "--x0", "0", "1"]) == 2
         capsys.readouterr()
@@ -349,10 +387,12 @@ class TestConsensusDemo:
              "--span must be finite with a finite width, got nan 1"),
             (["--span", "0", "1e308", "--t-end", "1"],
              "x0 is too far from agreement: V(x0) is not a finite number"),
+            (["--dt", "1e-300", "--t-end", "1e10"],
+             "t_end 10000000000.0 / dt 1e-300 is not a finite count of steps"),
         ],
         ids=[
             "tau-h-inf", "tau-l-nan", "r-inf", "x0-nan", "x0-inf", "span-inf", "span-nan",
-            "span-overflows-v",
+            "span-overflows-v", "step-count-overflows",
         ],
     )
     def test_rejects_non_finite_inputs(self, args, message, capsys):

@@ -299,6 +299,16 @@ class TestWindowAverager:
         with pytest.raises(ValueError):
             WindowAverager(1.0, 0.02).average()
 
+    @pytest.mark.parametrize("window, dt", [(math.inf, 0.1), (1e300, 1e-300)])
+    def test_window_of_no_finite_step_count(self, window, dt):
+        with pytest.raises(ValueError, match="is not a finite count of steps$"):
+            WindowAverager(window, dt)
+
+    def test_window_beyond_the_address_space(self):
+        # 1e21 steps: numpy's own answer would be a ValueError
+        with pytest.raises(MemoryError, match="at least 1e21 values"):
+            WindowAverager(10.0, 1e-20, shape=(2,))
+
     def test_first_sample_passthrough(self):
         av = WindowAverager(self.W, self.DT)
         av.push(3.75)
@@ -795,3 +805,7 @@ class TestIntegrateConsensus:
             integrate_consensus(CHAIN5, 5.0, self.PARAMS, 0.01, 1.0)
         with pytest.raises(ValueError):
             integrate_consensus(CHAIN5, np.zeros(5), self.PARAMS, -0.01, 1.0)
+        with pytest.raises(ValueError, match="is not a finite count of steps$"):
+            integrate_consensus(CHAIN5, np.zeros(5), self.PARAMS, 1e-300, 1e10)
+        with pytest.raises(MemoryError, match="at least 1e22 values"):
+            integrate_consensus(CHAIN5, np.zeros(5), self.PARAMS, 1e-20, 100.0)

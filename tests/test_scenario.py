@@ -309,6 +309,13 @@ class TestValidation:
                 ),
                 "paths.spacing_m",
             ),
+            # 1e10 / 1e-300 ticks overflow to inf
+            (lambda d: d.update(dt_s=1e-300, t_end_s=1e10), "t_end_s: 10000000000.0 is not a finite"),
+            # the averager's window, 2 pi / 1e-300 s, in steps of 1e-10 s
+            (
+                lambda d: (d.update(dt_s=1e-10), d["oscillation"].update(w_gamma_rad_s=1e-300)),
+                "oscillation.w_gamma_rad_s: the wave period",
+            ),
         ],
     )
     def test_violations(self, mutate, needle):

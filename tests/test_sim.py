@@ -7,6 +7,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gvfswarm import oscillation as osc
 from gvfswarm import sim
@@ -757,3 +759,87 @@ class TestTimings:
         assert a.telemetry_digest == b.telemetry_digest
         assert a.summary == b.summary
         assert not any("timing" in key for key in a.summary)
+
+
+PER_DRONE_FIELDS = (
+    "positions", "headings", "path_parameters", "averaged_parameters", "phis", "gammas",
+    "amplitudes", "commanded_amplitudes", "inputs", "desired_velocities", "omegas", "branches",
+)
+
+
+class TestHistoryViews:
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_fields_keep_their_shape_and_share_no_memory(self, n, scenario_dir):
+        doc = single_drone_doc() if n == 1 else apply_overrides(
+            load_mapping(scenario_dir / "eight_drones.scn"), ["t_end_s=2"])
+        res = run(build_scenario(doc))
+        ticks = res.scenario.n_ticks + 1
+        for name in PER_DRONE_FIELDS:
+            value = getattr(res, name)
+            assert value.shape == ((ticks, n, 2) if name == "positions" else (ticks, n)), name
+            assert value.dtype == (np.int8 if name == "branches" else np.float64), name
+            assert value.flags.writeable, name
+        arrays = {
+            f.name: getattr(res, f.name) for f in dataclasses.fields(res)
+            if isinstance(getattr(res, f.name), np.ndarray)
+        }
+        assert set(PER_DRONE_FIELDS) < set(arrays)
+        for a in PER_DRONE_FIELDS:
+            for b, other in arrays.items():
+                if a != b:
+                    assert not np.shares_memory(getattr(res, a), other), (a, b)
+
+
+SPEED, W_GAMMA = 16.0, 0.6
+
+
+@st.composite
+def flown_docs(draw) -> dict:
+    """A valid scenario of 1-6 drones on a random recursive tree, up to 4 s."""
+    n = draw(st.integers(1, 6))
+    per_drone = st.lists(st.floats(-60.0, 60.0), min_size=n, max_size=n)
+    wind = st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2)
+    return {
+        "name": "drawn",
+        "speed_mps": SPEED,
+        "dt_s": 0.02,
+        "t_end_s": draw(st.floats(0.02, 4.0)),
+        "wind_mps": draw(st.just([0.0, 0.0]) | wind),
+        "graph": {"n_drones": n, "edges": [[draw(st.integers(1, i - 1)), i] for i in range(2, n + 1)]},
+        "paths": {
+            "alpha_rad": draw(st.floats(allow_nan=False, allow_infinity=False)),
+            "spacing_m": draw(st.floats(-200.0, 200.0)),
+        },
+        "oscillation": {
+            "w_gamma_rad_s": W_GAMMA,
+            "fixed_amplitude_m": draw(st.none() | st.floats(0.0, SPEED / W_GAMMA)),
+        },
+        "consensus": {"k_u": 0.06, "r_m": 150.0, "comm_delay_ticks": draw(st.integers(0, 10))},
+        "initial": {"parameters_m": draw(per_drone), "offsets_m": draw(per_drone)},
+    }
+
+
+class TestClosedLoopProperty:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(doc=flown_docs())
+    def test_any_valid_scenario_flies(self, doc):
+        sc = build_scenario(doc)
+        a = run(sc, compute_digest=True)
+        b = run(sc, compute_digest=True)
+        arrays = [
+            f.name for f in dataclasses.fields(a) if isinstance(getattr(a, f.name), np.ndarray)
+        ]
+        for name in arrays:
+            value, again = getattr(a, name), getattr(b, name)
+            assert np.isfinite(value).all(), name
+            assert (value.dtype, value.shape) == (again.dtype, again.shape), name
+            assert value.tobytes() == again.tobytes(), name
+        assert a.telemetry_digest == b.telemetry_digest and a.telemetry_digest is not None
+        assert a.summary == b.summary
+        sat_p = sc.saturation
+        assert np.all((sat_p.tau_l <= a.inputs) & (a.inputs <= sat_p.tau_h))
+        assert np.all(a.desired_velocities <= sc.speed)
+        if not sc.wind.any():
+            s = a.summary
+            assert abs(s["ground_speed_min_mps"] - sc.speed) <= 1e-9
+            assert abs(s["ground_speed_max_mps"] - sc.speed) <= 1e-9
