@@ -9,6 +9,9 @@ nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 __all__ = [
     "Graph",
@@ -39,6 +42,29 @@ class TreeCheck:
     message: str
 
 
+def _id_array(edges) -> np.ndarray:
+    """The (tail, head) pairs as an int64 (M, 2) array.
+
+    Raises ValueError unless every id is an integer: a bool, a float
+    (even an integral one) or a string is refused, never rounded.
+    """
+    try:
+        pairs = set(map(len, edges)) <= {2}
+        kinds = set(map(type, chain.from_iterable(edges)))
+    except TypeError:
+        pairs = False
+    if not pairs:
+        raise ValueError("edges must be (tail, head) pairs")
+    for kind in kinds:
+        if issubclass(kind, bool) or not issubclass(kind, (int, np.integer)):
+            raise ValueError(f"node ids must be integers, got {kind.__name__}")
+    try:
+        ids = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+    except OverflowError:
+        raise ValueError("node id beyond the int64 range") from None
+    return ids.reshape(len(edges), 2)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph with oriented edges, stored 0-based.
@@ -47,39 +73,54 @@ class Graph:
     ----------
     n_nodes : int
         Number of nodes, at least 1.
-    edges : tuple of (int, int)
-        Oriented edges (tail, head), 0-based, no self loops, no
-        duplicates in either orientation.
+    edges : sequence of (int, int)
+        Oriented edges (tail, head), 0-based integer ids, no self
+        loops, no duplicates in either orientation. Kept as a tuple of
+        int pairs.
     """
 
     n_nodes: int
     edges: tuple[tuple[int, int], ...] = field(default_factory=tuple)
-    # sorted neighbors of each node, built with the edge checks
-    _adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    # the edges as a read-only int64 (M, 2) array of (tail, head)
+    edge_array: np.ndarray = field(init=False, repr=False, compare=False)
+    # (offsets, neighbors), read-only int64 CSR: node i's sorted
+    # neighbors are neighbors[offsets[i]:offsets[i + 1]]
+    adjacency: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 1:
-            raise ValueError(f"graph needs at least one node, got {self.n_nodes}")
-        seen: set[frozenset[int]] = set()
-        adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for tail, head in self.edges:
-            if not (0 <= tail < self.n_nodes and 0 <= head < self.n_nodes):
-                raise ValueError(f"edge ({tail}, {head}) out of range for {self.n_nodes} nodes")
-            if tail == head:
-                raise ValueError(f"self loop at node {tail}")
-            key = frozenset((tail, head))
-            if key in seen:
-                raise ValueError(f"duplicate edge ({tail}, {head})")
-            seen.add(key)
-            adj[tail].append(head)
-            adj[head].append(tail)
-        object.__setattr__(self, "_adjacency", tuple(tuple(sorted(a)) for a in adj))
+        n = self.n_nodes
+        if n < 1:
+            raise ValueError(f"graph needs at least one node, got {n}")
+        # range, self loops and duplicates on the array
+        e = _id_array(self.edges)
+        bad = np.flatnonzero(((e < 0) | (e >= n)).any(axis=1))
+        if bad.size:
+            raise ValueError(f"edge {tuple(e[bad[0]].tolist())} out of range for {n} nodes")
+        bad = np.flatnonzero(e[:, 0] == e[:, 1])
+        if bad.size:
+            raise ValueError(f"self loop at node {e[bad[0], 0]}")
+        # both orientations of every edge, sorted by (owner, neighbor):
+        # an edge listed twice, either way round, repeats a key
+        owners, neighbors = np.concatenate([e, e[:, ::-1]]).T
+        key = owners * n + neighbors
+        order = np.argsort(key, kind="stable")
+        same = np.flatnonzero(key[order[1:]] == key[order[:-1]])
+        if same.size:
+            later = np.maximum(order[same] % len(e), order[same + 1] % len(e)).min()
+            raise ValueError(f"duplicate edge {tuple(e[later].tolist())}")
+        neighbors = neighbors[order]
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owners, minlength=n), out=offsets[1:])
+        for a in (e, offsets, neighbors):
+            a.flags.writeable = False
+        object.__setattr__(self, "edges", tuple(map(tuple, e.tolist())))
+        object.__setattr__(self, "edge_array", e)
+        object.__setattr__(self, "adjacency", (offsets, neighbors))
 
     @classmethod
     def from_one_based(cls, n_nodes: int, edges) -> "Graph":
         """Build from 1-based (tail, head) pairs as written in scenario files."""
-        shifted = tuple((int(i) - 1, int(j) - 1) for i, j in edges)
-        return cls(n_nodes=n_nodes, edges=shifted)
+        return cls(n_nodes=n_nodes, edges=tuple(map(tuple, (_id_array(edges) - 1).tolist())))
 
     @property
     def n_edges(self) -> int:
@@ -89,11 +130,13 @@ class Graph:
         """Sorted 0-based neighbors of ``node``."""
         if not 0 <= node < self.n_nodes:
             raise ValueError(f"node {node} out of range")
-        return self._adjacency[node]
+        offsets, neighbors = self.adjacency
+        return tuple(neighbors[offsets[node]:offsets[node + 1]].tolist())
 
     def check_spanning_tree(self) -> TreeCheck:
         """Check connectivity and acyclicity by breadth-first search."""
         n = self.n_nodes
+        offsets, neighbors = (a.tolist() for a in self.adjacency)
         visited = [False] * n
         n_components = 0
         for start in range(n):
@@ -104,7 +147,7 @@ class Graph:
             queue = [start]
             while queue:
                 node = queue.pop()
-                for nbr in self._adjacency[node]:
+                for nbr in neighbors[offsets[node]:offsets[node + 1]]:
                     if not visited[nbr]:
                         visited[nbr] = True
                         queue.append(nbr)

@@ -47,9 +47,14 @@ Planar vectors are component-first, (2, N), inside the tick. The
 per-drone history is one (ticks, 12, N) float64 store whose middle axis
 runs in the telemetry's per-drone cell order (``_DRONE_CELLS``); the
 per-drone result fields are views of it, and a block of telemetry rows
-takes its drone cells in one copy. Neighbor sums run through a padded
-gather table in a fixed slot order, so a run is bitwise reproducible;
-the test suite compares telemetry digests to enforce that.
+takes its drone cells in one copy. Neighbor sums run over one
+slot-major table of the graph's 2M (owner, neighbor) pairs, in O(N + M)
+whatever the degrees, each node adding its terms in a fixed order, so
+a run is bitwise reproducible; the test suite compares telemetry
+digests to enforce that. numpy picks its SIMD loops by CPU at run
+time, and the bits of np.exp follow that choice; the tick calls no
+np.exp (the amplitude decay uses math.exp), and CI checks a pinned
+digest with AVX2 and AVX-512 dispatch off.
 """
 
 from __future__ import annotations
@@ -357,8 +362,8 @@ def run(
     w, cap = cfg.w_gamma, cfg.amplitude_cap
 
     origins, tangents, normals = sc.origins, sc.tangents, sc.normals
-    idx, mask = neighbor_gather(sc.graph)
-    tails, heads = np.array(sc.graph.edges, dtype=np.int64).reshape(m, 2).T
+    table = neighbor_gather(sc.graph)
+    tails, heads = sc.graph.edge_array.T
 
     # every scalar a kernel combines with an array, boxed once (see _box);
     # the gains k_e and k_n are already per-drone arrays
@@ -428,11 +433,11 @@ def run(
             snapshots.append(xbar)
             t1 = clock()
             # control: own average against the neighbors' (delayed) ones
-            eta = neighbor_disagreement(xbar, idx, mask)
+            eta = neighbor_disagreement(xbar, table)
             if snapshots[0] is xbar:
                 lead = -eta
             else:
-                lead = -neighbor_disagreement(snapshots[0], idx, mask, own=xbar)
+                lead = -neighbor_disagreement(snapshots[0], table, own=xbar)
             u = sat(lead, sat_p)
             xdot_d = speed_b - k_u_b * u
             if fixed_cmd is None:

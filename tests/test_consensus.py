@@ -31,54 +31,54 @@ STAR8 = Graph(8, tuple((0, i) for i in range(1, 8)))  # hub of degree 7
 STAR40 = Graph(40, tuple((0, i) for i in range(1, 40)))  # hub of degree 39
 
 
-def disagreement_last_axis(x, idx, mask, own=None):
+def disagreement_last_axis(x, table, own=None):
     """The node-first kernel on (..., N) arrays: node axis in, result back."""
     x = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
     own = None if own is None else np.moveaxis(np.asarray(own, dtype=float), -1, 0)
-    return np.moveaxis(neighbor_disagreement(x, idx, mask, own=own), 0, -1)
+    return np.moveaxis(neighbor_disagreement(x, table, own=own), 0, -1)
 
 
-def disagreement_slot_major(x, idx, mask, own=None):
-    """Reference: the earlier kernel over (..., N), batches on the leading
-    axes; a single row sums each node's slots pairwise, a batch slot by slot."""
+def disagreement_loop(graph, x, own=None):
+    """Reference sums on (..., N) arrays, batches on the leading axes: a
+    Python loop over each node's sorted neighbors j that computes
+    0.0 + t_0 + t_1 + ..., t = x_j - own_i, elementwise over the batch.
+
+    A row runs as a batch of one, so every add is an array add with the
+    running total first, as in the kernel: which NaN an add of two NaNs
+    returns depends on the operand order, and numpy's scalar adds may
+    take the other one."""
     x = np.asarray(x, dtype=float)
     own = x if own is None else np.asarray(own, dtype=float)
-    return ((x[..., idx.T] - own[..., None, :]) * mask.T).sum(axis=-2)
+    shape = x.shape
+    x, own = x.reshape(-1, shape[-1]), own.reshape(-1, shape[-1])
+    out = np.empty(x.shape)
+    for i in range(graph.n_nodes):
+        total = np.zeros(len(x))
+        for j in graph.neighbors(i):
+            total = total + (x[:, j] - own[:, i])
+        out[:, i] = total
+    return out.reshape(shape)
 
 
-def disagreement_node_major(x, idx, mask):
-    """Reference reduction: one inner sum over the D slots of each node."""
-    x = np.asarray(x, dtype=float)
-    return np.sum((x[..., idx] - x[..., None]) * mask, axis=-1)
-
-
-def lead_node_major(own, x, idx, mask):
-    """Reference lead of ``own`` over the neighbors' x, node-major."""
-    return np.sum((own[..., None] - x[..., idx]) * mask, axis=-1)
-
-
-def neighbor_gather_edge_scan(graph):
-    """Reference table: each node scans every edge for its neighbors."""
-    nbrs = []
-    for node in range(graph.n_nodes):
-        out = set()
-        for tail, head in graph.edges:
-            if tail == node:
-                out.add(head)
-            elif head == node:
-                out.add(tail)
-        nbrs.append(tuple(sorted(out)))
-    dmax = max(max((len(n) for n in nbrs), default=0), 1)
-    idx = np.empty((graph.n_nodes, dmax), dtype=np.int64)
-    mask = np.zeros((graph.n_nodes, dmax))
-    for i, row in enumerate(nbrs):
-        for d in range(dmax):
-            if d < len(row):
-                idx[i, d] = row[d]
-                mask[i, d] = 1.0
-            else:
-                idx[i, d] = i
-    return idx, mask
+def neighbor_table_edge_scan(graph):
+    """Reference table from one scan of the edge list: (owners, neighbors,
+    bounds, inverse), slot by slot, nodes by descending degree then id."""
+    n = graph.n_nodes
+    nbrs = [set() for _ in range(n)]
+    for tail, head in graph.edges:
+        nbrs[tail].add(head)
+        nbrs[head].add(tail)
+    nbrs = [sorted(row) for row in nbrs]
+    order = sorted(range(n), key=lambda i: (-len(nbrs[i]), i))
+    owners, neighbors, bounds = [], [], [0]
+    for s in range(max(len(row) for row in nbrs)):
+        for i in order:
+            if len(nbrs[i]) > s:
+                owners.append(i)
+                neighbors.append(nbrs[i][s])
+        bounds.append(len(owners))
+    rank = {node: r for r, node in enumerate(order)}
+    return owners, neighbors, bounds, [rank[i] for i in range(n)]
 
 
 def random_recursive_tree(n, seed):
@@ -177,8 +177,7 @@ class TestConsensusInput:
 
     @staticmethod
     def _input(graph, x, params):
-        idx, mask = neighbor_gather(graph)
-        return sat(neighbor_disagreement(np.array(x), idx, mask), params)[0]
+        return sat(neighbor_disagreement(np.array(x), neighbor_gather(graph)), params)[0]
 
     def test_hand_example(self):
         p = SaturationParams(0.0, 1.0, 2.0)
@@ -270,7 +269,7 @@ class TestLyapunov:
         for params in (self.PARAMS, SaturationParams(0.0, 20.0, 5.0), SaturationParams(0.3, 0.7, 1e-3)):
             r = params.r
             edges = [0.0, r, -r, np.nextafter(0.0, 1.0), np.nextafter(r, 2 * r), np.nextafter(r, 0.0)]
-            special = np.array([0.0, -0.0, r / 2.0, -r / 2.0] + edges)
+            special = np.array([0.0, -0.0, r / 2.0, -r / 2.0, 1e200, -1e200] + edges)
             for eta in (
                 rng.uniform(-3 * r, 4 * r, (64, 8)),
                 rng.normal(r / 2.0, r, (3, 5, 7)),
@@ -278,7 +277,8 @@ class TestLyapunov:
                 special[:, None] * np.ones(3),
             ):
                 got = lyapunov_value(eta, params)
-                want = plain_formula(eta, params)
+                with np.errstate(over="ignore"):  # the quadratic piece at 1e200
+                    want = plain_formula(eta, params)
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
@@ -421,54 +421,62 @@ class TestWindowAverager:
         assert peak < 64 * 1024 < window_bytes
 
 
+GRAPHS = {
+    "tree8": TREE8, "chain5": CHAIN5, "star8": STAR8, "star40": STAR40,
+    "rrt512": random_recursive_tree(512, 1), "rrt4096": random_recursive_tree(4096, 5),
+    "triangle": TRIANGLE, "single": Graph(1), "isolated": Graph(4, ((0, 1),)),
+}
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.5e-310, 1.0])
+
+
+def graphs(*names):
+    return pytest.mark.parametrize("graph", [GRAPHS[n] for n in names], ids=names)
+
+
 class TestNeighborOps:
     def test_matches_negative_laplacian(self):
-        idx, mask = neighbor_gather(TREE8)
+        table = neighbor_gather(TREE8)
         lap = laplacian(TREE8)
         rng = np.random.default_rng(1)
         x = rng.integers(-100, 100, 8).astype(float)
-        assert np.array_equal(neighbor_disagreement(x, idx, mask), -lap @ x)
+        assert np.array_equal(neighbor_disagreement(x, table), -lap @ x)
+        batch = x[:, None] * [1.0, -2.0]
+        assert np.array_equal(neighbor_disagreement(batch, table), -lap @ batch)
 
     def test_batched(self):
-        idx, mask = neighbor_gather(CHAIN5)
+        # a batch row by row is each row alone, bit for bit, with and
+        # without ``own`` (the simulator's lead passes it)
+        table = neighbor_gather(CHAIN5)
         rng = np.random.default_rng(2)
-        x = rng.uniform(-10, 10, (6, 5))
-        out = disagreement_last_axis(x, idx, mask)
-        assert out.shape == (6, 5)
-        for b in range(6):
-            assert np.allclose(out[b], neighbor_disagreement(x[b], idx, mask), atol=0)
-        # a single row reduces each node's slots pairwise (its gather is
-        # F-ordered), a batch adds the slots one after another; the two
-        # orders agree bitwise below 8 slots only
-        for graph in (TREE8, CHAIN5, STAR8, random_recursive_tree(512, 1), STAR40):
-            idx, mask = neighbor_gather(graph)
-            x = rng.uniform(-10.0, 10.0, (32, graph.n_nodes))
-            own = rng.uniform(-10.0, 10.0, x.shape)
-            for batched, rows in (
-                (disagreement_last_axis(x, idx, mask), [neighbor_disagreement(r, idx, mask) for r in x]),
-                (
-                    disagreement_last_axis(x, idx, mask, own=own),
-                    [neighbor_disagreement(r, idx, mask, own=o) for r, o in zip(x, own)],
-                ),
-            ):
-                if idx.shape[1] < 8:
-                    assert np.array_equal(batched, np.stack(rows))
-                else:
-                    assert np.allclose(batched, np.stack(rows), rtol=0.0, atol=1e-12)
-            # a single row is the node-major sum at any degree
-            for r, o in zip(x[:4], own[:4]):
-                assert np.array_equal(
-                    neighbor_disagreement(r, idx, mask), disagreement_node_major(r, idx, mask)
-                )
-                assert np.array_equal(
-                    -neighbor_disagreement(r, idx, mask, own=o), lead_node_major(o, r, idx, mask)
-                )
+        x, own = rng.uniform(-10, 10, (2, 6, 5))
+        for o in (None, own):
+            out = disagreement_last_axis(x, table, own=o)
+            assert out.shape == (6, 5)
+            rows = [neighbor_disagreement(r, table, own=None if o is None else o[b]) for b, r in enumerate(x)]
+            assert out.tobytes() == np.stack(rows).tobytes()
 
-    @pytest.mark.parametrize("graph", [TREE8, CHAIN5, STAR8], ids=["tree8", "chain5", "star8"])
+    @graphs("star40", "rrt512")
+    def test_row_equals_its_batch(self, graph):
+        # a row sums by bincount, a batch by slot blocks; both add each
+        # node's terms in one order, so a row equals its batch bitwise
+        # at every degree (the hubs here have 39 and 10 neighbours)
+        table = neighbor_gather(graph)
+        rng = np.random.default_rng(3)
+        for x, own in (
+            rng.uniform(-10.0, 10.0, (2, 32, graph.n_nodes)),
+            rng.choice(SPECIAL, (2, 32, graph.n_nodes)),
+        ):
+            for o in (None, own):
+                with np.errstate(invalid="ignore"):  # inf - inf
+                    batched = disagreement_last_axis(x, table, own=o)
+                    rows = [neighbor_disagreement(r, table, own=None if o is None else o[b])
+                            for b, r in enumerate(x)]
+                assert batched.tobytes() == np.stack(rows).tobytes()
+
+    @graphs("tree8", "chain5", "star8")
     def test_bitwise_equal_to_node_major_below_eight_slots(self, graph):
-        # with and without ``own``: the simulator's lead passes it
-        idx, mask = neighbor_gather(graph)
-        assert idx.shape[1] < 8
+        table = neighbor_gather(graph)
+        assert len(table.bounds) - 1 < 8
         rng = np.random.default_rng(11)
         batch = rng.uniform(-100.0, 100.0, (64, graph.n_nodes))
         others = rng.uniform(-100.0, 100.0, batch.shape)
@@ -477,74 +485,97 @@ class TestNeighborOps:
             (batch[0], others[0]),
             (batch.reshape(4, 16, graph.n_nodes), others.reshape(4, 16, graph.n_nodes)),
         ):
-            for got, want in (
-                (disagreement_last_axis(x, idx, mask), disagreement_node_major(x, idx, mask)),
-                (-disagreement_last_axis(x, idx, mask, own=own), lead_node_major(own, x, idx, mask)),
-            ):
-                assert got.shape == want.shape
-                assert np.array_equal(got, want)
+            for o in (None, own):
+                got = disagreement_last_axis(x, table, own=o)
+                want = disagreement_loop(graph, x, own=o)
+                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
-    def test_close_to_node_major_from_eight_slots(self):
-        # numpy sums 8 or more inner elements pairwise, so on a wide
-        # node the two reductions may differ in the last bits
+    def test_bitwise_equal_to_node_major_from_eight_slots(self):
+        # a hub of 9 and a random tail: numpy would sum 8 or more
+        # contiguous terms pairwise, but no node's terms are contiguous
         rng = np.random.default_rng(12)
         n = 40
         edges = [(0, i) for i in range(1, 10)]
         edges += [(int(rng.integers(0, i)), i) for i in range(10, n)]
-        idx, mask = neighbor_gather(Graph(n, tuple(edges)))
-        assert idx.shape[1] >= 8
-        x = rng.uniform(-10.0, 10.0, (32, n))
-        own = rng.uniform(-10.0, 10.0, (32, n))
-        got = disagreement_last_axis(x, idx, mask)
-        want = disagreement_node_major(x, idx, mask)
-        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
-        got = -disagreement_last_axis(x, idx, mask, own=own)
-        want = lead_node_major(own, x, idx, mask)
-        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        graph = Graph(n, tuple(edges))
+        table = neighbor_gather(graph)
+        assert len(table.bounds) - 1 >= 8
+        x, own = rng.uniform(-10.0, 10.0, (2, 32, n))
+        for o in (None, own):
+            got = disagreement_last_axis(x, table, own=o)
+            assert got.tobytes() == disagreement_loop(graph, x, own=o).tobytes()
 
-    @pytest.mark.parametrize(
-        "graph",
-        [TREE8, STAR8, STAR40, random_recursive_tree(512, 1)],
-        ids=["tree8", "star8", "star40", "rrt512"],
-    )
+    @graphs("tree8", "chain5", "star8", "star40", "rrt512", "rrt4096", "triangle", "single", "isolated")
     def test_bitwise_equal_to_slot_major_formula(self, graph):
-        # node-first moves no bit: single rows stay pairwise from 8 slots
-        # on, batches slot by slot, and skipping the mask without ``own``
-        # changes nothing, not even on zeros of either sign, infinities,
-        # NaN or subnormals
-        idx, mask = neighbor_gather(graph)
+        # each node adds its terms in slot order from +0.0, for a row and
+        # for batches, on zeros of either sign, infinities, NaN and
+        # subnormals too; a node without neighbours gets +0.0
+        table = neighbor_gather(graph)
         n = graph.n_nodes
         rng = np.random.default_rng(14)
-        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.5e-310, 1.0])
         for shape in ((n,), (16, n), (4, 8, n)):
-            rows = [rng.uniform(-100.0, 100.0, shape), rng.choice(special, shape)]
+            rows = [rng.uniform(-100.0, 100.0, shape), rng.choice(SPECIAL, shape)]
             for x, own in ((x, own) for x in rows for own in (None, *rows)):
                 with np.errstate(invalid="ignore"):  # inf - inf
-                    want = disagreement_slot_major(x, idx, mask, own=own)
+                    want = disagreement_loop(graph, x, own=own)
                     if x.ndim == 1:
-                        got = neighbor_disagreement(x, idx, mask, own=own)
+                        got = neighbor_disagreement(x, table, own=own)
                     else:
-                        got = disagreement_last_axis(x, idx, mask, own=own)
+                        got = disagreement_last_axis(x, table, own=own)
                 assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
-    @pytest.mark.parametrize(
-        "graph",
-        [TREE8, CHAIN5, STAR8, TRIANGLE, Graph(1), Graph(4, ((0, 1),)), random_recursive_tree(4096, 5)],
-        ids=["tree8", "chain5", "star8", "triangle", "single", "isolated", "rrt4096"],
-    )
+    @graphs("tree8", "chain5", "star8", "triangle", "single", "isolated", "rrt4096")
     def test_table_bitwise_equal_to_edge_scan(self, graph):
-        # the slot order, sorted neighbours padded with self, fixes the reduction order
-        got, want = neighbor_gather(graph), neighbor_gather_edge_scan(graph)
-        for g, w in zip(got, want):
-            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+        # the slot-major order, sorted neighbours of nodes by descending
+        # degree, fixes the summation order
+        got = neighbor_gather(graph)
+        owners, neighbors, bounds, inverse = neighbor_table_edge_scan(graph)
+        for g, w in ((got.owners, owners), (got.neighbors, neighbors), (got.inverse, inverse)):
+            assert (g.dtype, g.tolist()) == (np.int64, w)
+            assert not g.flags.writeable
+        assert got.bounds == tuple(bounds)
 
-    def test_padding_is_inert(self):
-        # padded slots gather the node itself with zero mask weight
-        idx, mask = neighbor_gather(TREE8)
-        assert idx.shape == mask.shape
-        assert np.all((mask == 0.0) | (mask == 1.0))
-        degrees = np.diag(laplacian(TREE8))
-        assert np.array_equal(mask.sum(axis=1), degrees.astype(float))
+    def test_table_has_one_entry_per_edge_end(self):
+        # 2M entries and no padding: each node owns as many as its degree,
+        # and slot s lists the nodes of degree > s, widest first
+        for graph in (TREE8, STAR40, GRAPHS["rrt512"], GRAPHS["isolated"]):
+            table = neighbor_gather(graph)
+            degrees = np.diag(laplacian(graph))
+            assert len(table.owners) == len(table.neighbors) == 2 * graph.n_edges
+            assert np.array_equal(np.bincount(table.owners, minlength=graph.n_nodes), degrees)
+            order = np.argsort(table.inverse)
+            assert np.all(np.diff(degrees[order]) <= 0)
+            for s, (start, stop) in enumerate(zip(table.bounds[:-1], table.bounds[1:])):
+                assert np.array_equal(table.owners[start:stop], order[:stop - start])
+                assert np.all(degrees[order[:stop - start]] > s)
+                assert np.all(degrees[order[stop - start:]] <= s)
+
+    def test_infinite_own_stays_in_its_node(self):
+        # no padded slot: an infinite own value reaches only its node's
+        # sum, and no node of lower degree turns NaN
+        table = neighbor_gather(STAR8)
+        x = np.arange(8.0)
+        own = x.copy()
+        own[3] = np.inf
+        for got in (neighbor_disagreement(x, table, own=own),
+                    neighbor_disagreement(np.stack([x, x], axis=1), table, own=np.stack([own, own], axis=1))[:, 0]):
+            assert got[3] == -np.inf
+            assert np.isfinite(np.delete(got, 3)).all()
+
+    def test_memory_is_linear_in_nodes_and_edges(self):
+        # a 16 384-node star: the padded table would be (N, N - 1), 2 GiB
+        # each for idx and mask; the slot-major one is 2M entries
+        n = 16384
+        graph = Graph(n, tuple((0, i) for i in range(1, n)))
+        x = np.random.default_rng(20).uniform(-1.0, 1.0, n)
+        tracemalloc.start()
+        try:
+            out = neighbor_disagreement(x, neighbor_gather(graph))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.tobytes() == disagreement_loop(graph, x).tobytes()
+        assert peak < 128 * (n + graph.n_edges)
 
 
 class TestInputsUntouched:
@@ -564,20 +595,20 @@ class TestInputsUntouched:
     def test_read_only_inputs(self):
         rng = np.random.default_rng(18)
         for graph in (TREE8, STAR40):
-            idx, mask = neighbor_gather(graph)
+            table = neighbor_gather(graph)
+            arrays = (table.owners, table.neighbors, table.inverse)
+            assert not any(a.flags.writeable for a in arrays)
             for shape in ((graph.n_nodes,), (graph.n_nodes, 3)):
-                x, own = rng.uniform(-10.0, 10.0, (2,) + shape)
-                x, own, idx_ro, mask_ro = self._frozen(x, own, idx, mask)
-                before = [a.copy() for a in (x, own, idx_ro, mask_ro)]
+                x, own = self._frozen(*rng.uniform(-10.0, 10.0, (2,) + shape))
+                before = [a.copy() for a in (x, own, *arrays)]
                 for o in (None, own):
-                    got = neighbor_disagreement(x, idx_ro, mask_ro, own=o)
+                    got = neighbor_disagreement(x, table, own=o)
                     assert got.flags.writeable
-                    assert np.array_equal(
-                        got, disagreement_slot_major(x.T, idx, mask, None if o is None else o.T).T
-                    )
+                    want = disagreement_loop(graph, x.T, None if o is None else o.T).T
+                    assert got.tobytes() == want.tobytes()
                 sat(x, self.PARAMS)
                 lyapunov_value(x, self.PARAMS)
-                for a, b in zip((x, own, idx_ro, mask_ro), before):
+                for a, b in zip((x, own, *arrays), before):
                     assert a.tobytes() == b.tobytes()
 
     def test_scalar_results_are_python_floats(self):
@@ -655,12 +686,12 @@ class TestIntegrateConsensus:
     def test_rate_field_translation_invariance(self):
         # dyadic states keep every difference exact, so the disagreement
         # field is bitwise unchanged by a uniform shift
-        idx, mask = neighbor_gather(TREE8)
+        table = neighbor_gather(TREE8)
         rng = np.random.default_rng(6)
         x = rng.integers(-32768, 32768, 8).astype(float) / 1024.0
 
         def rate(state):
-            return sat(neighbor_disagreement(state, idx, mask), self.PARAMS)
+            return sat(neighbor_disagreement(state, table), self.PARAMS)
 
         assert np.array_equal(rate(x + 64.0), rate(x))
 
@@ -671,18 +702,18 @@ class TestIntegrateConsensus:
         shifted = integrate_consensus(TREE8, x0 + 64.0, self.PARAMS, 0.01, 40.0)
         assert np.max(np.abs(shifted.final_state - base.final_state - 64.0)) < 1e-9
 
-    def _five_evaluation_rk4(self, x0, dt, n_steps):
-        """Reference loop: evaluates the disagreement afresh for k1, the
-        Lyapunov record and the final input, and V step by step; returns
-        (states, lyapunov, final state, final input)."""
-        idx, mask = neighbor_gather(TREE8)
+    def _five_evaluation_rk4(self, x0, dt, n_steps, graph=TREE8):
+        """Reference loop: evaluates the disagreement afresh, by the Python
+        neighbour loop, for k1, the Lyapunov record and the final input,
+        and V step by step; returns (states, lyapunov, final state, final
+        input)."""
 
         def rate(state):
-            return sat(disagreement_node_major(state, idx, mask), self.PARAMS)
+            return sat(disagreement_loop(graph, state), self.PARAMS)
 
         x = x0.copy()
         states = [x]
-        lyap = [lyapunov_value(disagreement_node_major(x, idx, mask), self.PARAMS)]
+        lyap = [lyapunov_value(disagreement_loop(graph, x), self.PARAMS)]
         for _ in range(n_steps):
             k1 = rate(x)
             k2 = rate(x + 0.5 * dt * k1)
@@ -690,7 +721,7 @@ class TestIntegrateConsensus:
             k4 = rate(x + dt * k3)
             x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             states.append(x)
-            lyap.append(lyapunov_value(disagreement_node_major(x, idx, mask), self.PARAMS))
+            lyap.append(lyapunov_value(disagreement_loop(graph, x), self.PARAMS))
         return np.array(states), np.array(lyap), x, rate(x)
 
     def test_bitwise_equal_to_five_evaluation_rk4(self):
@@ -740,33 +771,17 @@ class TestIntegrateConsensus:
 
     @pytest.mark.parametrize("shape", [(40,), (16, 40)], ids=["row", "batch"])
     def test_bitwise_equal_to_slot_major_rk4_on_a_wide_star(self, shape):
-        # the hub has 39 slots, so every summation order shows: the node
-        # sums must run as the slot-major formula runs them (pairwise for
-        # a row, slot by slot for a batch) and V must sum each row of eta
-        # as one contiguous run
-        idx, mask = neighbor_gather(STAR40)
+        # the hub has 39 slots, so every summation order shows: a row and
+        # a batch must both sum each node's terms in slot order, and V
+        # must sum each row of eta as one contiguous run
         x0 = np.random.default_rng(15).uniform(-30.0, 30.0, shape)
         dt, n_steps = 0.01, 300
         run = integrate_consensus(STAR40, x0, self.PARAMS, dt, n_steps * dt, record_states=True)
-
-        def rate(state):
-            return sat(disagreement_slot_major(state, idx, mask), self.PARAMS)
-
-        x = x0.copy()
-        states = [x]
-        lyap = [lyapunov_value(disagreement_slot_major(x, idx, mask), self.PARAMS)]
-        for _ in range(n_steps):
-            k1 = rate(x)
-            k2 = rate(x + 0.5 * dt * k1)
-            k3 = rate(x + 0.5 * dt * k2)
-            k4 = rate(x + dt * k3)
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            states.append(x)
-            lyap.append(lyapunov_value(disagreement_slot_major(x, idx, mask), self.PARAMS))
-        assert np.array_equal(run.states, np.array(states))
-        assert np.array_equal(run.lyapunov, np.array(lyap))
+        states, lyap, x, u = self._five_evaluation_rk4(x0, dt, n_steps, STAR40)
+        assert np.array_equal(run.states, states)
+        assert np.array_equal(run.lyapunov, lyap)
         assert np.array_equal(run.final_state, x)
-        assert np.array_equal(run.final_input, rate(x))
+        assert np.array_equal(run.final_input, u)
         assert run.final_state.shape == run.final_input.shape == shape
 
     def test_record_shapes(self):

@@ -48,6 +48,51 @@ class TestConstruction:
         with pytest.raises(ValueError, match="duplicate"):
             Graph(n_nodes=3, edges=((0, 1), (0, 1)))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Graph.from_one_based(3, [(1.7, 2), (2, 3.9)]),
+            lambda: Graph.from_one_based(3, [(True, 2), (2, 3)]),
+            lambda: Graph(3, ((0, 1), (1, 2.0))),
+            lambda: Graph(3, ((0, 1), ("1", 2))),
+            lambda: Graph(3, np.array([[0.0, 1.0]])),
+        ],
+        ids=["fraction", "bool", "integral-float", "string", "float-array"],
+    )
+    def test_rejects_ids_that_are_not_integers(self, build):
+        # never rounded, never read as 0 or 1
+        with pytest.raises(ValueError, match="^node ids must be integers, got "):
+            build()
+
+    @pytest.mark.parametrize("edges", [((0, 1, 2),), ((0, 1), (2,)), (0, 1), ((0, 1), 2)])
+    def test_rejects_edges_that_are_not_pairs(self, edges):
+        with pytest.raises(ValueError, match="pairs"):
+            Graph(3, edges)
+
+    def test_rejects_ids_beyond_int64(self):
+        with pytest.raises(ValueError, match="int64"):
+            Graph(3, ((0, 2**63),))
+
+    def test_edges_are_int_pairs_and_one_int64_array(self):
+        g = Graph(4, [[0, 1], (np.int64(1), np.uint8(2)), (3, 1)])
+        assert g.edges == ((0, 1), (1, 2), (3, 1))
+        assert {type(i) for e in g.edges for i in e} == {int}
+        assert g.edge_array.dtype == np.int64
+        assert g.edge_array.tolist() == [[0, 1], [1, 2], [3, 1]]
+        offsets, neighbors = g.adjacency
+        assert offsets.tolist() == [0, 1, 4, 5, 6]
+        assert neighbors.tolist() == [1, 0, 2, 3, 1, 1]
+        for a in (g.edge_array, offsets, neighbors):
+            assert a.dtype == np.int64 and not a.flags.writeable
+        assert g == Graph(4, ((0, 1), (1, 2), (3, 1)))
+        assert Graph(1).edge_array.shape == (0, 2)
+
+    def test_first_duplicate_in_edge_order_is_named(self):
+        with pytest.raises(ValueError, match=r"^duplicate edge \(2, 1\)$"):
+            Graph(4, ((0, 1), (1, 2), (2, 1), (0, 1)))
+        with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
+            Graph(4, ((1, 0), (0, 1)))
+
     def test_neighbors_sorted(self):
         g = demo_tree()
         # node 3 (0-based 2) touches nodes 2, 4, 5 (0-based 1, 3, 4)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_consensus import disagreement_loop
 
 from gvfswarm import oscillation as osc
 from gvfswarm import sim
@@ -595,11 +596,11 @@ class TestObserverBlocks:
         res = run(sc, telemetry_path=out)
 
         assert out.read_bytes() == reference_telemetry(res)
-        idx, mask = neighbor_gather(sc.graph)
+        table = neighbor_gather(sc.graph)
         tails = np.array([e[0] for e in sc.graph.edges], dtype=np.int64)
         heads = np.array([e[1] for e in sc.graph.edges], dtype=np.int64)
         for k, xbar in enumerate(res.averaged_parameters):
-            v = lyapunov_value(neighbor_disagreement(xbar, idx, mask), sc.saturation)
+            v = lyapunov_value(neighbor_disagreement(xbar, table), sc.saturation)
             assert res.lyapunov[k] == v, k
             assert np.array_equal(res.edge_diffs[k], xbar[tails] - xbar[heads]), k
             assert np.array_equal(res.branches[k], ~interior[k]), k
@@ -648,20 +649,17 @@ class TestPublishDelay:
         )
         sc = build_scenario(doc)
         res = run(sc)
-        idx, mask = neighbor_gather(sc.graph)
-        assert idx.shape[1] < 8  # node-major oracle is bitwise below 8 slots
         xbar = res.averaged_parameters
         seen = xbar[np.maximum(0, np.arange(len(xbar)) - d)]
-        lead = np.sum((xbar[:, :, None] - seen[:, idx]) * mask, axis=-1)
+        lead = -disagreement_loop(sc.graph, seen, own=xbar)
         assert np.any(lead > 0.0) and np.any(seen != xbar)
         assert np.array_equal(res.inputs, sat(lead, sc.saturation))
 
     def test_zero_delay_inputs_are_the_saturated_disagreement(self, windy_eight):
         sc, res = windy_eight
         assert sc.comm_delay_ticks == 0
-        idx, mask = neighbor_gather(sc.graph)
         # node-first: the ticks ride behind the node axis
-        lead = -neighbor_disagreement(res.averaged_parameters.T, idx, mask).T
+        lead = -neighbor_disagreement(res.averaged_parameters.T, neighbor_gather(sc.graph)).T
         assert np.any(lead > 0.0)
         assert np.array_equal(res.inputs, sat(lead, sc.saturation))
 
@@ -677,9 +675,8 @@ class TestPublishDelay:
         )
         assert b.scenario.comm_delay_ticks == 10**20
         # every tick weighs its own average against the neighbors' first one
-        idx, mask = neighbor_gather(base.graph)
         xbar = b.averaged_parameters
-        lead = np.sum((xbar[:, :, None] - xbar[0][idx]) * mask, axis=-1)
+        lead = -disagreement_loop(base.graph, np.broadcast_to(xbar[0], xbar.shape), own=xbar)
         assert np.array_equal(b.inputs, sat(lead, base.saturation))
         assert a.telemetry_digest == b.telemetry_digest
         for f in dataclasses.fields(a):
@@ -788,6 +785,25 @@ class TestHistoryViews:
             for b, other in arrays.items():
                 if a != b:
                     assert not np.shares_memory(getattr(res, a), other), (a, b)
+
+
+class TestWideGraph:
+    def test_star_of_4096_drones_flies(self, scenario_dir):
+        # a star is a valid spanning tree with one hub of degree N - 1;
+        # its neighbour sums cost O(N + M), so a few ticks fly at once
+        n = 4096
+        doc = load_mapping(scenario_dir / "eight_drones.scn")
+        doc["t_end_s"] = 0.1
+        doc["graph"] = {"n_drones": n, "edges": [[1, i] for i in range(2, n + 1)]}
+        doc["consensus"]["comm_delay_ticks"] = 2
+        res = run(build_scenario(doc), compute_digest=True)
+        assert res.path_parameters.shape == (6, n)
+        assert np.isfinite(res.path_parameters).all() and np.isfinite(res.inputs).all()
+        for key, value in res.summary.items():
+            numbers = [v for v in (value if isinstance(value, list) else [value]) if isinstance(v, float)]
+            assert all(math.isfinite(v) for v in numbers), key
+        assert len(res.summary["final_amplitudes_m"]) == n
+        assert np.isfinite(res.lyapunov).all()
 
 
 SPEED, W_GAMMA = 16.0, 0.6
