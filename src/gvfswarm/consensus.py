@@ -292,10 +292,10 @@ def neighbor_disagreement(x, table: NeighborTable, own=None):
     How the sum runs depends on x.ndim alone, and each way won where it
     runs (2 vCPUs, numpy 2.4.6):
 
-    - a 1-D row, the simulator's two calls per tick, is one np.bincount
-      over the owners, which adds the entries in table order: about
-      6 us at N = 512 (D_max 11), where slot blocks take 17 us and make
-      O(D_max) calls on a hub;
+    - a 1-D row (one call per tick at delay 0, where eta is the lead;
+      two with a delay) is one np.bincount over the owners, in table
+      order: about 6 us at N = 512 (D_max 11), where slot blocks take
+      17 us and make O(D_max) calls on a hub;
     - a batch adds each slot's block of whole rows onto the prefix of
       nodes that have that slot, then un-permutes with one row gather:
       on consensus-200's (8, 200) batch an RK4 step takes about 95 us,

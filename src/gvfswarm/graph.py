@@ -134,23 +134,22 @@ class Graph:
         return tuple(neighbors[offsets[node]:offsets[node + 1]].tolist())
 
     def check_spanning_tree(self) -> TreeCheck:
-        """Check connectivity and acyclicity by breadth-first search."""
+        """Check connectivity and acyclicity by hooking and pointer jumping.
+
+        While an edge joins two component labels (each node's own id at
+        first), every edge hooks its larger label onto its smaller, then
+        labels jump to their label's label until none moves (Shiloach &
+        Vishkin, J. Algorithms 1982). Each pass hooks a root and labels
+        only go down, so both loops end; the roots left count components.
+        """
         n = self.n_nodes
-        offsets, neighbors = (a.tolist() for a in self.adjacency)
-        visited = [False] * n
-        n_components = 0
-        for start in range(n):
-            if visited[start]:
-                continue
-            n_components += 1
-            visited[start] = True
-            queue = [start]
-            while queue:
-                node = queue.pop()
-                for nbr in neighbors[offsets[node]:offsets[node + 1]]:
-                    if not visited[nbr]:
-                        visited[nbr] = True
-                        queue.append(nbr)
+        tails, heads = self.edge_array.T
+        label = np.arange(n)
+        while not np.array_equal(a := label[tails], b := label[heads]):
+            np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+            while not np.array_equal(up := label[label], label):
+                label = up
+        n_components = int(np.count_nonzero(label == np.arange(n)))
         connected = n_components == 1
         # For a graph with c components and no cycles, M = N - c exactly.
         has_cycle = self.n_edges > n - n_components

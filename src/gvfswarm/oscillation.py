@@ -242,7 +242,7 @@ def fit_k_a(speed: float, w_gamma: float, n_samples: int = 100) -> float:
         raise ValueError(f"need at least 10 samples for a stable fit, got {n_samples}")
     amplitudes = np.linspace(0.0, speed / w_gamma, n_samples)
     xdot = np.array([average_parametric_velocity(speed, w_gamma, a) for a in amplitudes])
-    g = np.sqrt(np.maximum(speed * speed - xdot * xdot, 0.0)) / w_gamma
+    g = amplitude_schedule(xdot, speed, w_gamma, 1.0, np.inf)[1]
     return float(np.dot(amplitudes, g) / np.dot(g, g))
 
 

@@ -371,6 +371,31 @@ def test_westbound_digest_is_pinned(report, westbound_eight):
     )
 
 
+# telemetry SHA-256 of 60 s of the bundled eight-drone scenario flown as a
+# 12-drone star (hub degree 11) in a 1.5 m/s crosswind, delay 0: the hub
+# sums its 11 neighbour terms in slot order, where a pairwise sum would
+# differ from 8 terms on
+STAR_DIGEST = "aa599cb552721eef00c72ca62bb3b5aeb9a8b1c8b581dcae669f69a505798aeb"
+
+
+def test_star_digest_is_pinned(report, scenario_dir):
+    edges = [[1, i] for i in range(2, 13)]
+    doc = apply_overrides(
+        load_mapping(scenario_dir / "eight_drones.scn"),
+        ["graph.n_drones=12", f"graph.edges={edges}", "wind_mps=[0.0, 1.5]", "t_end_s=60"],
+    )
+    sc = build_scenario(doc)
+    res = run(sc, compute_digest=True)
+    hub_degree = len(sc.graph.neighbors(0))
+    ok = res.telemetry_digest == STAR_DIGEST and hub_degree == 11
+    report(
+        "star-telemetry-digest",
+        ok,
+        f"sha256 {res.telemetry_digest[:16]}... (pinned {STAR_DIGEST[:16]}...), "
+        f"hub degree {hub_degree} (11 at the pin)",
+    )
+
+
 def test_crosswind_keeps_the_pair_together(report, scenario_dir):
     doc = apply_overrides(
         load_mapping(scenario_dir / "two_drones.scn"), ["wind_mps=[0, 3.5]"]

@@ -1,7 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gvfswarm.graph import DEMO_TREE_EDGES, Graph
+from gvfswarm import graph as graph_module
+from gvfswarm.graph import DEMO_TREE_EDGES, Graph, TreeCheck
+from gvfswarm.scenario import build_scenario, validate_mapping
 
 
 def demo_tree() -> Graph:
@@ -16,6 +22,124 @@ def incidence_matrix(g: Graph) -> np.ndarray:
         b[tail, k] = 1
         b[head, k] = -1
     return b
+
+
+def bfs_check(g: Graph) -> TreeCheck:
+    """The breadth-first search that the labelled check replaced, as its oracle."""
+    n = g.n_nodes
+    offsets, neighbors = (a.tolist() for a in g.adjacency)
+    visited = [False] * n
+    n_components = 0
+    for start in range(n):
+        if visited[start]:
+            continue
+        n_components += 1
+        visited[start] = True
+        queue = [start]
+        while queue:
+            node = queue.pop()
+            for nbr in neighbors[offsets[node]:offsets[node + 1]]:
+                if not visited[nbr]:
+                    visited[nbr] = True
+                    queue.append(nbr)
+    connected = n_components == 1
+    has_cycle = g.n_edges > n - n_components
+    is_tree = connected and not has_cycle
+    if is_tree:
+        message = "spanning tree"
+    elif not connected:
+        message = f"graph is disconnected ({n_components} components)"
+    else:
+        message = "graph contains a cycle"
+    return TreeCheck(is_tree, connected, n_components, has_cycle, message)
+
+
+class _CountedMinimum:
+    """np.minimum, counting its .at calls: one per hooking pass."""
+
+    def __init__(self):
+        self.passes = 0
+
+    def __call__(self, *args, **kwargs):
+        return np.minimum(*args, **kwargs)
+
+    def at(self, *args):
+        self.passes += 1
+        np.minimum.at(*args)
+
+
+def check_with_passes(g: Graph) -> tuple[TreeCheck, int]:
+    minimum = _CountedMinimum()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "np", SimpleNamespace(**{**vars(np), "minimum": minimum}))
+        check = g.check_spanning_tree()
+    return check, minimum.passes
+
+
+def assert_matches_bfs(g: Graph) -> TreeCheck:
+    """Every TreeCheck field equals the oracle's, and the passes are bounded."""
+    check, passes = check_with_passes(g)
+    assert check == bfs_check(g)
+    assert check == g.check_spanning_tree()
+    # each pass hooks at least one root, and N - c roots get hooked in all
+    if g.n_edges:
+        assert 1 <= passes <= g.n_nodes - check.n_components
+    else:
+        assert passes == 0
+    return check
+
+
+def shape_edges(shape: str, n: int) -> list[tuple[int, int]]:
+    """0-based edges of one of the named test shapes on n nodes."""
+    rng = np.random.default_rng(n)
+    path = [(i, i + 1) for i in range(n - 1)]
+    if shape == "path":
+        return path
+    if shape == "reversed-path":
+        return [(j, i) for i, j in reversed(path)]
+    if shape == "star-hub-first":
+        return [(0, i) for i in range(1, n)]
+    if shape == "star-hub-last":
+        return [(n - 1, i) for i in range(n - 1)]
+    if shape == "random-recursive-tree":
+        return [(int(rng.integers(i)), i) for i in range(1, n)]
+    if shape == "relabelled-path":
+        perm = rng.permutation(n).tolist()
+        return [(perm[i], perm[j]) for i, j in path]
+    if shape == "two-tree-forest":
+        return [(i, j) for i, j in path if j != n // 2]
+    assert shape == "cycle"
+    return path + [(n - 1, 0)]
+
+
+SHAPES = [
+    "path", "reversed-path", "star-hub-first", "star-hub-last",
+    "random-recursive-tree", "relabelled-path", "two-tree-forest", "cycle",
+]
+
+
+@st.composite
+def edge_sets(draw) -> Graph:
+    """A relabelled random forest on up to 2000 nodes, plus some random edges.
+
+    With no extra edge it is a forest (a tree when every parent edge is
+    kept); extra edges close cycles or join trees.
+    """
+    n = draw(st.integers(1, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = draw(st.sampled_from([1.0, 0.999, 0.9, 0.5, 0.0]))
+    n_extra = draw(st.sampled_from([0, 0, 1, 3, 50, 2 * n]))
+    child = np.arange(1, n)
+    parent = (rng.random(n - 1) * child).astype(np.int64)
+    forest = np.stack([parent, child], axis=1)[rng.random(n - 1) < keep]
+    e = np.concatenate([forest, rng.integers(0, n, (n_extra, 2))])
+    e = e[e[:, 0] != e[:, 1]]
+    key = e.min(axis=1) * n + e.max(axis=1)
+    e = e[np.sort(np.unique(key, return_index=True)[1])]
+    e = rng.permutation(n)[e]
+    flip = rng.random(len(e)) < 0.5
+    e[flip] = e[flip, ::-1]
+    return Graph(n, rng.permutation(e).tolist())
 
 
 class TestConstruction:
@@ -180,3 +304,59 @@ class TestTreeCheck:
 
     def test_single_node_is_tree(self):
         assert Graph(n_nodes=1).check_spanning_tree().is_tree
+
+
+class TestLabelledCheck:
+    """check_spanning_tree equals the breadth-first oracle, field by field."""
+
+    @pytest.mark.parametrize("n", [8, 512, 16384])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_named_shapes(self, shape, n):
+        check = assert_matches_bfs(Graph(n, shape_edges(shape, n)))
+        assert check.is_tree == (shape not in ("two-tree-forest", "cycle"))
+        assert check.n_components == (2 if shape == "two-tree-forest" else 1)
+
+    @pytest.mark.parametrize(
+        "n,edges,components",
+        [
+            (1, (), 1),
+            (5, ((0, 1), (1, 2), (2, 0)), 3),
+            (9, ((3, 7), (7, 5), (5, 3), (8, 2), (2, 0)), 5),
+            (6, (), 6),
+            (6, ((5, 4), (4, 3)), 4),
+        ],
+        ids=["one-node", "disconnected-with-cycle", "cycle-and-tree-apart",
+             "isolated-nodes", "isolated-and-a-path"],
+    )
+    def test_small_cases(self, n, edges, components):
+        assert assert_matches_bfs(Graph(n, edges)).n_components == components
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(g=edge_sets())
+    def test_random_edge_sets(self, g):
+        assert_matches_bfs(g)
+
+    def test_relabelled_path_scenario_of_16384_drones(self):
+        n = 16384
+        doc = {
+            "name": "relabelled-path",
+            "speed_mps": 16.0,
+            "dt_s": 0.02,
+            "t_end_s": 1.0,
+            "seed": 1,
+            "graph": {"n_drones": n, "edges": [[i + 1, j + 1] for i, j in
+                                               shape_edges("relabelled-path", n)]},
+            "paths": {"alpha_rad": 0.0, "origin_m": [0.0, 0.0], "spacing_m": 50.0},
+            "oscillation": {"w_gamma_rad_s": 0.6},
+            "consensus": {"k_u": 0.06, "r_m": 150.0},
+            "initial": {"parameter_span_m": [-50.0, 50.0]},
+        }
+        assert validate_mapping(doc) == []
+        sc = build_scenario(doc)
+        assert sc.n_drones == n and sc.graph.check_spanning_tree().is_tree
+        # one edge moved to close a cycle leaves two components
+        edges = doc["graph"]["edges"]
+        doc["graph"]["edges"] = edges[:n // 2] + edges[n // 2 + 1:] + [[edges[0][0], edges[1][1]]]
+        assert validate_mapping(doc) == [
+            "graph: must be a spanning tree, graph is disconnected (2 components)"
+        ]

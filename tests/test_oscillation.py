@@ -299,6 +299,16 @@ class TestFitKA:
         with pytest.raises(ValueError):
             fit_k_a(16.0, 0.6, 9)
 
+    @pytest.mark.parametrize("v,w", [(8.0, 0.6), (16.0, 0.6), (23.7, 1.9)])
+    def test_regressor_is_the_schedule_kernel(self, v, w):
+        # the fit's g is amplitude_schedule's raw value at k = 1, uncapped,
+        # byte for byte the formula sqrt(max(v^2 - xdot^2, 0)) / w
+        amplitudes = np.linspace(0.0, v / w, 100)
+        xdot = np.array([average_parametric_velocity(v, w, a) for a in amplitudes])
+        g = np.sqrt(np.maximum(v * v - xdot * xdot, 0.0)) / w
+        assert amplitude_schedule(xdot, v, w, 1.0, np.inf)[1].tobytes() == g.tobytes()
+        assert fit_k_a(v, w) == float(np.dot(amplitudes, g) / np.dot(g, g))
+
     def test_model_quality(self):
         # the sqrt model xdot(A) = sqrt(v^2 - (A w / k)^2) tracks the
         # exact curve to under 3% of v away from the amplitude limit;

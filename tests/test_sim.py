@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -156,6 +157,30 @@ def first_sustained_below(series: np.ndarray, threshold: float) -> int | None:
     if late.size == 0:
         return 0
     return None if late[-1] == len(series) - 1 else int(late[-1]) + 1
+
+
+def assert_summary_matches_history(res) -> int | None:
+    """The summary equals whole-array formulas over the history, bit for bit.
+
+    Returns the tick of convergence, None if the run never converged.
+    """
+    sc, s = res.scenario, res.summary
+    if sc.graph.n_edges:
+        max_edge = np.abs(res.edge_diffs).max(axis=1)
+    else:
+        max_edge = np.zeros(len(res.times))
+    conv = first_sustained_below(max_edge, sc.convergence_threshold)
+    vel = sc.speed * np.stack([np.cos(res.headings), np.sin(res.headings)], axis=-1) + sc.wind
+    ground_speed = np.linalg.norm(vel, axis=-1)
+    spread = res.path_parameters.max(axis=1) - res.path_parameters.min(axis=1)
+    assert s["time_to_convergence_s"] == (None if conv is None else float(res.times[conv]))
+    assert s["final_max_edge_diff_m"] == float(max_edge[-1])
+    assert s["final_max_pairwise_spread_m"] == float(spread[-1])
+    assert s["max_abs_heading_rate_rad_s"] == float(np.abs(res.omegas).max())
+    assert s["ground_speed_min_mps"] == float(ground_speed.min())
+    assert s["ground_speed_max_mps"] == float(ground_speed.max())
+    assert s["lyapunov_final"] == float(res.lyapunov[-1])
+    return conv
 
 
 def per_cell_case_doc(case: str, scenario_dir) -> dict:
@@ -606,26 +631,11 @@ class TestObserverBlocks:
             assert np.array_equal(res.branches[k], ~interior[k]), k
         assert res.branches.dtype == np.int8
 
-        s = res.summary
-        if m:
-            max_edge = np.abs(res.edge_diffs).max(axis=1)
-        else:
-            max_edge = np.zeros(len(res.times))
-        conv = first_sustained_below(max_edge, sc.convergence_threshold)
+        conv = assert_summary_matches_history(res)
         if converged_s == "mid-run":
             assert 0 < conv < sc.n_ticks
         else:
             assert (None if conv is None else float(res.times[conv])) == converged_s
-        vel = sc.speed * np.stack([np.cos(res.headings), np.sin(res.headings)], axis=-1) + sc.wind
-        ground_speed = np.linalg.norm(vel, axis=-1)
-        spread = res.path_parameters.max(axis=1) - res.path_parameters.min(axis=1)
-        assert s["time_to_convergence_s"] == (None if conv is None else float(res.times[conv]))
-        assert s["final_max_edge_diff_m"] == float(max_edge[-1])
-        assert s["final_max_pairwise_spread_m"] == float(spread[-1])
-        assert s["max_abs_heading_rate_rad_s"] == float(np.abs(res.omegas).max())
-        assert s["ground_speed_min_mps"] == float(ground_speed.min())
-        assert s["ground_speed_max_mps"] == float(ground_speed.max())
-        assert s["lyapunov_final"] == float(res.lyapunov[-1])
 
 
 class TestPublishDelay:
@@ -840,8 +850,16 @@ class TestClosedLoopProperty:
     @given(doc=flown_docs())
     def test_any_valid_scenario_flies(self, doc):
         sc = build_scenario(doc)
-        a = run(sc, compute_digest=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "telemetry.csv")
+            a = run(sc, telemetry_path=out, compute_digest=True)
+            with open(out, "rb") as fh:
+                written = fh.read()
         b = run(sc, compute_digest=True)
+        # a header line and one row per tick, the file hashing to the digest
+        assert written.count(b"\n") == sc.n_ticks + 2
+        assert hashlib.sha256(written).hexdigest() == a.telemetry_digest
+        assert_summary_matches_history(a)
         arrays = [
             f.name for f in dataclasses.fields(a) if isinstance(getattr(a, f.name), np.ndarray)
         ]
