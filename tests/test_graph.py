@@ -68,24 +68,19 @@ class _CountedMinimum:
         np.minimum.at(*args)
 
 
-def check_with_passes(g: Graph) -> tuple[TreeCheck, int]:
+def assert_matches_bfs(g: Graph) -> TreeCheck:
+    """Every TreeCheck field equals the oracle's, and the passes are bounded."""
     minimum = _CountedMinimum()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph_module, "np", SimpleNamespace(**{**vars(np), "minimum": minimum}))
         check = g.check_spanning_tree()
-    return check, minimum.passes
-
-
-def assert_matches_bfs(g: Graph) -> TreeCheck:
-    """Every TreeCheck field equals the oracle's, and the passes are bounded."""
-    check, passes = check_with_passes(g)
     assert check == bfs_check(g)
     assert check == g.check_spanning_tree()
     # each pass hooks at least one root, and N - c roots get hooked in all
     if g.n_edges:
-        assert 1 <= passes <= g.n_nodes - check.n_components
+        assert 1 <= minimum.passes <= g.n_nodes - check.n_components
     else:
-        assert passes == 0
+        assert minimum.passes == 0
     return check
 
 
