@@ -123,9 +123,24 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _wave_error(speed: float, w_gamma: float, terms: int = 1) -> str | None:
+    """Why the amplitude curve of v = ``speed`` and w = ``w_gamma`` cannot be computed, or None.
+
+    v^2 and (v/w)^2 must be normal floats and the k_A fit's sum of
+    ``terms`` (v/w)^2 finite, or the curve comes out inf, NaN or 0.
+    """
+    if not all(math.isfinite(v) and v > 0 for v in (speed, w_gamma)):
+        return "speed and w-gamma must be positive and finite"
+    v2, limit2 = speed * speed, (speed / w_gamma) * (speed / w_gamma)
+    if not (min(v2, limit2) >= sys.float_info.min and max(v2, terms * limit2) < math.inf):
+        return (f"speed {speed:g} and w-gamma {w_gamma:g} are out of range: "
+                "v^2 and (v/w)^2 must be normal floats, and the fit's sums finite")
+    return None
+
+
 def _cmd_calibrate(args) -> int:
-    if not all(math.isfinite(v) and v > 0 for v in (args.speed, args.w_gamma)):
-        print("speed and w-gamma must be positive and finite", file=sys.stderr)
+    if error := _wave_error(args.speed, args.w_gamma, args.samples):
+        print(error, file=sys.stderr)
         return 2
     try:
         value = fit_k_a(args.speed, args.w_gamma, args.samples)
@@ -180,8 +195,8 @@ def _cmd_consensus_demo(args) -> int:
 
 
 def _cmd_fit_curve(args) -> int:
-    if not all(math.isfinite(v) and v > 0 for v in (args.speed, args.w_gamma)):
-        print("speed and w-gamma must be positive and finite", file=sys.stderr)
+    if error := _wave_error(args.speed, args.w_gamma):
+        print(error, file=sys.stderr)
         return 2
     if args.points < 2:
         print("--points must be at least 2", file=sys.stderr)

@@ -32,15 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._box import TWO, ZERO, box
-from .graph import Graph
+from .graph import Graph, NeighborTable
 
 __all__ = [
     "SaturationParams",
     "sat",
     "lyapunov_value",
     "WindowAverager",
-    "NeighborTable",
-    "neighbor_gather",
     "neighbor_disagreement",
     "ConsensusRun",
     "integrate_consensus",
@@ -240,43 +238,6 @@ class WindowAverager:
         return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class NeighborTable:
-    """Every (owner, neighbor) pair of a graph, 2M entries, slot-major.
-
-    Slot s holds the s-th smallest neighbor of every node of degree
-    > s, the nodes in descending-degree order (ties by id), so slot s
-    occupies rows bounds[s]:bounds[s + 1] and its owners are the first
-    bounds[s + 1] - bounds[s] nodes of that order. ``inverse[i]`` is
-    node i's place in the order. The arrays are read-only.
-    """
-
-    owners: np.ndarray
-    neighbors: np.ndarray
-    bounds: tuple[int, ...]
-    inverse: np.ndarray
-
-
-def neighbor_gather(graph: Graph) -> NeighborTable:
-    """The slot-major neighbor table of ``graph``, from its CSR adjacency.
-
-    O(N + M) memory; a node's entries keep its sorted-neighbor order.
-    """
-    n = graph.n_nodes
-    offsets, csr = graph.adjacency
-    degree = np.diff(offsets)
-    inverse = np.empty(n, dtype=np.int64)
-    inverse[np.argsort(-degree, kind="stable")] = np.arange(n)
-    owners = np.repeat(np.arange(n), degree)
-    slot = np.arange(len(csr)) - offsets[owners]
-    entries = np.argsort(slot * n + inverse[owners], kind="stable")  # by slot, then by rank
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(slot))])
-    table = NeighborTable(owners[entries], csr[entries], tuple(bounds.tolist()), inverse)
-    for a in (table.owners, table.neighbors, table.inverse):
-        a.flags.writeable = False
-    return table
-
-
 def neighbor_disagreement(x, table: NeighborTable, own=None):
     """sum_j (x_j - own_i) for every node i; x is node-first, (N, ...).
 
@@ -301,10 +262,8 @@ def neighbor_disagreement(x, table: NeighborTable, own=None):
       on consensus-200's (8, 200) batch an RK4 step takes about 95 us,
       where one bincount over (node, column) bins takes 155 us.
 
-    There is no padding: an infinite ``own`` reaches only its own
-    node's sum, and a zero sum is always +0.0, even when every term is
-    -0.0 (the padded gather that came before gave NaN to other nodes
-    and -0.0 there).
+    An infinite ``own`` reaches only its own node's sum, and a zero sum
+    is always +0.0, even when every term is -0.0.
     """
     x = np.asarray(x, dtype=float)
     own = x if own is None else np.asarray(own, dtype=float)
@@ -389,7 +348,7 @@ def integrate_consensus(
     n_steps = int(round(t_end / dt))
     if n_steps < 1:
         raise ValueError(f"t_end {t_end} shorter than one step dt {dt}")
-    table = neighbor_gather(graph)
+    table = graph.neighbor_table
     # the stage scalars, boxed: each is the operand of an (n_nodes, ...) op
     half_dt, sixth_dt, dt_box = box(0.5 * dt), box(dt / 6.0), box(dt)
     to_nodes = (x.ndim - 1,) + tuple(range(x.ndim - 1))

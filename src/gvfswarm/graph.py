@@ -15,6 +15,7 @@ import numpy as np
 
 __all__ = [
     "Graph",
+    "NeighborTable",
     "TreeCheck",
     "DEMO_TREE_EDGES",
 ]
@@ -42,14 +43,36 @@ class TreeCheck:
     message: str
 
 
-def _id_array(edges) -> np.ndarray:
-    """The (tail, head) pairs as an int64 (M, 2) array.
+@dataclass(frozen=True)
+class NeighborTable:
+    """Every (owner, neighbor) pair of a graph, 2M entries, slot-major.
 
-    Raises ValueError unless every id is an integer: a bool, a float
-    (even an integral one) or a string is refused, never rounded.
+    Slot s holds the s-th smallest neighbor of every node of degree
+    > s, the nodes in descending-degree order (ties by id), so slot s
+    occupies rows bounds[s]:bounds[s + 1] and its owners are the first
+    bounds[s + 1] - bounds[s] nodes of that order. ``inverse[i]`` is
+    node i's place in the order. The arrays are read-only.
     """
+
+    owners: np.ndarray
+    neighbors: np.ndarray
+    bounds: tuple[int, ...]
+    inverse: np.ndarray
+
+
+def _id_array(edges) -> np.ndarray:
+    """The (tail, head) pairs as a new int64 (M, 2) array.
+
+    An int64 (M, 2) array is taken as typed and copied. Otherwise
+    ValueError unless every id is an integer: a bool, a float (even an
+    integral one) or a string is refused, never rounded.
+    """
+    if isinstance(edges, np.ndarray) and edges.dtype == np.int64 and edges.shape[1:] == (2,):
+        return edges.copy()
     try:
-        pairs = set(map(len, edges)) <= {2}
+        # a two-key mapping or set would pass for a pair, in its own order
+        pairs = set(map(len, edges)) <= {2} and all(
+            issubclass(kind, (list, tuple, np.ndarray)) for kind in set(map(type, edges)))
         kinds = set(map(type, chain.from_iterable(edges)))
     except TypeError:
         pairs = False
@@ -73,22 +96,23 @@ class Graph:
     ----------
     n_nodes : int
         Number of nodes, at least 1.
-    edges : sequence of (int, int)
+    edges : sequence of (int, int), or an int64 (M, 2) array
         Oriented edges (tail, head), 0-based integer ids, no self
         loops, no duplicates in either orientation. Kept as a tuple of
-        int pairs.
+        int pairs; an array is copied, never kept.
     """
 
     n_nodes: int
     edges: tuple[tuple[int, int], ...] = field(default_factory=tuple)
     # the edges as a read-only int64 (M, 2) array of (tail, head)
     edge_array: np.ndarray = field(init=False, repr=False, compare=False)
-    # (offsets, neighbors), read-only int64 CSR: node i's sorted
-    # neighbors are neighbors[offsets[i]:offsets[i + 1]]
-    adjacency: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    # what every neighbor sum reads; its order fixes each sum's bits
+    neighbor_table: NeighborTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.n_nodes
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"n_nodes must be an integer, got {type(n).__name__}")
         if n < 1:
             raise ValueError(f"graph needs at least one node, got {n}")
         # range, self loops and duplicates on the array
@@ -108,30 +132,29 @@ class Graph:
         if same.size:
             later = np.maximum(order[same] % len(e), order[same + 1] % len(e)).min()
             raise ValueError(f"duplicate edge {tuple(e[later].tolist())}")
-        neighbors = neighbors[order]
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(owners, minlength=n), out=offsets[1:])
-        for a in (e, offsets, neighbors):
+        # a slot is the index past the owner's first entry; the table sorts by (slot, rank)
+        owners, neighbors = owners[order], neighbors[order]
+        degree = np.bincount(owners, minlength=n)
+        slot = np.arange(len(owners)) - (np.cumsum(degree) - degree)[owners]
+        inverse = np.empty(n, dtype=np.int64)
+        inverse[np.argsort(-degree, kind="stable")] = np.arange(n)
+        entries = np.argsort(slot * n + inverse[owners], kind="stable")
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(slot))])
+        table = NeighborTable(owners[entries], neighbors[entries], tuple(bounds.tolist()), inverse)
+        for a in (e, table.owners, table.neighbors, table.inverse):
             a.flags.writeable = False
         object.__setattr__(self, "edges", tuple(map(tuple, e.tolist())))
         object.__setattr__(self, "edge_array", e)
-        object.__setattr__(self, "adjacency", (offsets, neighbors))
+        object.__setattr__(self, "neighbor_table", table)
 
     @classmethod
     def from_one_based(cls, n_nodes: int, edges) -> "Graph":
         """Build from 1-based (tail, head) pairs as written in scenario files."""
-        return cls(n_nodes=n_nodes, edges=tuple(map(tuple, (_id_array(edges) - 1).tolist())))
+        return cls(n_nodes=n_nodes, edges=_id_array(edges) - 1)
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def neighbors(self, node: int) -> tuple[int, ...]:
-        """Sorted 0-based neighbors of ``node``."""
-        if not 0 <= node < self.n_nodes:
-            raise ValueError(f"node {node} out of range")
-        offsets, neighbors = self.adjacency
-        return tuple(neighbors[offsets[node]:offsets[node + 1]].tolist())
 
     def check_spanning_tree(self) -> TreeCheck:
         """Check connectivity and acyclicity by hooking and pointer jumping.

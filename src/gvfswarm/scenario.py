@@ -162,10 +162,10 @@ class Scenario:
 
 
 def load_mapping(path) -> dict:
-    """Read a scenario document from a YAML file."""
+    """Read a scenario document from a YAML file, UTF-8 or UTF-16 whatever the locale."""
     try:
-        data = yaml.load(Path(path).read_text(), Loader=_Loader)
-    # ValueError: not UTF-8, ints of > 4300 digits; RecursionError: nested too deeply
+        data = yaml.load(Path(path).read_bytes(), Loader=_Loader)
+    # YAMLError: bad YAML or bytes; ValueError: ints of > 4300 digits; RecursionError: too deep
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ScenarioError([f"scenario file {path} is unparsable: {exc}"]) from exc
     if not isinstance(data, dict):
@@ -303,8 +303,7 @@ def _parse(mapping) -> tuple[Scenario | None, list[str]]:
     graph = None
     if n is not None:
         edges = gsec.get("edges", [])  # only null means "no edges"
-        edges = _check([] if edges is None else edges,
-                       lambda es: _seq(es) and all(_seq(e, 2) and all(map(_is_int, e)) for e in es),
+        edges = _check([] if edges is None else edges, _seq,
                        "graph.edges", "must be a list of 1-based [i, j] pairs", bad)
         if edges is not None and len(edges) != n - 1:
             bad.append(f"graph: must be a spanning tree, a tree on {n} drones "

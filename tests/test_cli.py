@@ -306,6 +306,26 @@ class TestCalibrate:
         assert err == "speed and w-gamma must be positive and finite\n"
 
 
+    @pytest.mark.parametrize(
+        "speed,w_gamma",
+        [("1e308", "1e-308"), ("1e200", "1"), ("1e154", "1"), ("1", "1e-154"), ("1e-170", "1")],
+        ids=["v/w-overflows", "v2-overflows", "sums-overflow", "limit2-overflows", "v2-underflows"],
+    )
+    def test_rejects_out_of_range_curves(self, speed, w_gamma, capsys):
+        # each pair once printed k_a = nan or inf, or a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["calibrate", "--speed", speed, "--w-gamma", w_gamma]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "out of range" in err
+        assert "nan" not in err and "inf" not in err
+
+    def test_output_unchanged_in_range(self, capsys):
+        assert main(["calibrate", "--speed", "8", "--w-gamma", "0.6"]) == 0
+        assert capsys.readouterr().out == "k_a = 1.36656575128255\n"
+
+
 class TestConsensusDemo:
     def test_writes_monotone_lyapunov_trace(self, tmp_path, capsys):
         out = tmp_path / "demo.csv"
@@ -470,6 +490,22 @@ class TestFitCurve:
     def test_rejects_single_point(self, capsys):
         assert main(["fit-curve", "--speed", "8", "--w-gamma", "0.6", "--points", "1"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "speed,w_gamma",
+        [("1e308", "1e-308"), ("1e200", "1"), ("1", "1e-155"), ("1e-170", "1")],
+        ids=["v/w-overflows", "v2-overflows", "limit2-overflows", "v2-underflows"],
+    )
+    def test_rejects_out_of_range_curves(self, speed, w_gamma, capsys):
+        # the first once ended in a traceback, the second printed nan cells
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit-curve", "--speed", speed, "--w-gamma", w_gamma, "--points", "3"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "out of range" in err
+        assert "nan" not in err and "inf" not in err
 
     @pytest.mark.parametrize("value", ["inf", "nan", "0"])
     @pytest.mark.parametrize("flag", ["--speed", "--w-gamma"])

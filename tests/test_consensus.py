@@ -17,7 +17,6 @@ from gvfswarm.consensus import (
     integrate_consensus,
     lyapunov_value,
     neighbor_disagreement,
-    neighbor_gather,
     sat,
 )
 from gvfswarm.graph import DEMO_TREE_EDGES, Graph
@@ -38,6 +37,15 @@ def disagreement_last_axis(x, table, own=None):
     return np.moveaxis(neighbor_disagreement(x, table, own=own), 0, -1)
 
 
+def sorted_neighbors(graph):
+    """Each node's sorted neighbours, from one scan of the edge list."""
+    nbrs = [set() for _ in range(graph.n_nodes)]
+    for tail, head in graph.edges:
+        nbrs[tail].add(head)
+        nbrs[head].add(tail)
+    return [sorted(row) for row in nbrs]
+
+
 def disagreement_loop(graph, x, own=None):
     """Reference sums on (..., N) arrays, batches on the leading axes: a
     Python loop over each node's sorted neighbors j that computes
@@ -52,9 +60,9 @@ def disagreement_loop(graph, x, own=None):
     shape = x.shape
     x, own = x.reshape(-1, shape[-1]), own.reshape(-1, shape[-1])
     out = np.empty(x.shape)
-    for i in range(graph.n_nodes):
+    for i, row in enumerate(sorted_neighbors(graph)):
         total = np.zeros(len(x))
-        for j in graph.neighbors(i):
+        for j in row:
             total = total + (x[:, j] - own[:, i])
         out[:, i] = total
     return out.reshape(shape)
@@ -64,11 +72,7 @@ def neighbor_table_edge_scan(graph):
     """Reference table from one scan of the edge list: (owners, neighbors,
     bounds, inverse), slot by slot, nodes by descending degree then id."""
     n = graph.n_nodes
-    nbrs = [set() for _ in range(n)]
-    for tail, head in graph.edges:
-        nbrs[tail].add(head)
-        nbrs[head].add(tail)
-    nbrs = [sorted(row) for row in nbrs]
+    nbrs = sorted_neighbors(graph)
     order = sorted(range(n), key=lambda i: (-len(nbrs[i]), i))
     owners, neighbors, bounds = [], [], [0]
     for s in range(max(len(row) for row in nbrs)):
@@ -177,7 +181,7 @@ class TestConsensusInput:
 
     @staticmethod
     def _input(graph, x, params):
-        return sat(neighbor_disagreement(np.array(x), neighbor_gather(graph)), params)[0]
+        return sat(neighbor_disagreement(np.array(x), graph.neighbor_table), params)[0]
 
     def test_hand_example(self):
         p = SaturationParams(0.0, 1.0, 2.0)
@@ -435,7 +439,7 @@ def graphs(*names):
 
 class TestNeighborOps:
     def test_matches_negative_laplacian(self):
-        table = neighbor_gather(TREE8)
+        table = TREE8.neighbor_table
         lap = laplacian(TREE8)
         rng = np.random.default_rng(1)
         x = rng.integers(-100, 100, 8).astype(float)
@@ -446,7 +450,7 @@ class TestNeighborOps:
     def test_batched(self):
         # a batch row by row is each row alone, bit for bit, with and
         # without ``own`` (the simulator's lead passes it)
-        table = neighbor_gather(CHAIN5)
+        table = CHAIN5.neighbor_table
         rng = np.random.default_rng(2)
         x, own = rng.uniform(-10, 10, (2, 6, 5))
         for o in (None, own):
@@ -460,7 +464,7 @@ class TestNeighborOps:
         # a row sums by bincount, a batch by slot blocks; both add each
         # node's terms in one order, so a row equals its batch bitwise
         # at every degree (the hubs here have 39 and 10 neighbours)
-        table = neighbor_gather(graph)
+        table = graph.neighbor_table
         rng = np.random.default_rng(3)
         for x, own in (
             rng.uniform(-10.0, 10.0, (2, 32, graph.n_nodes)),
@@ -475,7 +479,7 @@ class TestNeighborOps:
 
     @graphs("tree8", "chain5", "star8")
     def test_bitwise_equal_to_node_major_below_eight_slots(self, graph):
-        table = neighbor_gather(graph)
+        table = graph.neighbor_table
         assert len(table.bounds) - 1 < 8
         rng = np.random.default_rng(11)
         batch = rng.uniform(-100.0, 100.0, (64, graph.n_nodes))
@@ -498,7 +502,7 @@ class TestNeighborOps:
         edges = [(0, i) for i in range(1, 10)]
         edges += [(int(rng.integers(0, i)), i) for i in range(10, n)]
         graph = Graph(n, tuple(edges))
-        table = neighbor_gather(graph)
+        table = graph.neighbor_table
         assert len(table.bounds) - 1 >= 8
         x, own = rng.uniform(-10.0, 10.0, (2, 32, n))
         for o in (None, own):
@@ -510,7 +514,7 @@ class TestNeighborOps:
         # each node adds its terms in slot order from +0.0, for a row and
         # for batches, on zeros of either sign, infinities, NaN and
         # subnormals too; a node without neighbours gets +0.0
-        table = neighbor_gather(graph)
+        table = graph.neighbor_table
         n = graph.n_nodes
         rng = np.random.default_rng(14)
         for shape in ((n,), (16, n), (4, 8, n)):
@@ -528,7 +532,7 @@ class TestNeighborOps:
     def test_table_bitwise_equal_to_edge_scan(self, graph):
         # the slot-major order, sorted neighbours of nodes by descending
         # degree, fixes the summation order
-        got = neighbor_gather(graph)
+        got = graph.neighbor_table
         owners, neighbors, bounds, inverse = neighbor_table_edge_scan(graph)
         for g, w in ((got.owners, owners), (got.neighbors, neighbors), (got.inverse, inverse)):
             assert (g.dtype, g.tolist()) == (np.int64, w)
@@ -539,7 +543,7 @@ class TestNeighborOps:
         # 2M entries and no padding: each node owns as many as its degree,
         # and slot s lists the nodes of degree > s, widest first
         for graph in (TREE8, STAR40, GRAPHS["rrt512"], GRAPHS["isolated"]):
-            table = neighbor_gather(graph)
+            table = graph.neighbor_table
             degrees = np.diag(laplacian(graph))
             assert len(table.owners) == len(table.neighbors) == 2 * graph.n_edges
             assert np.array_equal(np.bincount(table.owners, minlength=graph.n_nodes), degrees)
@@ -553,7 +557,7 @@ class TestNeighborOps:
     def test_infinite_own_stays_in_its_node(self):
         # no padded slot: an infinite own value reaches only its node's
         # sum, and no node of lower degree turns NaN
-        table = neighbor_gather(STAR8)
+        table = STAR8.neighbor_table
         x = np.arange(8.0)
         own = x.copy()
         own[3] = np.inf
@@ -566,16 +570,21 @@ class TestNeighborOps:
         # a 16 384-node star: the padded table would be (N, N - 1), 2 GiB
         # each for idx and mask; the slot-major one is 2M entries
         n = 16384
-        graph = Graph(n, tuple((0, i) for i in range(1, n)))
+        edges = np.stack([np.zeros(n - 1, dtype=np.int64), np.arange(1, n)], axis=1)
         x = np.random.default_rng(20).uniform(-1.0, 1.0, n)
         tracemalloc.start()
         try:
-            out = neighbor_disagreement(x, neighbor_gather(graph))
+            graph = Graph(n, edges)
+            held, build_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out = neighbor_disagreement(x, graph.neighbor_table)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert out.tobytes() == disagreement_loop(graph, x).tobytes()
-        assert peak < 128 * (n + graph.n_edges)
+        # the build also keeps the edges as int tuples, about 110 bytes each
+        assert build_peak < 256 * (n + graph.n_edges)
+        assert peak - held < 128 * (n + graph.n_edges)
 
 
 class TestInputsUntouched:
@@ -595,7 +604,7 @@ class TestInputsUntouched:
     def test_read_only_inputs(self):
         rng = np.random.default_rng(18)
         for graph in (TREE8, STAR40):
-            table = neighbor_gather(graph)
+            table = graph.neighbor_table
             arrays = (table.owners, table.neighbors, table.inverse)
             assert not any(a.flags.writeable for a in arrays)
             for shape in ((graph.n_nodes,), (graph.n_nodes, 3)):
@@ -686,7 +695,7 @@ class TestIntegrateConsensus:
     def test_rate_field_translation_invariance(self):
         # dyadic states keep every difference exact, so the disagreement
         # field is bitwise unchanged by a uniform shift
-        table = neighbor_gather(TREE8)
+        table = TREE8.neighbor_table
         rng = np.random.default_rng(6)
         x = rng.integers(-32768, 32768, 8).astype(float) / 1024.0
 

@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,10 +25,19 @@ def incidence_matrix(g: Graph) -> np.ndarray:
     return b
 
 
+def adjacency_lists(g: Graph) -> list[list[int]]:
+    """Each node's sorted neighbours, from one scan of ``g.edges``."""
+    nbrs = [[] for _ in range(g.n_nodes)]
+    for tail, head in g.edges:
+        nbrs[tail].append(head)
+        nbrs[head].append(tail)
+    return [sorted(row) for row in nbrs]
+
+
 def bfs_check(g: Graph) -> TreeCheck:
     """The breadth-first search that the labelled check replaced, as its oracle."""
     n = g.n_nodes
-    offsets, neighbors = (a.tolist() for a in g.adjacency)
+    neighbors = adjacency_lists(g)
     visited = [False] * n
     n_components = 0
     for start in range(n):
@@ -38,7 +48,7 @@ def bfs_check(g: Graph) -> TreeCheck:
         queue = [start]
         while queue:
             node = queue.pop()
-            for nbr in neighbors[offsets[node]:offsets[node + 1]]:
+            for nbr in neighbors[node]:
                 if not visited[nbr]:
                     visited[nbr] = True
                     queue.append(nbr)
@@ -147,7 +157,10 @@ class TestConstruction:
     def test_single_node_no_edges(self):
         g = Graph(n_nodes=1)
         assert g.n_edges == 0
-        assert g.neighbors(0) == ()
+        assert adjacency_lists(g) == [[]]
+        table = g.neighbor_table
+        assert (table.owners.tolist(), table.neighbors.tolist()) == ([], [])
+        assert table.bounds == (0,) and table.inverse.tolist() == [0]
 
     def test_rejects_empty_graph(self):
         with pytest.raises(ValueError, match="at least one node"):
@@ -183,7 +196,9 @@ class TestConstruction:
         with pytest.raises(ValueError, match="^node ids must be integers, got "):
             build()
 
-    @pytest.mark.parametrize("edges", [((0, 1, 2),), ((0, 1), (2,)), (0, 1), ((0, 1), 2)])
+    # a mapping or set of two ids has a length of 2 but no order
+    @pytest.mark.parametrize("edges", [((0, 1, 2),), ((0, 1), (2,)), (0, 1), ((0, 1), 2),
+                                       ({0: 0, 1: 0},), ({0, 1},)])
     def test_rejects_edges_that_are_not_pairs(self, edges):
         with pytest.raises(ValueError, match="pairs"):
             Graph(3, edges)
@@ -198,10 +213,14 @@ class TestConstruction:
         assert {type(i) for e in g.edges for i in e} == {int}
         assert g.edge_array.dtype == np.int64
         assert g.edge_array.tolist() == [[0, 1], [1, 2], [3, 1]]
-        offsets, neighbors = g.adjacency
-        assert offsets.tolist() == [0, 1, 4, 5, 6]
-        assert neighbors.tolist() == [1, 0, 2, 3, 1, 1]
-        for a in (g.edge_array, offsets, neighbors):
+        # node 1 (degree 3) first, then 0, 2, 3 by id; slot s holds the
+        # s-th smallest neighbour of each node with more than s
+        table = g.neighbor_table
+        assert table.owners.tolist() == [1, 0, 2, 3, 1, 1]
+        assert table.neighbors.tolist() == [0, 1, 1, 1, 2, 3]
+        assert table.bounds == (0, 4, 5, 6)
+        assert table.inverse.tolist() == [1, 0, 2, 3]
+        for a in (g.edge_array, table.owners, table.neighbors, table.inverse):
             assert a.dtype == np.int64 and not a.flags.writeable
         assert g == Graph(4, ((0, 1), (1, 2), (3, 1)))
         assert Graph(1).edge_array.shape == (0, 2)
@@ -212,13 +231,74 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
             Graph(4, ((1, 0), (0, 1)))
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [[1, 2], [3, 2], [2, 4]],
+            ((1, 2), (3, 2), (2, 4)),
+            [(np.int64(1), np.int32(2)), (np.uint8(3), 2), (2, np.int16(4))],
+            np.array([[1, 2], [3, 2], [2, 4]]),
+            np.array([[1, 2], [3, 2], [2, 4]], dtype=np.uint16),
+        ],
+        ids=["lists", "tuples", "numpy-ints", "int64-array", "uint16-array"],
+    )
+    def test_from_one_based_equals_the_shifted_pairs(self, pairs):
+        g = Graph.from_one_based(4, pairs)
+        want = Graph(4, [(int(a) - 1, int(b) - 1) for a, b in pairs])
+        assert g == want and g.edges == ((0, 1), (2, 1), (1, 3))
+        assert g.edge_array.tobytes() == want.edge_array.tobytes()
+        for name in ("owners", "neighbors", "inverse"):
+            got = getattr(g.neighbor_table, name)
+            assert got.tobytes() == getattr(want.neighbor_table, name).tobytes()
+        assert g.neighbor_table.bounds == want.neighbor_table.bounds
+
+    @pytest.mark.parametrize(
+        "pairs,message",
+        [
+            ([(True, 2), (2, 3)], "node ids must be integers, got bool"),
+            ([(1, 2), (2, 3.0)], "node ids must be integers, got float"),
+            ([(1, 2), ("2", 3)], "node ids must be integers, got str"),
+            ([(1, 2), (2, 2**63)], "node id beyond the int64 range"),
+        ],
+        ids=["bool", "float", "str", "beyond-int64"],
+    )
+    def test_from_one_based_rejects_like_the_constructor(self, pairs, message):
+        for build in (lambda: Graph.from_one_based(3, pairs), lambda: Graph(3, pairs)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
+
+    @pytest.mark.parametrize("build", [Graph, Graph.from_one_based], ids=["zero-based", "one-based"])
+    def test_caller_array_is_copied_never_frozen(self, build):
+        pairs = np.array([[1, 2], [2, 3]], dtype=np.int64)
+        before = pairs.copy()
+        g = build(4, pairs)
+        assert pairs.flags.writeable and np.array_equal(pairs, before)
+        assert not np.shares_memory(g.edge_array, pairs)
+        edges = g.edges
+        pairs[0] = (3, 0)
+        assert g.edges == edges and g.edge_array.tolist() == [list(e) for e in edges]
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None], ids=["fraction", "integral-float",
+                                                                     "bool", "string", "none"])
+    def test_rejects_n_nodes_that_are_not_integers(self, n):
+        with pytest.raises(ValueError, match=f"^n_nodes must be an integer, got {type(n).__name__}$"):
+            Graph(n)
+
+    def test_numpy_integer_n_nodes(self):
+        for n in (np.int64(3), np.int32(3), np.uint8(3)):
+            g = Graph(n, ((0, 1), (1, 2)))
+            assert g == Graph(3, ((0, 1), (1, 2)))
+            assert g.check_spanning_tree().is_tree
+
     def test_neighbors_sorted(self):
         g = demo_tree()
-        # node 3 (0-based 2) touches nodes 2, 4, 5 (0-based 1, 3, 4)
-        assert g.neighbors(2) == (1, 3, 4)
-        assert g.neighbors(0) == (1,)
-        with pytest.raises(ValueError):
-            g.neighbors(8)
+        # node 3 (0-based 2) touches nodes 2, 4, 5 (0-based 1, 3, 4); the
+        # table lists each node's neighbours in slot order, smallest first
+        table = g.neighbor_table
+        rows = adjacency_lists(g)
+        assert (rows[2], rows[0]) == ([1, 3, 4], [1])
+        for node, row in enumerate(rows):
+            assert table.neighbors[table.owners == node].tolist() == row
 
 
 class TestMatrices:
@@ -237,10 +317,10 @@ class TestMatrices:
         g = demo_tree()
         b = incidence_matrix(g)
         lap = b @ b.T
-        # off the diagonal, L = -A with A the adjacency of Graph.neighbors
+        # off the diagonal, L = -A with A the adjacency of the edge list
         adjacency = np.zeros((8, 8), dtype=np.int64)
-        for i in range(8):
-            adjacency[i, list(g.neighbors(i))] = 1
+        for i, row in enumerate(adjacency_lists(g)):
+            adjacency[i, row] = 1
         assert np.array_equal(lap - np.diag(np.diag(lap)), -adjacency)
         assert np.array_equal(lap, lap.T)
         assert np.all(lap.sum(axis=1) == 0)

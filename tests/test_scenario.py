@@ -54,8 +54,9 @@ class TestLoad:
 
     @pytest.mark.parametrize(
         "content",
-        [b"seed: 1" + b"0" * 5000 + b"\n", b"\xff\xfe seed: 1\n", b"seed: [1, 2\n"],
-        ids=["huge-integer", "not-utf8", "yaml-syntax"],
+        [b"seed: 1" + b"0" * 5000 + b"\n", b"\xff\xfe seed: 1\n", b"seed: [1, 2\n",
+         b"name: \xc3\x28\n"],
+        ids=["huge-integer", "not-utf8", "yaml-syntax", "bad-utf8-sequence"],
     )
     def test_unparsable_file_rejected(self, tmp_path, content):
         # an int of more than 4300 digits fails Python's int conversion
@@ -65,6 +66,33 @@ class TestLoad:
         f.write_bytes(content)
         with pytest.raises(ScenarioError, match="unparsable"):
             load_mapping(f)
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig", "utf-16-le", "utf-16-be"])
+    def test_encoding_is_read_from_the_bytes(self, encoding, scenario_dir, tmp_path):
+        # UTF-16 needs its byte order mark; the YAML reader looks for it
+        text = (scenario_dir / "two_drones.scn").read_text(encoding="utf-8")
+        f = tmp_path / "deux.scn"
+        bom = "\ufeff" if encoding.startswith("utf-16") else ""
+        f.write_bytes((bom + text.replace("name: ", "name: deux-drônes-", 1)).encode(encoding))
+        doc = load_mapping(f)
+        assert doc["name"] == "deux-drônes-two-drones"
+        assert validate_mapping(doc) == []
+
+    def test_utf8_file_loads_under_the_c_locale(self, scenario_dir, tmp_path):
+        # the locale's codec (ASCII here) once decoded the file and failed
+        text = (scenario_dir / "two_drones.scn").read_text(encoding="utf-8")
+        f = tmp_path / "deux.scn"
+        f.write_text(text.replace("name: ", "name: deux-drônes-", 1), encoding="utf-8")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        src = str(Path(scenario_module.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import sys\nfrom gvfswarm.scenario import load_mapping, validate_mapping\n"
+                "doc = load_mapping(sys.argv[1])\n"
+                "assert doc['name'] == 'deux-dr\\xf4nes-two-drones', ascii(doc['name'])\n"
+                "print('ok' if validate_mapping(doc) == [] else validate_mapping(doc))\n")
+        proc = subprocess.run([sys.executable, "-c", code, str(f)], capture_output=True,
+                              text=True, timeout=60, env=env)
+        assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr[-2000:]
 
     @pytest.mark.parametrize(
         "spelling,value", [("1e2", 100.0), ("1e+3", 1000.0), ("1.5e3", 1500.0)]
@@ -288,6 +316,19 @@ class TestValidation:
             ),
             (lambda d: d["graph"].update(n_drones=10**400), "graph: must be a spanning tree, a tree on 1"),
             (lambda d: d["graph"].update(edges={}), "graph.edges"),  # only null means no edges
+            # each pair is the Graph's to check, and its message is the violation
+            (
+                lambda d: d["graph"].update(edges=[[1.0, 2.0]]),
+                "graph.edges: node ids must be integers, got float",
+            ),
+            (
+                lambda d: d["graph"].update(edges=[{1: 0, 2: 0}]),
+                "graph.edges: edges must be (tail, head) pairs",
+            ),
+            (
+                lambda d: d["graph"].update(edges=[[1, 2**64]]),
+                "graph.edges: node id beyond the int64 range",
+            ),
             (lambda d: d["gvf"].update(k_n=[1.0, 0.0]), "gvf.k_n: must be positive"),
             # auto tau_h = (v - eps)/k_u is about 87.5 here
             (lambda d: d["consensus"].update(tau_l=1000.0), "consensus.tau_h: must exceed tau_l"),

@@ -14,7 +14,7 @@ from test_consensus import disagreement_loop
 
 from gvfswarm import oscillation as osc
 from gvfswarm import sim
-from gvfswarm.consensus import lyapunov_value, neighbor_disagreement, neighbor_gather, sat
+from gvfswarm.consensus import lyapunov_value, neighbor_disagreement, sat
 from gvfswarm.scenario import apply_overrides, build_scenario, load_mapping
 from gvfswarm.sim import TELEMETRY_FLOAT_FORMAT, run
 
@@ -621,7 +621,7 @@ class TestObserverBlocks:
         res = run(sc, telemetry_path=out)
 
         assert out.read_bytes() == reference_telemetry(res)
-        table = neighbor_gather(sc.graph)
+        table = sc.graph.neighbor_table
         tails = np.array([e[0] for e in sc.graph.edges], dtype=np.int64)
         heads = np.array([e[1] for e in sc.graph.edges], dtype=np.int64)
         for k, xbar in enumerate(res.averaged_parameters):
@@ -669,7 +669,7 @@ class TestPublishDelay:
         sc, res = windy_eight
         assert sc.comm_delay_ticks == 0
         # node-first: the ticks ride behind the node axis
-        lead = -neighbor_disagreement(res.averaged_parameters.T, neighbor_gather(sc.graph)).T
+        lead = -neighbor_disagreement(res.averaged_parameters.T, sc.graph.neighbor_table).T
         assert np.any(lead > 0.0)
         assert np.array_equal(res.inputs, sat(lead, sc.saturation))
 
