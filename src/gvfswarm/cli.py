@@ -126,15 +126,15 @@ def _cmd_validate(args) -> int:
 def _wave_error(speed: float, w_gamma: float, terms: int = 1) -> str | None:
     """Why the amplitude curve of v = ``speed`` and w = ``w_gamma`` cannot be computed, or None.
 
-    v^2 and (v/w)^2 must be normal floats and the k_A fit's sum of
-    ``terms`` (v/w)^2 finite, or the curve comes out inf, NaN or 0.
-    """
+    v^2 and (v/w)^2 must be normal floats and the k_A fit's sum of ``terms``
+    (v/w)^2 and the period 2 pi/w finite, else the curve or its quadrature fails."""
     if not all(math.isfinite(v) and v > 0 for v in (speed, w_gamma)):
         return "speed and w-gamma must be positive and finite"
     v2, limit2 = speed * speed, (speed / w_gamma) * (speed / w_gamma)
-    if not (min(v2, limit2) >= sys.float_info.min and max(v2, terms * limit2) < math.inf):
+    if not (min(v2, limit2) >= sys.float_info.min
+            and max(v2, terms * limit2, 2.0 * math.pi / w_gamma) < math.inf):
         return (f"speed {speed:g} and w-gamma {w_gamma:g} are out of range: "
-                "v^2 and (v/w)^2 must be normal floats, and the fit's sums finite")
+                "v^2 and (v/w)^2 must be normal floats, and the fit's sums and the period finite")
     return None
 
 

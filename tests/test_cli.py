@@ -308,8 +308,10 @@ class TestCalibrate:
 
     @pytest.mark.parametrize(
         "speed,w_gamma",
-        [("1e308", "1e-308"), ("1e200", "1"), ("1e154", "1"), ("1", "1e-154"), ("1e-170", "1")],
-        ids=["v/w-overflows", "v2-overflows", "sums-overflow", "limit2-overflows", "v2-underflows"],
+        [("1e308", "1e-308"), ("1e200", "1"), ("1e154", "1"), ("1", "1e-154"), ("1e-170", "1"),
+         ("2e-154", "2e-308")],
+        ids=["v/w-overflows", "v2-overflows", "sums-overflow", "limit2-overflows", "v2-underflows",
+             "period-overflows"],
     )
     def test_rejects_out_of_range_curves(self, speed, w_gamma, capsys):
         # each pair once printed k_a = nan or inf, or a RuntimeWarning
@@ -493,8 +495,8 @@ class TestFitCurve:
 
     @pytest.mark.parametrize(
         "speed,w_gamma",
-        [("1e308", "1e-308"), ("1e200", "1"), ("1", "1e-155"), ("1e-170", "1")],
-        ids=["v/w-overflows", "v2-overflows", "limit2-overflows", "v2-underflows"],
+        [("1e308", "1e-308"), ("1e200", "1"), ("1", "1e-155"), ("1e-170", "1"), ("2e-154", "2e-308")],
+        ids=["v/w-overflows", "v2-overflows", "limit2-overflows", "v2-underflows", "period-overflows"],
     )
     def test_rejects_out_of_range_curves(self, speed, w_gamma, capsys):
         # the first once ended in a traceback, the second printed nan cells

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_consensus import sorted_neighbors
 
 from gvfswarm import graph as graph_module
 from gvfswarm.graph import DEMO_TREE_EDGES, Graph, TreeCheck
@@ -25,19 +26,10 @@ def incidence_matrix(g: Graph) -> np.ndarray:
     return b
 
 
-def adjacency_lists(g: Graph) -> list[list[int]]:
-    """Each node's sorted neighbours, from one scan of ``g.edges``."""
-    nbrs = [[] for _ in range(g.n_nodes)]
-    for tail, head in g.edges:
-        nbrs[tail].append(head)
-        nbrs[head].append(tail)
-    return [sorted(row) for row in nbrs]
-
-
 def bfs_check(g: Graph) -> TreeCheck:
     """The breadth-first search that the labelled check replaced, as its oracle."""
     n = g.n_nodes
-    neighbors = adjacency_lists(g)
+    neighbors = sorted_neighbors(g)
     visited = [False] * n
     n_components = 0
     for start in range(n):
@@ -157,7 +149,7 @@ class TestConstruction:
     def test_single_node_no_edges(self):
         g = Graph(n_nodes=1)
         assert g.n_edges == 0
-        assert adjacency_lists(g) == [[]]
+        assert sorted_neighbors(g) == [[]]
         table = g.neighbor_table
         assert (table.owners.tolist(), table.neighbors.tolist()) == ([], [])
         assert table.bounds == (0,) and table.inverse.tolist() == [0]
@@ -295,7 +287,7 @@ class TestConstruction:
         # node 3 (0-based 2) touches nodes 2, 4, 5 (0-based 1, 3, 4); the
         # table lists each node's neighbours in slot order, smallest first
         table = g.neighbor_table
-        rows = adjacency_lists(g)
+        rows = sorted_neighbors(g)
         assert (rows[2], rows[0]) == ([1, 3, 4], [1])
         for node, row in enumerate(rows):
             assert table.neighbors[table.owners == node].tolist() == row
@@ -319,7 +311,7 @@ class TestMatrices:
         lap = b @ b.T
         # off the diagonal, L = -A with A the adjacency of the edge list
         adjacency = np.zeros((8, 8), dtype=np.int64)
-        for i, row in enumerate(adjacency_lists(g)):
+        for i, row in enumerate(sorted_neighbors(g)):
             adjacency[i, row] = 1
         assert np.array_equal(lap - np.diag(np.diag(lap)), -adjacency)
         assert np.array_equal(lap, lap.T)
