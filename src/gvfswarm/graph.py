@@ -8,7 +8,7 @@ nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -88,7 +88,7 @@ def _id_array(edges) -> np.ndarray:
     return ids.reshape(len(edges), 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class Graph:
     """Undirected graph with oriented edges, stored 0-based.
 
@@ -98,25 +98,26 @@ class Graph:
         Number of nodes, at least 1.
     edges : sequence of (int, int), or an int64 (M, 2) array
         Oriented edges (tail, head), 0-based integer ids, no self
-        loops, no duplicates in either orientation. Kept as a tuple of
-        int pairs; an array is copied, never kept.
+        loops, no duplicates in either orientation. Kept once, as
+        ``edge_array``; an array is copied, never kept. ``edges`` reads
+        them back as a tuple of int pairs, and ``==`` and ``hash`` see
+        the same (n_nodes, edges) as that tuple would.
     """
 
     n_nodes: int
-    edges: tuple[tuple[int, int], ...] = field(default_factory=tuple)
     # the edges as a read-only int64 (M, 2) array of (tail, head)
-    edge_array: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_array: np.ndarray
     # what every neighbor sum reads; its order fixes each sum's bits
-    neighbor_table: NeighborTable = field(init=False, repr=False, compare=False)
+    neighbor_table: NeighborTable
 
-    def __post_init__(self) -> None:
-        n = self.n_nodes
+    def __init__(self, n_nodes: int, edges=()) -> None:
+        n = n_nodes
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise ValueError(f"n_nodes must be an integer, got {type(n).__name__}")
         if n < 1:
             raise ValueError(f"graph needs at least one node, got {n}")
         # range, self loops and duplicates on the array
-        e = _id_array(self.edges)
+        e = _id_array(edges)
         bad = np.flatnonzero(((e < 0) | (e >= n)).any(axis=1))
         if bad.size:
             raise ValueError(f"edge {tuple(e[bad[0]].tolist())} out of range for {n} nodes")
@@ -143,9 +144,25 @@ class Graph:
         table = NeighborTable(owners[entries], neighbors[entries], tuple(bounds.tolist()), inverse)
         for a in (e, table.owners, table.neighbors, table.inverse):
             a.flags.writeable = False
-        object.__setattr__(self, "edges", tuple(map(tuple, e.tolist())))
+        object.__setattr__(self, "n_nodes", n)
         object.__setattr__(self, "edge_array", e)
         object.__setattr__(self, "neighbor_table", table)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as (tail, head) int pairs, built from ``edge_array`` on each read."""
+        return tuple(map(tuple, self.edge_array.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n_nodes == other.n_nodes and np.array_equal(self.edge_array, other.edge_array)
+
+    def __hash__(self) -> int:
+        return hash((self.n_nodes, self.edges))
+
+    def __repr__(self) -> str:
+        return f"Graph(n_nodes={self.n_nodes!r}, edges={self.edges!r})"
 
     @classmethod
     def from_one_based(cls, n_nodes: int, edges) -> "Graph":
@@ -154,7 +171,7 @@ class Graph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
     def check_spanning_tree(self) -> TreeCheck:
         """Check connectivity and acyclicity by hooking and pointer jumping.

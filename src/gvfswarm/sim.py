@@ -5,7 +5,12 @@ drones:
 
 1. publish: each drone's path parameter is pushed into its
    sliding-window averager and the averaged values are snapshotted,
-   optionally with a communication delay for what neighbors see.
+   optionally with a communication delay for what neighbors see. The
+   averager keeps a running sum in warm-up; over the full window it
+   sums a block of the coming ticks' windows in one pass every few
+   ticks, and each push completes one of them, so each tick gets
+   np.trapezoid's bits without re-reading the whole window (see
+   WindowAverager).
 2. control: from the published snapshot each drone forms its
    saturated lead over its neighbors, converts it to a progress
    budget xdot_d = v - k_u u, schedules the oscillation amplitude,
@@ -465,7 +470,8 @@ def run(
                 b, ticks = j + 1, slice(k - j, k + 1)
                 hist.branches[ticks] ^= 1  # interior flag -> exterior code
                 xb = hist.averaged_parameters[ticks]
-                z = np.subtract(xb[:, tails], xb[:, heads], out=hist.edge_diffs[ticks])
+                z = np.subtract(xb.take(tails, axis=1), xb.take(heads, axis=1),
+                                out=hist.edge_diffs[ticks])
                 v = hist.lyapunov[ticks] = lyapunov_value(eta_rows[:b], sat_p)
                 if m:
                     # |z| extremes from the row extremes: no (ticks, edges) temporary

@@ -384,7 +384,11 @@ class TestWindowAverager:
         # and 2-d reductions, so agreement is to rounding, not bitwise
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("shape", [(), (1,), (3,), (512,)], ids=["scalar", "n1", "n3", "n512"])
+    @pytest.mark.parametrize(
+        "shape",
+        [(), (1,), (3,), (512,), (2,), (8,), (600,)],
+        ids=["scalar", "n1", "n3", "n512", "n2", "n8", "n600"],
+    )
     @pytest.mark.parametrize(
         "window, dt",
         [(2.0 * math.pi / 0.6, 0.02), (1.0, 0.1), (0.02, 0.02)],
@@ -405,6 +409,74 @@ class TestWindowAverager:
             got, want = av.average(), trapezoid_window_average(stream[:k + 1], window, dt)
             assert type(got) is type(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), k
+
+    # N = 2, 8 and 600 fold blocks of k, 256 and 3 windows; () and (1,)
+    # sum pairwise, one window per tick
+    SHAPES = [(), (1,), (2,), (8,), (600,)]
+    SHAPE_IDS = ["scalar", "n1", "n2", "n8", "n600"]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    @pytest.mark.parametrize("window", [1.0, 1.05], ids=["whole", "fractional"])
+    def test_bitwise_across_many_compactions(self, shape, window):
+        # k = 10: the store holds 2 (k + 3) = 26 terms, so 60 windows
+        # move its newest terms to the front dozens of times
+        dt = 0.1
+        stream = np.cumsum(np.random.default_rng(12).normal(0, 0.3, (600,) + shape), axis=0)
+        assert len(stream) > 20 * 2 * (int(window / dt) + 3)
+        av = WindowAverager(window, dt, shape=shape)
+        for k, value in enumerate(stream):
+            av.push(value)
+            got, want = av.average(), trapezoid_window_average(stream[:k + 1], window, dt)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), k
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    def test_bitwise_with_several_pushes_between_averages(self, shape):
+        window, dt = 2.0 * math.pi / 0.6, 0.02
+        rng = np.random.default_rng(13)
+        stream = np.cumsum(rng.normal(0, 0.3, (1700,) + shape), axis=0)
+        # bursts of 1 to 300 pushes, so some end inside a block, some
+        # skip whole blocks and one spans the end of warm-up
+        ends = np.cumsum(rng.integers(1, 300, 40))
+        av = WindowAverager(window, dt, shape=shape)
+        pushed = 0
+        for end in ends[ends <= len(stream)]:
+            for value in stream[pushed:end]:
+                av.push(value)
+            pushed = end
+            got, want = av.average(), trapezoid_window_average(stream[:end], window, dt)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), end
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    @pytest.mark.parametrize(
+        "steps",
+        [10.0, 10.0 - 5e-10, 10.0 + 5e-10, 10.25, 10.999],
+        ids=["whole", "just-under", "just-over", "quarter", "almost-next"],
+    )
+    def test_bitwise_where_warm_up_gives_way_to_the_full_window(self, shape, steps):
+        # the window is `steps` intervals of dt: 10 whole ones when within
+        # 1e-9 of 10, else 10 and a sliver; the first full window is the
+        # first t >= window, at tick 10 or 11
+        dt = 0.1
+        window = steps * dt
+        stream = np.cumsum(np.random.default_rng(14).normal(0, 0.3, (16,) + shape), axis=0)
+        stream[:6] = -0.0  # a zero sum keeps the sign numpy gives it
+        av = WindowAverager(window, dt, shape=shape)
+        full = []
+        for k, value in enumerate(stream):
+            av.push(value)
+            full.append(k * dt >= window)
+            got, want = av.average(), trapezoid_window_average(stream[:k + 1], window, dt)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), k
+        assert not full[9] and full[-1]
+
+    @pytest.mark.parametrize("n", [2, 8, 512, 600, 4096])
+    def test_arrays_hold_three_windows_and_one_block(self, n):
+        # the term store, the sample ring and the block of window sums
+        av = WindowAverager(self.W, self.DT, shape=(n,))
+        rows = 3 * (int(self.W / self.DT) + 3)
+        block = max(2 * n, _SUMMARY_BLOCK // 2)
+        held = sum(a.nbytes for a in vars(av).values() if isinstance(a, np.ndarray) and a.ndim)
+        assert held <= 8 * (rows * n + block)
 
     def test_steady_state_allocates_less_than_a_window(self):
         n = 512
@@ -586,8 +658,7 @@ class TestNeighborOps:
         table = graph.neighbor_table
         table_nbytes = table.owners.nbytes + table.neighbors.nbytes + table.inverse.nbytes
         assert peak - held + table_nbytes < 128 * (n + graph.n_edges)
-        # the whole Graph build, which also keeps the edges as int tuples,
-        # about 120 B each
+        # the whole Graph build
         assert build_peak < 256 * (n + graph.n_edges)
 
 
