@@ -175,8 +175,10 @@ class WindowAverager:
     (2 vCPUs, numpy 2.4.6). The block pass also writes the m slivers,
     from samples already pushed, over the block's oldest m terms, which
     no later window reads. When a block would overrun the store, the
-    k - 1 terms the newest window shares move to the front. The samples
-    sit in a ring of k + 3.
+    k - 1 terms the newest window shares move to the front. Sample s
+    sits in slot s mod (k + 3) of a ring, so the sample count names
+    every slot; the block's slivers read their m + 1 ends in one
+    wrapped gather, an (m + 1, ...) temporary.
 
     Values may be any fixed trailing shape (one slot per drone); the
     average is taken elementwise over time.
@@ -208,8 +210,8 @@ class WindowAverager:
         # until the store's first compaction
         self._terms = np.zeros(_addressable((2 * self._capacity,) + self.shape))
         self._end = 0  # one past the newest term's row
+        # sample s sits in slot s mod capacity
         self._buffer = np.zeros((self._capacity,) + self.shape)
-        self._head = 0  # next write slot
         self._count = 0  # total samples pushed
         size = math.prod(self.shape)
         m = min(self._k, max(2, _SUMMARY_BLOCK // (2 * size))) if size > 1 else 1
@@ -240,7 +242,8 @@ class WindowAverager:
                 flat[:keep * row] = flat[(self._end - keep) * row:self._end * row]
                 self._end = keep
             # the interval's term, dt * (x_k + x_{k-1}) / 2, in its store row
-            term = np.add(value, self._buffer[self._head - 1], out=self._terms[self._end, ...])
+            previous = self._buffer[(self._count - 1) % self._capacity]
+            term = np.add(value, previous, out=self._terms[self._end, ...])
             term *= self._dt
             term /= TWO
             self._end += 1
@@ -254,8 +257,7 @@ class WindowAverager:
                 self._j += 1
                 pending = self._prefix[self._j:]
                 np.add(pending, term, out=pending)
-        self._buffer[self._head] = value
-        self._head = (self._head + 1) % self._capacity
+        self._buffer[self._count % self._capacity] = value
         self._count += 1
 
     def _open_block(self) -> None:
@@ -275,22 +277,16 @@ class WindowAverager:
     def _slivers(self, out, first: int) -> None:
         """Row j of out: the sliver whose ends are samples first + j and first + j + 1.
 
-        The sample ring is read in at most three runs of slots, each as
-        two contiguous slices.
+        The m + 1 ends come out of the sample ring in one wrapped gather.
         """
-        done = 0
-        while done < len(out):
-            lo = (first + done) % self._capacity
-            hi = (lo + 1) % self._capacity
-            n = min(len(out) - done, self._capacity - max(lo, hi))
-            left, right = self._buffer[lo:lo + n], self._buffer[hi:hi + n]
-            # fr dt / 2 * ((left + (1 - fr) (right - left)) + right), in place
-            o = np.subtract(right, left, out=out[done:done + n])
-            o *= self._lerp
-            o += left
-            o += right
-            o *= self._sliver
-            done += n
+        ends = self._buffer.take(np.arange(first, first + len(out) + 1), axis=0, mode="wrap")
+        left, right = ends[:-1], ends[1:]
+        # fr dt / 2 * ((left + (1 - fr) (right - left)) + right), in place
+        np.subtract(right, left, out=out)
+        out *= self._lerp
+        out += left
+        out += right
+        out *= self._sliver
 
     def average(self):
         """Current windowed (or warm-up) average."""
@@ -315,7 +311,7 @@ def neighbor_disagreement(x, table: NeighborTable, own=None):
     """sum_j (x_j - own_i) for every node i; x is node-first, (N, ...).
 
     ``own`` defaults to x itself; the simulator passes each drone's
-    current average as ``own`` and the neighbors' delayed snapshot as x.
+    current average as ``own`` and the neighbors' delayed history row as x.
 
     The terms t = x_j - own_i are formed once, one per table entry, and
     every node sums its own as ((+0.0 + t_0) + t_1) + ... in slot
@@ -428,7 +424,7 @@ def integrate_consensus(
     to_last = tuple(range(1, x.ndim)) + (0,)
     lyap = np.empty(_addressable((n_steps + 1,) + x.shape[:-1]))
     states = np.empty(_addressable((n_steps + 1,) + x.shape)) if record_states else None
-    rows = max(1, _SUMMARY_BLOCK // x.size)
+    rows = max(1, _SUMMARY_BLOCK // max(x.size, 1))
     etas = np.empty((rows,) + x.shape)
     x = x.transpose(to_nodes).copy()
     stage, acc = np.empty_like(x), np.empty_like(x)

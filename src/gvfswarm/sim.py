@@ -4,17 +4,18 @@ Every tick runs the same four stages, each one vectorized over all
 drones:
 
 1. publish: each drone's path parameter is pushed into its
-   sliding-window averager and the averaged values are snapshotted,
-   optionally with a communication delay for what neighbors see. The
-   averager keeps a running sum in warm-up; over the full window it
-   sums a block of the coming ticks' windows in one pass every few
-   ticks, and each push completes one of them, so each tick gets
-   np.trapezoid's bits without re-reading the whole window (see
-   WindowAverager).
-2. control: from the published snapshot each drone forms its
-   saturated lead over its neighbors, converts it to a progress
-   budget xdot_d = v - k_u u, schedules the oscillation amplitude,
-   evaluates the guiding field and commands a heading rate. A drone
+   sliding-window averager, whose average xbar the tick publishes and
+   the telemetry stage stores. The averager keeps a running sum in
+   warm-up; over the full window it sums a block of the coming ticks'
+   windows in one pass every few ticks, and each push completes one of
+   them, so each tick gets np.trapezoid's bits without re-reading the
+   whole window (see WindowAverager).
+2. control: each drone weighs its own xbar against its neighbors' from
+   tick max(k - d, 0), d the communication delay in ticks, read back
+   from the history store (a delay past the run shows tick 0
+   throughout). It converts the saturated lead u to a progress budget
+   xdot_d = v - k_u u, schedules the oscillation amplitude, evaluates
+   the guiding field and commands a heading rate. A drone
    that is ahead commands a large amplitude and waits; one that is
    behind flies straight. In shortfall coordinates delta = v t - xbar
    this is the saturated consensus protocol of :mod:`gvfswarm.consensus`
@@ -72,7 +73,6 @@ import hashlib
 import math
 import os
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -364,7 +364,7 @@ def run(
         content even when no file is written).
     """
     sc = scenario
-    n, m = sc.n_drones, sc.graph.n_edges
+    n, m, delay = sc.n_drones, sc.graph.n_edges, sc.comm_delay_ticks
     dt, n_ticks, speed, wind = sc.dt, sc.n_ticks, sc.speed, sc.wind
     cfg, sat_p = sc.oscillation, sc.saturation
     w, cap = cfg.w_gamma, cfg.amplitude_cap
@@ -394,9 +394,6 @@ def run(
     amp_rate = np.zeros(n)
     amp_accel = np.zeros(n)
     averager = WindowAverager(window=cfg.period, dt=dt, shape=(n,))
-    # the queue never holds more than n_ticks + 1 snapshots, so a longer
-    # delay behaves as n_ticks and deque's maxlen stays in range
-    snapshots: deque[np.ndarray] = deque(maxlen=min(sc.comm_delay_ticks, n_ticks) + 1)
 
     # each tick's float drone cells in telemetry order; the fields are views.
     # It is the largest history array, so numpy can address the others
@@ -438,14 +435,14 @@ def run(
             x = np.add.reduce(offset * tangents, axis=0)
             averager.push(x)
             xbar = averager.average()
-            snapshots.append(xbar)
             t1 = clock()
-            # control: own average against the neighbors' (delayed) ones
+            # control: own average against the neighbors' from tick seen's history row
             eta = neighbor_disagreement(xbar, table)
-            if snapshots[0] is xbar:
+            seen = max(k - delay, 0)
+            if seen == k:
                 lead = -eta
             else:
-                lead = -neighbor_disagreement(snapshots[0], table, own=xbar)
+                lead = -neighbor_disagreement(hist.averaged_parameters[seen], table, own=xbar)
             u = sat(lead, sat_p)
             xdot_d = speed_b - k_u_b * u
             if fixed_cmd is None:

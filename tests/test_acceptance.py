@@ -17,6 +17,7 @@ import pytest
 import scipy.integrate  # noqa: F401
 
 import gvfswarm.oscillation as osc
+from gvfswarm import cli
 from gvfswarm.consensus import SaturationParams, integrate_consensus
 from gvfswarm.graph import DEMO_TREE_EDGES, Graph
 from gvfswarm.gvf import field_core
@@ -393,6 +394,23 @@ def test_star_digest_is_pinned(report, scenario_dir):
         ok,
         f"sha256 {res.telemetry_digest[:16]}... (pinned {STAR_DIGEST[:16]}...), "
         f"hub degree {hub_degree} (11 at the pin)",
+    )
+
+
+# SHA-256 of the table that ``gvfswarm consensus-demo --t-end 150 --out``
+# writes: 15 002 lines through the telemetry row writer. fit-curve is not
+# pinned, since its quadrature bits follow the SciPy version
+DEMO_TABLE_DIGEST = "9410dff21d87ef1be8b24d270a7c37ed3d045f6f4a06b46dd715c6118de9ab94"
+
+
+def test_demo_table_digest_is_pinned(report, tmp_path):
+    out = tmp_path / "demo.csv"
+    status = cli.main(["consensus-demo", "--t-end", "150", "--out", str(out)])
+    got = hashlib.sha256(out.read_bytes()).hexdigest()
+    report(
+        "demo-table-digest",
+        status == 0 and got == DEMO_TABLE_DIGEST,
+        f"exit {status}, sha256 {got[:16]}... (pinned {DEMO_TABLE_DIGEST[:16]}...)",
     )
 
 

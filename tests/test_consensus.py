@@ -878,6 +878,16 @@ class TestIntegrateConsensus:
         assert run.states.shape == (11, 4, 5)
         assert run.final_input.shape == (4, 5)
 
+    def test_empty_batch(self):
+        # no initial conditions: every record is empty along the batch axis
+        run = integrate_consensus(
+            TREE8, np.zeros((0, 8)), self.PARAMS, 0.1, 1.0, record_states=True
+        )
+        assert run.times.shape == (11,)
+        assert run.final_state.shape == run.final_input.shape == (0, 8)
+        assert run.lyapunov.shape == (11, 0)
+        assert run.states.shape == (11, 0, 8)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("shape", [(5,), (3, 5)], ids=["row", "batch"])
     def test_rejects_non_finite_x0(self, bad, shape):

@@ -649,10 +649,11 @@ class TestPublishDelay:
         assert b.scenario.comm_delay_ticks == 5
         assert not np.array_equal(a.path_parameters, b.path_parameters)
 
-    def test_inputs_follow_the_delayed_lead(self, scenario_dir):
+    @pytest.mark.parametrize("d", [1, 7])
+    def test_inputs_follow_the_delayed_lead(self, scenario_dir, d):
         # at tick k drone i weighs its own average against its
-        # neighbors' averages from tick max(0, k - d)
-        d = 7
+        # neighbors' averages from tick max(0, k - d); at d = 1 every
+        # tick from k = 1 on reads the history row of the tick before
         doc = apply_overrides(
             load_mapping(scenario_dir / "eight_drones.scn"),
             ["t_end_s=20", f"consensus.comm_delay_ticks={d}", "wind_mps=[1.0, -2.0]"],
@@ -674,8 +675,8 @@ class TestPublishDelay:
         assert np.array_equal(res.inputs, sat(lead, sc.saturation))
 
     def test_delay_beyond_the_run_is_the_whole_run(self):
-        # a delay past the last tick always shows the first snapshot,
-        # however large: 10^20 is beyond a C ssize_t deque maxlen
+        # a delay past the last tick always shows the first average,
+        # however large: 10^20 is beyond a C ssize_t
         base = build_scenario(apply_overrides(pair_doc(), ["t_end_s=1"]))
         a, b = (
             run(build_scenario(
