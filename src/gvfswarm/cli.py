@@ -9,7 +9,9 @@ Verbs:
     fit-curve      tabulate the slowdown curve by both routes
 
 Exit codes: 0 on success, 1 on runtime failures (unreadable files,
-I/O), 2 on usage or validation errors.
+I/O), 2 on usage or validation errors: a verb raises ValueError for a
+rejected argument, and ``main`` prints it as one stderr line (a
+rejected scenario: one line per violation).
 """
 
 from __future__ import annotations
@@ -123,64 +125,53 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _wave_error(speed: float, w_gamma: float, terms: int = 1) -> str | None:
-    """Why the amplitude curve of v = ``speed`` and w = ``w_gamma`` cannot be computed, or None.
+def _check_wave(speed: float, w_gamma: float, terms: int = 1) -> None:
+    """Raise ValueError unless the amplitude curve of v = ``speed`` and w = ``w_gamma`` computes.
 
     v^2 and (v/w)^2 must be normal floats and the k_A fit's sum of ``terms``
     (v/w)^2 and the period 2 pi/w finite, else the curve or its quadrature fails."""
     if not all(math.isfinite(v) and v > 0 for v in (speed, w_gamma)):
-        return "speed and w-gamma must be positive and finite"
+        raise ValueError("speed and w-gamma must be positive and finite")
     v2, limit2 = speed * speed, (speed / w_gamma) * (speed / w_gamma)
     if not (min(v2, limit2) >= sys.float_info.min
             and max(v2, terms * limit2, 2.0 * math.pi / w_gamma) < math.inf):
-        return (f"speed {speed:g} and w-gamma {w_gamma:g} are out of range: "
-                "v^2 and (v/w)^2 must be normal floats, and the fit's sums and the period finite")
-    return None
+        raise ValueError(
+            f"speed {speed:g} and w-gamma {w_gamma:g} are out of range: "
+            "v^2 and (v/w)^2 must be normal floats, and the fit's sums and the period finite")
 
 
 def _cmd_calibrate(args) -> int:
-    if error := _wave_error(args.speed, args.w_gamma, args.samples):
-        print(error, file=sys.stderr)
-        return 2
-    try:
-        value = fit_k_a(args.speed, args.w_gamma, args.samples)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(f"k_a = {value:.15g}")
+    _check_wave(args.speed, args.w_gamma, args.samples)
+    print(f"k_a = {fit_k_a(args.speed, args.w_gamma, args.samples):.15g}")
     return 0
 
 
 def _cmd_consensus_demo(args) -> int:
     if args.nodes == 8:
         graph = Graph.from_one_based(8, DEMO_TREE_EDGES)
+    elif args.nodes < 1:
+        raise ValueError("--nodes must be at least 1")
     else:
-        if args.nodes < 1:
-            print("--nodes must be at least 1", file=sys.stderr)
-            return 2
         # simple chain for other sizes
         graph = Graph.from_one_based(args.nodes, [(i, i + 1) for i in range(1, args.nodes)])
     if args.x0 is not None:
         if len(args.x0) != graph.n_nodes:
-            print(f"--x0 needs {graph.n_nodes} values", file=sys.stderr)
-            return 2
+            raise ValueError(f"--x0 needs {graph.n_nodes} values")
         x0 = np.array(args.x0, dtype=float)
     else:
         lo, hi = args.span
         if not math.isfinite(hi - lo):  # NaN, inf, or a width that overflows
-            print(f"--span must be finite with a finite width, got {lo:g} {hi:g}", file=sys.stderr)
-            return 2
-        rng = np.random.default_rng(args.seed)
-        x0 = rng.uniform(args.span[0], args.span[1], size=graph.n_nodes)
+            raise ValueError(f"--span must be finite with a finite width, got {lo:g} {hi:g}")
+        if lo > hi:
+            raise ValueError(f"--span LO must not exceed HI, got {lo:g} {hi:g}")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
+        x0 = np.random.default_rng(args.seed).uniform(lo, hi, size=graph.n_nodes)
+    params = SaturationParams(tau_l=args.tau_l, tau_h=args.tau_h, r=args.r)
     with _open_output(args.out, "wb") as fh:
-        try:
-            params = SaturationParams(tau_l=args.tau_l, tau_h=args.tau_h, r=args.r)
-            result = integrate_consensus(
-                graph, x0, params, dt=args.dt, t_end=args.t_end, record_states=fh is not None
-            )
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+        result = integrate_consensus(
+            graph, x0, params, dt=args.dt, t_end=args.t_end, record_states=fh is not None
+        )
         if fh is not None:
             columns = ["t_s"] + [f"x{i}" for i in range(1, graph.n_nodes + 1)] + ["V"]
             table = np.column_stack((result.times, result.states, result.lyapunov))
@@ -195,14 +186,10 @@ def _cmd_consensus_demo(args) -> int:
 
 
 def _cmd_fit_curve(args) -> int:
-    if error := _wave_error(args.speed, args.w_gamma):
-        print(error, file=sys.stderr)
-        return 2
+    _check_wave(args.speed, args.w_gamma)
     if args.points < 2:
-        print("--points must be at least 2", file=sys.stderr)
-        return 2
-    sys.stdout.flush()  # the table goes to the binary layer underneath
-    with _open_output(args.out, "wb", sys.stdout.buffer) as fh:
+        raise ValueError("--points must be at least 2")
+    with _open_output(args.out, "wb") as fh:
         amplitudes = np.linspace(0.0, args.speed / args.w_gamma, args.points)
         table = [
             (
@@ -213,6 +200,9 @@ def _cmd_fit_curve(args) -> int:
             for a in amplitudes
         ]
         header = ["amplitude_m", "avg_velocity_quadrature_mps", "avg_velocity_elliptic_mps"]
+        if fh is None:
+            sys.stdout.flush()  # the table goes to the binary layer underneath
+            fh = sys.stdout.buffer
         write_table(fh, header, table)
     return 0
 
@@ -232,6 +222,9 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         for v in exc.violations:
             print(f"invalid: {v}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # a rejected argument: one line, whichever check raised it
+        print(str(exc), file=sys.stderr)
         return 2
     except OSError as exc:
         print(str(exc), file=sys.stderr)

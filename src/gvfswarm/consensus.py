@@ -216,12 +216,12 @@ class WindowAverager:
         size = math.prod(self.shape)
         m = min(self._k, max(2, _SUMMARY_BLOCK // (2 * size))) if size > 1 else 1
         self._size = size
-        # the block's m folds (in warm-up, row 0 is the running sum), the
-        # newest window's row j in it, and the store row of window 0's
-        # sliver (window j's is at base + j)
+        # the block's m folds (in warm-up, row 0 is the running sum) and the
+        # newest window's row j in it; over the full window, that window's
+        # sliver sits in store row end - k, over its oldest term, which the
+        # block pass has already folded
         self._prefix = np.zeros((m,) + self.shape)
         self._j = m - 1
-        self._base = 0
 
     @property
     def count(self) -> int:
@@ -264,14 +264,14 @@ class WindowAverager:
         """Fold the newest window and the m - 1 after it over the terms so far."""
         m = len(self._prefix)
         self._terms[self._end:self._end + m - 1] = -0.0
-        self._base = self._end - self._k
+        base = self._end - self._k  # window j's terms start at row base + j
         row = self._terms.strides[0]
-        windows = np.ndarray((self._k, m) + self.shape, buffer=self._terms, offset=self._base * row,
+        windows = np.ndarray((self._k, m) + self.shape, buffer=self._terms, offset=base * row,
                              strides=(row,) + self._terms.strides)
         np.add.reduce(windows, axis=0, out=self._prefix)
         if self._fr > 0.0:
             # window j's sliver lies between samples count - k - 1 + j and the next
-            self._slivers(self._terms[self._base:self._base + m], self._count - self._k - 1)
+            self._slivers(self._terms[base:base + m], self._count - self._k - 1)
         self._j = 0
 
     def _slivers(self, out, first: int) -> None:
@@ -300,7 +300,7 @@ class WindowAverager:
             # warm-up: plain trapezoid over [0, elapsed]
             out = self._prefix[0] / elapsed
         elif self._fr > 0.0:
-            out = self._prefix[self._j] + self._terms[self._base + self._j]
+            out = self._prefix[self._j] + self._terms[self._end - self._k]
             out /= self._window
         else:
             out = self._prefix[self._j] / self._window

@@ -159,25 +159,25 @@ class TelemetryHelperError(RuntimeError):
 class _RowWriter:
     """Formats, hashes and writes the telemetry byte stream.
 
-    The header goes out first; ``write`` takes the raw float64 bytes of
-    whole rows and renders them with one ``%``. The helper process runs
-    one, and so does ``run`` itself when no helper can start.
+    The header line of ``columns`` goes out first; ``write`` takes the raw
+    float64 bytes of whole rows, a cell per column, and renders them with
+    one ``%``. The helper process runs one, and so does ``run`` itself
+    when no helper can start.
     """
 
-    def __init__(self, header: bytes, cells: int, rows: int, fh) -> None:
+    def __init__(self, columns, fh) -> None:
         # bytes %: a str % plus encode of each block raised the peak RSS of
         # some 600 s eight-drone runs by about 4 MiB of heap fragments
-        self.row_fmt = (",".join([TELEMETRY_FLOAT_FORMAT] * cells) + "\r\n").encode()
-        self.block_fmt = self.row_fmt * rows
-        self.cells, self.rows, self.fh = cells, rows, fh
+        self.cells, self.fh = len(columns), fh
+        self.row_fmt = (",".join([TELEMETRY_FLOAT_FORMAT] * self.cells) + "\r\n").encode()
+        header = (",".join(columns) + "\r\n").encode()
         self.digest = hashlib.sha256(header)
         if fh is not None:
             fh.write(header)
 
     def write(self, data) -> None:
         values = memoryview(data).cast("d").tolist()
-        b = len(values) // self.cells
-        lines = (self.block_fmt if b == self.rows else self.row_fmt * b) % tuple(values)
+        lines = (self.row_fmt * (len(values) // self.cells)) % tuple(values)
         self.digest.update(lines)
         if self.fh is not None:
             self.fh.write(lines)
@@ -199,7 +199,7 @@ def write_table(fh, columns, table) -> None:
     """
     table = np.ascontiguousarray(table, dtype=float)
     rows = max(1, _SUMMARY_BLOCK // table.shape[1])
-    writer = _RowWriter((",".join(columns) + "\r\n").encode(), table.shape[1], rows, fh)
+    writer = _RowWriter(columns, fh)
     for start in range(0, len(table), rows):
         writer.write(memoryview(table[start:start + rows]).cast("B"))
     writer.finish()
@@ -213,7 +213,7 @@ class _Helper:
     helper raises TelemetryHelperError, and every path reaps it.
     """
 
-    def __init__(self, header: bytes, cells: int, rows: int, fh) -> None:
+    def __init__(self, columns, rows: int, fh) -> None:
         data_r, data_w = os.pipe()
         reply_r, reply_w = os.pipe()
         try:
@@ -225,7 +225,7 @@ class _Helper:
                 os.close(fd)
             raise
         if pid == 0:
-            _serve(data_r, data_w, reply_r, reply_w, header, cells, rows, fh)
+            _serve(data_r, data_w, reply_r, reply_w, columns, rows, fh)
         os.close(data_r)
         os.close(reply_w)
         self.pid, self.out, self.reply, self.status = pid, data_w, reply_r, None
@@ -299,7 +299,7 @@ def _place_apart(pid: int) -> None:
         pass
 
 
-def _serve(data_r, data_w, reply_r, reply_w, header, cells, rows, fh) -> None:
+def _serve(data_r, data_w, reply_r, reply_w, columns, rows, fh) -> None:
     """The helper process: rows from the pipe to a _RowWriter, then the reply.
 
     The reply is the hexdigest, or the error that stopped the helper.
@@ -316,9 +316,9 @@ def _serve(data_r, data_w, reply_r, reply_w, header, cells, rows, fh) -> None:
         gc.disable()
         os.close(data_w)
         os.close(reply_r)
-        writer = _RowWriter(header, cells, rows, fh)
+        writer = _RowWriter(columns, fh)
         with open(data_r, "rb") as src:
-            for data in iter(lambda: src.read(rows * cells * 8), b""):
+            for data in iter(lambda: src.read(rows * writer.cells * 8), b""):
                 writer.write(data)
         reply, status = writer.finish().encode(), 0
     except Exception as exc:
@@ -330,14 +330,14 @@ def _serve(data_r, data_w, reply_r, reply_w, header, cells, rows, fh) -> None:
             os._exit(status)
 
 
-def _row_sink(header: bytes, cells: int, rows: int, fh):
+def _row_sink(columns, rows: int, fh):
     """A helper process for the rows, or a _RowWriter here if none can start."""
     if hasattr(os, "fork"):
         try:
-            return _Helper(header, cells, rows, fh)
+            return _Helper(columns, rows, fh)
         except (OSError, RuntimeError):
             pass
-    return _RowWriter(header, cells, rows, fh)
+    return _RowWriter(columns, fh)
 
 
 def run(
@@ -406,10 +406,11 @@ def run(
         edge_diffs=np.empty((n_ticks + 1, m)), lyapunov=np.empty(n_ticks + 1),
     )
 
-    rows_on = compute_digest or telemetry_path is not None
+    # the telemetry columns, None when no rows are formatted
+    columns = _telemetry_header(n, m) if compute_digest or telemetry_path is not None else None
     # the observers run once per block of about _SUMMARY_BLOCK cells, from
     # the history and each tick's eta and p_dot
-    rows = max(1, _SUMMARY_BLOCK // (2 + 13 * n + m if rows_on else n))
+    rows = max(1, _SUMMARY_BLOCK // (n if columns is None else len(columns)))
     eta_rows, p_dot_rows = np.empty((rows, n)), np.empty((2, rows, n))
     last_violation, final_edge = -1, 0.0
     ground_min = omega_min = np.inf
@@ -418,12 +419,11 @@ def run(
     clock = time.perf_counter_ns
     ns_publish = ns_control = ns_telemetry = ns_advance = ns_send = 0
     try:
-        if rows_on:
-            # one float row per tick: t, 13 cells per drone, z, V; the drone
-            # cells are an (N, 13) view per row
-            block = np.empty((rows, 2 + 13 * n + m))
-            drone_cells = block[:, 1:1 + 13 * n].reshape(rows, n, 13)
-            header = (",".join(_telemetry_header(n, m)) + "\r\n").encode()
+        if columns is not None:
+            # one float row per tick: t, the drone cells, z, V; the drone
+            # cells are an (N, len(_DRONE_CELLS)) view per row
+            block = np.empty((rows, len(columns)))
+            drone_cells = block[:, 1:-1 - m].reshape(rows, n, len(_DRONE_CELLS))
             if telemetry_path is not None:
                 # opened here, so a bad path fails before the first tick
                 fh = open(telemetry_path, "wb")
@@ -484,15 +484,15 @@ def run(
                 ground_max = np.maximum(ground_max, ground.max())
                 omega_min = np.minimum(omega_min, hist.omegas[ticks].min())
                 omega_max = np.maximum(omega_max, hist.omegas[ticks].max())
-                if rows_on:
+                if columns is not None:
                     block[:b, 0] = times[ticks]
                     drone_cells[:b, :, :-1] = store[ticks].transpose(0, 2, 1)
                     drone_cells[:b, :, -1] = hist.branches[ticks]
-                    block[:b, 1 + 13 * n:-1] = z
+                    block[:b, -1 - m:-1] = z
                     block[:b, -1] = v
                     t_send = clock()
                     if sink is None:
-                        sink = _row_sink(header, block.shape[1], rows, fh)
+                        sink = _row_sink(columns, rows, fh)
                     sink.write(memoryview(block[:b]).cast("B"))
                     if k == n_ticks:
                         hist.telemetry_digest = sink.finish()

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -384,7 +385,7 @@ class TestConsensusDemo:
 
     def test_x0_length_mismatch(self, capsys):
         assert main(["consensus-demo", "--nodes", "3", "--x0", "0", "1"]) == 2
-        capsys.readouterr()
+        assert capsys.readouterr() == ("", "--x0 needs 3 values\n")
 
     @pytest.mark.parametrize("t_end", ["inf", "nan"])
     def test_rejects_non_finite_t_end(self, t_end, capsys):
@@ -411,10 +412,15 @@ class TestConsensusDemo:
              "x0 is too far from agreement: V(x0) is not a finite number"),
             (["--dt", "1e-300", "--t-end", "1e10"],
              "t_end 10000000000.0 / dt 1e-300 is not a finite count of steps"),
+            (["--nodes", "0"], "--nodes must be at least 1"),
+            # numpy's own errors for these two name no flag
+            (["--seed", "-1"], "--seed must be non-negative, got -1"),
+            (["--nodes", "3", "--span", "1", "0"], "--span LO must not exceed HI, got 1 0"),
         ],
         ids=[
             "tau-h-inf", "tau-l-nan", "r-inf", "x0-nan", "x0-inf", "span-inf", "span-nan",
-            "span-overflows-v", "step-count-overflows",
+            "span-overflows-v", "step-count-overflows", "no-nodes", "seed-negative",
+            "span-reversed",
         ],
     )
     def test_rejects_non_finite_inputs(self, args, message, capsys):
@@ -489,9 +495,19 @@ class TestFitCurve:
         header = ["amplitude_m", "avg_velocity_quadrature_mps", "avg_velocity_elliptic_mps"]
         assert data == _csv_oracle(header, rows)
 
+    def test_out_file_needs_no_binary_stdout(self, tmp_path, capsys):
+        # with --out, stdout is not touched: a text-only one has no .buffer
+        args = ["fit-curve", "--speed", "8", "--w-gamma", "0.6", "--points", "4"]
+        out = tmp_path / "curve.csv"
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            assert main(args + ["--out", str(out)]) == 0
+        assert text.getvalue() == ""
+        assert main(args) == 0
+        assert out.read_bytes() == capsys.readouterr().out.encode()
+
     def test_rejects_single_point(self, capsys):
         assert main(["fit-curve", "--speed", "8", "--w-gamma", "0.6", "--points", "1"]) == 2
-        capsys.readouterr()
+        assert capsys.readouterr() == ("", "--points must be at least 2\n")
 
     @pytest.mark.parametrize(
         "speed,w_gamma",
