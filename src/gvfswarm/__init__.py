@@ -35,6 +35,7 @@ from .oscillation import (
     gamma,
     gamma_ddot,
     gamma_dot,
+    schedule_operands,
 )
 from .scenario import (
     Scenario,
@@ -68,6 +69,7 @@ __all__ = [
     "gamma",
     "gamma_ddot",
     "gamma_dot",
+    "schedule_operands",
     "Scenario",
     "ScenarioError",
     "apply_overrides",

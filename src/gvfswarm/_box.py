@@ -6,13 +6,15 @@ path: ``a * 0.3`` on 8 floats costs about 1.1 us, where the same
 product with a 0-d float64 array costs about 0.77 us, as much as an
 array-array product; a ``np.float64`` is no faster than a Python float.
 The value, the operation and so every result bit are the same, so the
-kernels take a boxed scalar wherever a Python float works, and the
-simulator boxes its scalars once per run.
+kernels take a boxed scalar wherever a Python float works.
 
 A box is only ever an operand: arithmetic between two boxes costs as
-much as an array call. So a kernel computes a derived scalar such as
-v^2 from Python floats, as it always did, and boxes the result; equal
-values share one box, so that costs a dict lookup, not an allocation.
+much as an array call. So a derived scalar such as v^2 is computed
+from Python floats and boxed, once per run, by the helper of the
+kernel that reads it (``vehicle_operands``, ``field_operands``,
+``wave_operands``, ``schedule_operands``, ``relaxation_operands``); the
+kernel takes the box ready-made and derives nothing per call. Equal
+values share one box.
 """
 
 from __future__ import annotations

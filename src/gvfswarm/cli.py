@@ -11,7 +11,10 @@ Verbs:
 Exit codes: 0 on success, 1 on runtime failures (unreadable files,
 I/O), 2 on usage or validation errors: a verb raises ValueError for a
 rejected argument, and ``main`` prints it as one stderr line (a
-rejected scenario: one line per violation).
+rejected scenario: one line per violation). A scenario that validates
+but whose run overflows, say under a gain, wind or speed near the
+float range, is a rejected argument too: ``run`` checks the summary
+before it writes it.
 """
 
 from __future__ import annotations
@@ -107,14 +110,25 @@ def _cmd_run(args) -> int:
     mapping = apply_overrides(load_mapping(args.scenario), args.overrides)
     scenario = build_scenario(mapping)  # ScenarioError: main reports it, exit 2
     with _open_output(args.summary, "w", sys.stdout) as fh:
-        result = run_sim(
-            scenario,
-            telemetry_path=args.telemetry,
-            overrides=args.overrides,
-            compute_digest=args.digest,
-        )
+        # an overflow shows up below as a non-finite summary value, once
+        with np.errstate(all="ignore"):
+            result = run_sim(
+                scenario,
+                telemetry_path=args.telemetry,
+                overrides=args.overrides,
+                compute_digest=args.digest,
+            )
+        _check_finite(result.summary)
         fh.write(yaml.safe_dump(result.summary, sort_keys=False))
     return 0
+
+
+def _check_finite(summary: dict) -> None:
+    """Raise ValueError naming the first summary key that holds a NaN or an infinity."""
+    for key, value in summary.items():
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, float) and not math.isfinite(item):
+                raise ValueError(f"the run overflowed: summary {key} is {item}")
 
 
 def _cmd_validate(args) -> int:

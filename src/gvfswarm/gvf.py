@@ -13,16 +13,20 @@ whole budget goes lateral (exterior branch):
 Both branches have ||f|| = v and they agree at the boundary. Along
 closed-loop motion pdot = f the tracking error phi - gamma contracts
 as exp(-k_e t). Vectors are component-first, (2, ...), so a vector
-meets a per-drone scalar in two contiguous inner loops.
+meets a per-drone scalar in two contiguous inner loops. The kernel takes
+its run constants ready-made, as one :class:`FieldOperands` from
+:func:`field_operands`.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from ._box import ZERO, box
 
-__all__ = ["field_core"]
+__all__ = ["FieldOperands", "field_operands", "field_core"]
 
 # relative floor for the tangential magnitude in the interior rate
 # formula, and the scale of the boundary layer where alpha_dot is
@@ -30,7 +34,21 @@ __all__ = ["field_core"]
 ALPHA_FLOOR_REL = 1e-6
 
 
-def field_core(phi, normal, tangent, speed: float, k_e: float, gamma, gamma_dot, gamma_ddot, p_dot):
+class FieldOperands(NamedTuple):
+    """The run constants of :func:`field_core`, boxed (see ``_box``)."""
+
+    speed: np.ndarray  # v
+    speed_sq: np.ndarray  # v^2
+    alpha_floor: np.ndarray  # ALPHA_FLOOR_REL v, the floor of the tangential magnitude
+
+
+def field_operands(speed: float) -> FieldOperands:
+    """field_core's operands for ground speed v."""
+    v = float(speed)
+    return FieldOperands(box(v), box(v * v), box(ALPHA_FLOOR_REL * v))
+
+
+def field_core(phi, normal, tangent, ops: FieldOperands, k_e, gamma, gamma_dot, gamma_ddot, p_dot):
     """Vectorized field and field rate on stacked line geometry.
 
     Parameters
@@ -40,9 +58,10 @@ def field_core(phi, normal, tangent, speed: float, k_e: float, gamma, gamma_dot,
     normal, tangent : array (2, ...)
         Unit left normal (the gradient of phi) and unit tangent of
         each line.
-    speed, k_e : float
-        Ground speed and convergence gain; either may be boxed (a
-        read-only 0-d array), and k_e may be one gain per point.
+    ops : FieldOperands
+        Ground speed v and what the kernel derives from it.
+    k_e : float or array (...)
+        Convergence gain, one for all points or one per point.
     gamma, gamma_dot, gamma_ddot : array (...)
         Offset reference and its first two rates.
     p_dot : array (2, ...)
@@ -57,8 +76,7 @@ def field_core(phi, normal, tangent, speed: float, k_e: float, gamma, gamma_dot,
     selects are skipped and the interior arrays are returned as they
     are: the values ``where`` would pick, so the bits are the same.
     """
-    phi = np.asarray(phi, dtype=float)
-    v = float(speed)
+    speed = ops.speed
     # gamma_dot - k_e (phi - gamma) is -k_e (phi - gamma) + gamma_dot to
     # the bit: negation is exact and x - y is x + (-y)
     u_phi = gamma_dot - k_e * (phi - gamma)
@@ -66,8 +84,9 @@ def field_core(phi, normal, tangent, speed: float, k_e: float, gamma, gamma_dot,
     beta = u_phi * normal
     beta_norm = np.abs(u_phi)
     interior = beta_norm <= speed
-    all_interior = bool(np.logical_and.reduce(interior, axis=None))
-    alpha = np.sqrt(np.maximum(box(v * v) - u_phi * u_phi, ZERO))
+    # a count, not a logical_and reduction: a third of the cost on 8 points
+    all_interior = np.count_nonzero(interior) == interior.size
+    alpha = np.sqrt(np.maximum(ops.speed_sq - u_phi * u_phi, ZERO))
     f = alpha * tangent + beta
 
     # a sum over axis 0, not a[0]*b[0] + a[1]*b[1]: -0.0 + -0.0 sums to +0.0
@@ -76,7 +95,7 @@ def field_core(phi, normal, tangent, speed: float, k_e: float, gamma, gamma_dot,
     beta_dot = u_phi_dot * normal
     # interior: f_dot = alpha_dot t_hat + beta_dot, with
     # alpha_dot = -(beta . beta_dot)/alpha floored near the boundary
-    alpha_safe = np.maximum(alpha, box(ALPHA_FLOOR_REL * v))
+    alpha_safe = np.maximum(alpha, ops.alpha_floor)
     alpha_dot = -(u_phi * u_phi_dot) / alpha_safe
     f_dot = alpha_dot * tangent + beta_dot
     if not all_interior:

@@ -12,12 +12,18 @@ A_d = k_A sqrt(v^2 - xdot_d^2) / w, with k_A fitted once by least
 squares against the quadrature curve. :func:`amplitude_schedule` is
 the one form of that schedule: the simulator calls it every tick, and
 it returns the capped amplitude together with the uncapped one.
+
+The three per-tick kernels, :func:`wave`, :func:`amplitude_schedule` and
+:func:`relaxation_step`, take their run constants ready-made, each as
+one bundle from its helper: :func:`wave_operands`,
+:func:`schedule_operands` and :func:`relaxation_operands`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,13 +34,19 @@ __all__ = [
     "gamma",
     "gamma_dot",
     "gamma_ddot",
+    "WaveOperands",
+    "wave_operands",
     "wave",
     "complete_elliptic_e",
     "average_parametric_velocity",
     "average_parametric_velocity_closed_form",
     "epsilon",
+    "ScheduleOperands",
+    "schedule_operands",
     "amplitude_schedule",
     "fit_k_a",
+    "RelaxationOperands",
+    "relaxation_operands",
     "relaxation_step",
 ]
 
@@ -85,20 +97,35 @@ class OscillationConfig:
         return 2.0 * math.pi / self.w_gamma
 
 
-def wave(sin_wt, cos_wt, amplitude, amplitude_rate, amplitude_accel, w_gamma):
+class WaveOperands(NamedTuple):
+    """The run constants of :func:`wave`: w and w^2, boxed for a scalar w."""
+
+    w_gamma: np.ndarray
+    w_sq: np.ndarray
+
+
+def wave_operands(w_gamma) -> WaveOperands:
+    """wave's operands for one angular frequency w, or an array of them."""
+    if getattr(w_gamma, "ndim", 0):
+        return WaveOperands(w_gamma, w_gamma**2)
+    # w^2 is Python's float **: a 0-d array's ** squares, which differs
+    # from pow(w, 2) in the last bit for some w
+    w = float(w_gamma)
+    return WaveOperands(box(w), box(w**2))
+
+
+def wave(sin_wt, cos_wt, amplitude, amplitude_rate, amplitude_accel, ops: WaveOperands):
     """gamma, gamma_dot and gamma_ddot from a given sin(w t) and cos(w t).
 
     The one kernel behind :func:`gamma`, :func:`gamma_dot` and
     :func:`gamma_ddot`; the simulator calls it once per tick with the
     phase evaluated once. Broadcasts over array inputs.
     """
-    # w^2 is Python's float ** for a scalar, boxed or not: a 0-d array's
-    # ** squares, which differs from pow(w, 2) in the last bit for some w
-    w_sq = box(float(w_gamma) ** 2) if getattr(w_gamma, "ndim", 0) == 0 else w_gamma**2
+    w_gamma = ops.w_gamma
     g = amplitude * sin_wt
     g_dot = amplitude_rate * sin_wt + amplitude * w_gamma * cos_wt
     g_ddot = (
-        (amplitude_accel - amplitude * w_sq) * sin_wt
+        (amplitude_accel - amplitude * ops.w_sq) * sin_wt
         + TWO * amplitude_rate * w_gamma * cos_wt
     )
     return g, g_dot, g_ddot
@@ -111,17 +138,18 @@ def _phase(t, w_gamma):
 
 def gamma(t, amplitude, w_gamma):
     """Lateral reference A sin(w t). Broadcasts over array inputs."""
-    return wave(*_phase(t, w_gamma), amplitude, 0.0, 0.0, w_gamma)[0]
+    return wave(*_phase(t, w_gamma), amplitude, 0.0, 0.0, wave_operands(w_gamma))[0]
 
 
 def gamma_dot(t, amplitude, amplitude_rate, w_gamma):
     """Time derivative of gamma for a time-varying amplitude."""
-    return wave(*_phase(t, w_gamma), amplitude, amplitude_rate, 0.0, w_gamma)[1]
+    return wave(*_phase(t, w_gamma), amplitude, amplitude_rate, 0.0, wave_operands(w_gamma))[1]
 
 
 def gamma_ddot(t, amplitude, amplitude_rate, amplitude_accel, w_gamma):
     """Second time derivative of gamma for a time-varying amplitude."""
-    return wave(*_phase(t, w_gamma), amplitude, amplitude_rate, amplitude_accel, w_gamma)[2]
+    ops = wave_operands(w_gamma)
+    return wave(*_phase(t, w_gamma), amplitude, amplitude_rate, amplitude_accel, ops)[2]
 
 
 def complete_elliptic_e(m: float) -> float:
@@ -217,7 +245,24 @@ def epsilon(speed: float, k_a: float) -> float:
     return speed * math.sqrt(k_a * k_a - 1.0) / k_a
 
 
-def amplitude_schedule(xdot, speed: float, w_gamma: float, k_a: float, amplitude_cap: float):
+class ScheduleOperands(NamedTuple):
+    """The run constants of :func:`amplitude_schedule`, boxed (see ``_box``)."""
+
+    speed_sq: np.ndarray  # v^2
+    w_gamma: np.ndarray
+    k_a: np.ndarray
+    amplitude_cap: np.ndarray
+
+
+def schedule_operands(
+    speed: float, w_gamma: float, k_a: float, amplitude_cap: float
+) -> ScheduleOperands:
+    """amplitude_schedule's operands for speed v, frequency w, gain k_A and the cap."""
+    v = float(speed)
+    return ScheduleOperands(box(v * v), box(w_gamma), box(k_a), box(amplitude_cap))
+
+
+def amplitude_schedule(xdot, ops: ScheduleOperands):
     """A_d = min(k_A sqrt(max(v^2 - xdot^2, 0)) / w, cap), and the unclamped value.
 
     The one schedule kernel: the simulator calls it on every tick, where
@@ -226,9 +271,8 @@ def amplitude_schedule(xdot, speed: float, w_gamma: float, k_a: float, amplitude
     xdot above v gives 0, and xdot below 0 gives the formula as it
     stands. Broadcasts over array inputs.
     """
-    v = float(speed)
-    raw = k_a * np.sqrt(np.maximum(box(v * v) - xdot * xdot, ZERO)) / w_gamma
-    return np.minimum(raw, amplitude_cap), raw
+    raw = ops.k_a * np.sqrt(np.maximum(ops.speed_sq - xdot * xdot, ZERO)) / ops.w_gamma
+    return np.minimum(raw, ops.amplitude_cap), raw
 
 
 def fit_k_a(speed: float, w_gamma: float, n_samples: int = 100) -> float:
@@ -242,24 +286,36 @@ def fit_k_a(speed: float, w_gamma: float, n_samples: int = 100) -> float:
         raise ValueError(f"need at least 10 samples for a stable fit, got {n_samples}")
     amplitudes = np.linspace(0.0, speed / w_gamma, n_samples)
     xdot = np.array([average_parametric_velocity(speed, w_gamma, a) for a in amplitudes])
-    g = amplitude_schedule(xdot, speed, w_gamma, 1.0, np.inf)[1]
+    g = amplitude_schedule(xdot, schedule_operands(speed, w_gamma, 1.0, math.inf))[1]
     return float(np.dot(amplitudes, g) / np.dot(g, g))
 
 
-def relaxation_step(value, target, dt: float, tau: float):
-    """One exact step of tau * xdot = target - x under a held target.
+class RelaxationOperands(NamedTuple):
+    """The run constants of :func:`relaxation_step`, boxed (see ``_box``)."""
 
-    Returns (value, rate, accel) after dt. Array-capable; with target
-    in [lo, hi] the new value is a convex combination and stays inside
-    the same interval, so no clamping is needed downstream.
-    """
+    decay: np.ndarray  # exp(-dt/tau)
+    tau: np.ndarray
+
+
+def relaxation_operands(dt: float, tau: float) -> RelaxationOperands:
+    """relaxation_step's operands for step dt and time constant tau."""
     h, t = float(dt), float(tau)
     if not t > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if h < 0:
         raise ValueError(f"dt must be non-negative, got {dt}")
-    decay = math.exp(-h / t)
-    new_value = target + (np.asarray(value, dtype=float) - target) * box(decay)
+    return RelaxationOperands(box(math.exp(-h / t)), box(t))
+
+
+def relaxation_step(value, target, ops: RelaxationOperands):
+    """One exact step of tau * xdot = target - x under a held target.
+
+    Returns (value, rate, accel) after the operands' dt. Array-capable;
+    with target in [lo, hi] the new value is a convex combination and
+    stays inside the same interval, so no clamping is needed downstream.
+    """
+    tau = ops.tau
+    new_value = target + (value - target) * ops.decay
     new_rate = (target - new_value) / tau
     new_accel = -new_rate / tau
     return new_value, new_rate, new_accel

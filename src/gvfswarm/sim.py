@@ -3,8 +3,9 @@
 Every tick runs the same four stages, each one vectorized over all
 drones:
 
-1. publish: each drone's path parameter is pushed into its
-   sliding-window averager, whose average xbar the tick publishes and
+1. publish: each drone's path parameter x, projected on its line
+   together with the level value phi that control reads, is pushed
+   into its sliding-window averager, whose average xbar the tick publishes and
    the telemetry stage stores. The averager keeps a running sum in
    warm-up; over the full window it sums a block of the coming ticks'
    windows in one pass every few ticks, and each push completes one of
@@ -49,9 +50,20 @@ drones:
    v (cos, sin) of the new heading to the bit, to the next tick's
    control.
 
-Every scalar that a kernel combines with an array goes in boxed, as a
-read-only 0-d float64 array made once per run (see ``_box``): the same
-bits at a lower cost per numpy call.
+Every run constant a kernel combines with an array is built once per
+run by the kernel's own helper (``vehicle_operands``, ``field_operands``,
+``wave_operands``, ``schedule_operands``, ``relaxation_operands``): the
+scalars boxed as read-only 0-d float64 arrays (see ``_box``), with what
+a kernel derives from them (v^2, w^2, h/2 and h/6, the field's alpha
+floor, the decay exp(-dt/tau_a)) and the wind shaped for the stage
+arrays. So a tick spends its numpy calls on arithmetic: the same bits,
+with no per-call conversion, boxing or reshaping. At N = 8 that, with
+the tick's one product for x and phi, saves about 5.9 us of an 80 us
+tick (README, "Boxed scalars and run-built operands", has the cost of
+each kernel before and after). The tick calls each kernel a tracer
+may replace through this module's globals (relaxation_step through
+``gvfswarm.oscillation``, the averager's methods on its class), once
+per tick or step; ``TestKernelCalls`` counts the calls.
 
 Planar vectors are component-first, (2, N), inside the tick. The
 per-drone history is one (ticks, 12, N) float64 store whose middle axis
@@ -87,9 +99,9 @@ from .consensus import (
     neighbor_disagreement,
     sat,
 )
-from .gvf import field_core
+from .gvf import field_core, field_operands
 from .scenario import Scenario
-from .vehicle import heading_rate_core, unicycle_step
+from .vehicle import heading_rate_core, unicycle_step, vehicle_operands
 
 __all__ = [
     "SimulationResult", "TelemetryHelperError", "run", "write_table", "TELEMETRY_FLOAT_FORMAT",
@@ -367,16 +379,24 @@ def run(
     n, m, delay = sc.n_drones, sc.graph.n_edges, sc.comm_delay_ticks
     dt, n_ticks, speed, wind = sc.dt, sc.n_ticks, sc.speed, sc.wind
     cfg, sat_p = sc.oscillation, sc.saturation
-    w, cap = cfg.w_gamma, cfg.amplitude_cap
+    w = cfg.w_gamma
 
     origins, tangents, normals = sc.origins, sc.tangents, sc.normals
+    # each line's tangent over its normal, (2, 2, N): one product and one
+    # sum over the components give the path parameter x and the level value
+    # phi together, each the same sum as over its own (2, N) product
+    frames = np.stack([tangents, normals])
     table = sc.graph.neighbor_table
     tails, heads = sc.graph.edge_array.T
 
-    # every scalar a kernel combines with an array, boxed once (see _box);
-    # the gains k_e and k_n are already per-drone arrays
-    speed_b, k_u_b, dt_b, w_b = box(speed), box(sc.k_u), box(dt), box(w)
-    k_a_b, cap_b, tau_a_b = box(cfg.k_a), box(cap), box(cfg.tau_a)
+    # every run constant a kernel combines with an array, built once by
+    # the kernel's own helper; the gains k_e and k_n are per-drone arrays
+    kin = vehicle_operands(speed, dt, wind)
+    field_ops = field_operands(speed)
+    wave_ops = osc.wave_operands(w)
+    schedule_ops = osc.schedule_operands(speed, w, cfg.k_a, cfg.amplitude_cap)
+    relax_ops = osc.relaxation_operands(dt, cfg.tau_a)
+    speed_b, k_u_b = kin.speed, box(sc.k_u)
     # this tick's sin(w t) and cos(w t), written in place
     sin_wt, cos_wt = np.empty(()), np.empty(())
     # relaxation_step and the history only read a fixed command
@@ -431,8 +451,8 @@ def run(
             t0 = clock()
             j = k % rows
             # publish
-            offset = pos - origins
-            x = np.add.reduce(offset * tangents, axis=0)
+            projections = np.add.reduce((pos - origins) * frames, axis=1)
+            x, phi = projections[0], projections[1]
             averager.push(x)
             xbar = averager.average()
             t1 = clock()
@@ -446,16 +466,15 @@ def run(
             u = sat(lead, sat_p)
             xdot_d = speed_b - k_u_b * u
             if fixed_cmd is None:
-                a_cmd = osc.amplitude_schedule(xdot_d, speed_b, w_b, k_a_b, cap_b)[0]
+                a_cmd = osc.amplitude_schedule(xdot_d, schedule_ops)[0]
             else:
                 a_cmd = fixed_cmd
             wt = w * float(times[k])
             sin_wt[()], cos_wt[()] = math.sin(wt), math.cos(wt)
-            g, g_dot, g_ddot = osc.wave(sin_wt, cos_wt, amp, amp_rate, amp_accel, w_b)
-            phi = np.add.reduce(offset * normals, axis=0)
+            g, g_dot, g_ddot = osc.wave(sin_wt, cos_wt, amp, amp_rate, amp_accel, wave_ops)
             f, f_dot, interior = field_core(
-                phi, normals, tangents, speed_b, sc.k_e, g, g_dot, g_ddot, velocity)
-            omega = heading_rate_core(f, f_dot, velocity, speed_b, sc.k_n)
+                phi, normals, tangents, field_ops, sc.k_e, g, g_dot, g_ddot, velocity)
+            omega = heading_rate_core(f, f_dot, velocity, kin, sc.k_n)
             t2 = clock()
             # telemetry: the history rows, then the observers once per block
             store[k, 0:2] = pos
@@ -478,7 +497,7 @@ def run(
                         last_violation = k - j + int(late[-1])
                     final_edge = max_edge[-1]
                 # sqrt(vx^2 + vy^2) is bitwise np.linalg.norm over the pair
-                vx, vy = p_dot_rows[:, :b] + wind.reshape(2, 1, 1)
+                vx, vy = p_dot_rows[:, :b] + kin.stage_wind
                 ground = np.sqrt(vx * vx + vy * vy)
                 ground_min = np.minimum(ground_min, ground.min())
                 ground_max = np.maximum(ground_max, ground.max())
@@ -500,8 +519,8 @@ def run(
             t3 = clock()
             # advance
             if k < n_ticks:
-                pos, theta, velocity = unicycle_step(pos, theta, velocity, omega, speed_b, dt_b, wind)
-                amp, amp_rate, amp_accel = osc.relaxation_step(amp, a_cmd, dt_b, tau_a_b)
+                pos, theta, velocity = unicycle_step(pos, theta, velocity, omega, kin)
+                amp, amp_rate, amp_accel = osc.relaxation_step(amp, a_cmd, relax_ops)
             t4 = clock()
             ns_publish += t1 - t0
             ns_control += t2 - t1

@@ -20,7 +20,7 @@ import gvfswarm.oscillation as osc
 from gvfswarm import cli
 from gvfswarm.consensus import SaturationParams, integrate_consensus
 from gvfswarm.graph import DEMO_TREE_EDGES, Graph
-from gvfswarm.gvf import field_core
+from gvfswarm.gvf import field_core, field_operands
 from gvfswarm.scenario import apply_overrides, build_scenario, load_mapping
 from gvfswarm.sim import run
 
@@ -156,7 +156,7 @@ def test_amplitude_gain_fit_band(report):
 
 def test_lowest_velocity_maps_to_kinematic_limit(report):
     eps = osc.epsilon(V, 1.35)
-    a = osc.amplitude_schedule(eps, V, W, 1.35, V / W)[0]
+    a = osc.amplitude_schedule(eps, osc.schedule_operands(V, W, 1.35, V / W))[0]
     ok = abs(a - 26.7) <= 0.1
     report(
         "amplitude-at-lowest-velocity",
@@ -283,7 +283,7 @@ def test_field_derivative_matches_finite_difference(report):
                 break
         pd = V * np.array([math.cos(theta), math.sin(theta)])
         gdd = float(osc.gamma_ddot(t0, a0, a1, a2, W))
-        _, f_dot, interior = field_core(p[1], normal, tangent, V, 1.0, g, gd, gdd, pd)
+        _, f_dot, interior = field_core(p[1], normal, tangent, field_operands(V), 1.0, g, gd, gdd, pd)
         counts["interior" if interior else "exterior"] += 1
 
         def f_at(tau):
@@ -292,7 +292,7 @@ def test_field_derivative_matches_finite_difference(report):
             g_tau = float(osc.gamma(t0 + tau, a_tau, W))
             gd_tau = float(osc.gamma_dot(t0 + tau, a_tau, ad_tau, W))
             q = p + tau * pd
-            return field_core(q[1], normal, tangent, V, 1.0, g_tau, gd_tau, 0.0, pd)[0]
+            return field_core(q[1], normal, tangent, field_operands(V), 1.0, g_tau, gd_tau, 0.0, pd)[0]
 
         fd = (f_at(h) - f_at(-h)) / (2.0 * h)
         worst = max(worst, float(np.linalg.norm(f_dot - fd)))

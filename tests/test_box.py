@@ -1,8 +1,10 @@
-"""Every tick kernel gives the same bits with boxed scalars as with Python floats.
+"""Every tick kernel gives the same bits with run-built operands as with Python floats.
 
-The simulator hands its kernels read-only 0-d float64 arrays where a
-caller may pass Python floats (see gvfswarm._box); only the cost of
-each array operation may differ.
+The simulator builds each kernel's run constants once, with the
+kernel's own helper: read-only 0-d float64 arrays where a caller may
+pass Python floats (see gvfswarm._box). Each test calls a kernel with
+the operands that helper builds and with the same bundle of plain
+floats; only the cost of each array operation may differ.
 """
 
 import math
@@ -15,8 +17,8 @@ from gvfswarm import _box
 from gvfswarm import oscillation as osc
 from gvfswarm._box import box
 from gvfswarm.consensus import SaturationParams, WindowAverager, sat
-from gvfswarm.gvf import field_core
-from gvfswarm.vehicle import heading_rate_core, unicycle_step
+from gvfswarm.gvf import ALPHA_FLOOR_REL, field_core, field_operands
+from gvfswarm.vehicle import heading_rate_core, unicycle_step, vehicle_operands
 
 V, N = 16.0, 8
 
@@ -29,6 +31,11 @@ def _same(a, b) -> bool:
         return False
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _plain(ops):
+    """The operand bundle with each boxed scalar as the Python float it holds."""
+    return type(ops)(*(float(a) if a.ndim == 0 else a for a in ops))
 
 
 def _boxed(args):
@@ -67,54 +74,72 @@ def test_field_core(rng, k_e):
     tangent = np.array([np.cos(angle), np.sin(angle)])
     p_dot = V * np.array([np.cos(angle + 0.3), np.sin(angle + 0.3)])
     g, g_dot, g_ddot = rng.normal(0.0, 1.0, (3, N))
+    ops = field_operands(V)
+    assert _plain(ops) == (V, V * V, ALPHA_FLOOR_REL * V)
     for spread in (1.0, 40.0):  # all interior, then some exterior
         phi = rng.normal(0.0, spread, N)
-        args = (phi, normal, tangent, V, k_e, g, g_dot, g_ddot, p_dot)
-        plain = field_core(*args)
-        assert _same(field_core(*_boxed(args)), plain)
+        plain = field_core(phi, normal, tangent, _plain(ops), k_e, g, g_dot, g_ddot, p_dot)
+        got = field_core(phi, normal, tangent, ops, *_boxed((k_e,)), g, g_dot, g_ddot, p_dot)
+        assert _same(got, plain)
         assert plain[2].all() == (spread == 1.0)
 
 
 def test_heading_rate_core(rng):
     f, f_dot, vel = rng.normal(0.0, V, (3, 2, N))
+    ops = vehicle_operands(V, 0.02)
     for k_n in (1.3, rng.uniform(0.5, 2.0, N)):
-        args = (f, f_dot, vel, V, k_n)
-        assert _same(heading_rate_core(*_boxed(args)), heading_rate_core(*args))
+        plain = heading_rate_core(f, f_dot, vel, _plain(ops), k_n)
+        assert _same(heading_rate_core(f, f_dot, vel, ops, *_boxed((k_n,))), plain)
+        # the plain-float formula with v^2 from the speed
+        mismatch = k_n * vel - f_dot
+        assert _same(plain, (f[1] * mismatch[0] - f[0] * mismatch[1]) / (V * V))
 
 
-def test_unicycle_step_with_and_without_wraps(rng):
+@pytest.mark.parametrize("wind", [(0.0, 0.0), (0.7, -1.2)], ids=["calm", "windy"])
+def test_unicycle_step_with_and_without_wraps(rng, wind):
     pos = rng.normal(0.0, 50.0, (2, N))
-    wind = np.array([0.7, -1.2])
     wrapped = set()
-    for _ in range(20):
-        theta = rng.uniform(-math.pi, math.pi, N)
-        omega = rng.uniform(-6.0, 6.0, N)
-        vel = V * np.array([np.cos(theta), np.sin(theta)])
-        args = (pos, theta, vel, omega, V, 0.5, wind)
-        plain = unicycle_step(*args)
-        assert _same(unicycle_step(*_boxed(args)), plain)
-        wrapped.add(bool((np.abs(theta + 0.5 * omega) > math.pi).any()))
+    for dt in (0.02, 0.5):
+        ops = vehicle_operands(V, dt, np.array(wind))
+        assert _plain(ops)[:2] == (V, V * V) and float(ops.sixth_dt) == dt / 6.0
+        assert ops.stage_dt.tolist() == [[0.5 * dt], [dt]]
+        for _ in range(20):
+            theta = rng.uniform(-math.pi, math.pi, N)
+            omega = rng.uniform(-6.0, 6.0, N)
+            vel = V * np.array([np.cos(theta), np.sin(theta)])
+            plain = unicycle_step(pos, theta, vel, omega, _plain(ops))
+            got = unicycle_step(pos, theta, vel, omega, ops)
+            assert _same(got, plain)
+            # v (cos, sin) of the returned heading, wrapped or not
+            assert _same(got[2], V * np.array([np.cos(got[1]), np.sin(got[1])]))
+            wrapped.add(bool((np.abs(theta + dt * omega) >= math.pi).any()))
     assert wrapped == {True, False}
 
 
 def test_wave(rng):
     a, a_dot, a_ddot = rng.uniform(0.0, 20.0, (3, N))
+    ops = osc.wave_operands(0.6)
+    assert _plain(ops) == (0.6, 0.6**2)
     for t in (0.0, 3.7, 512.3):
         wt = 0.6 * t
-        args = (math.sin(wt), math.cos(wt), a, a_dot, a_ddot, 0.6)
-        assert _same(osc.wave(*_boxed(args)), osc.wave(*args))
+        args = (math.sin(wt), math.cos(wt), a, a_dot, a_ddot)
+        assert _same(osc.wave(*_boxed(args), ops), osc.wave(*args, _plain(ops)))
 
 
 def test_amplitude_schedule(rng):
     xdot = rng.uniform(0.0, V, N)
-    args = (xdot, V, 0.6, 1.35, V / 0.6)
-    assert _same(osc.amplitude_schedule(*_boxed(args)), osc.amplitude_schedule(*args))
+    xdot[:2] = 0.0, V
+    ops = osc.schedule_operands(V, 0.6, 1.35, V / 0.6)
+    assert _plain(ops) == (V * V, 0.6, 1.35, V / 0.6)
+    assert _same(osc.amplitude_schedule(xdot, ops), osc.amplitude_schedule(xdot, _plain(ops)))
 
 
 def test_relaxation_step(rng):
     value, target = rng.uniform(0.0, 20.0, (2, N))
-    args = (value, target, 0.02, 5.0 / 0.6)
-    assert _same(osc.relaxation_step(*_boxed(args)), osc.relaxation_step(*args))
+    ops = osc.relaxation_operands(0.02, 5.0 / 0.6)
+    assert _plain(ops) == (math.exp(-0.02 / (5.0 / 0.6)), 5.0 / 0.6)
+    plain = osc.relaxation_step(value, target, _plain(ops))
+    assert _same(osc.relaxation_step(value, target, ops), plain)
 
 
 def test_sat_is_the_float_formula(rng):

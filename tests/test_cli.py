@@ -268,6 +268,26 @@ class TestRun:
             "error: telemetry helper was killed by signal 9 before the run ended"
         ]
 
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ("gvf.k_e=1e308", "summary final_max_edge_diff_m is nan"),
+            ("wind_mps=[1e300,0]", "summary ground_speed_min_mps is inf"),
+            ("speed_mps=1e200", "summary final_max_edge_diff_m is nan"),
+        ],
+        ids=["gain", "wind", "speed"],
+    )
+    def test_overflowing_run_is_one_error_line(self, override, message, scenario_dir, tmp_path,
+                                               capsys):
+        # each validates, then overflows in flight; the summary file stays empty
+        args = [str(scenario_dir / "two_drones.scn"), "--set", "t_end_s=2", "--set", override]
+        assert main(["validate"] + args) == 0
+        capsys.readouterr()
+        summary = tmp_path / "summary.yaml"
+        assert main(["run"] + args + ["--summary", str(summary)]) == 2
+        assert capsys.readouterr() == ("", f"the run overflowed: {message}\n")
+        assert summary.read_text() == ""
+
     def test_invalid_override_rejected(self, scenario_dir, capsys):
         code = main(
             ["run", str(scenario_dir / "two_drones.scn"), "--set", "speed_mps=-16"]

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from gvfswarm.gvf import field_core
+from gvfswarm.gvf import field_core, field_operands
 
 V = 16.0
+OPS = field_operands(V)
 # the x axis as the simulator stacks one drone's line: phi is the y
 # coordinate, left normal (0, 1), tangent (1, 0). On the interior branch
 # f = alpha t + u_phi n is then exactly (alpha, u_phi)
@@ -16,7 +17,7 @@ TANGENT = np.array([1.0, 0.0])
 def field(position, speed, k_e, gamma=0.0, gamma_dot=0.0, gamma_ddot=0.0, p_dot=(0.0, 0.0)):
     """field_core at one position beside the x axis: (f, f_dot, interior)."""
     p = np.asarray(position, dtype=float)
-    return field_core(p[1], NORMAL, TANGENT, speed, k_e, gamma, gamma_dot, gamma_ddot,
+    return field_core(p[1], NORMAL, TANGENT, field_operands(speed), k_e, gamma, gamma_dot, gamma_ddot,
                       np.asarray(p_dot, dtype=float))
 
 
@@ -25,7 +26,7 @@ def u_phi(phi, gamma, gamma_dot, k_e):
     phi = np.asarray(phi, dtype=float)
     normal = np.multiply.outer(NORMAL, np.ones_like(phi))
     zero = np.zeros_like(phi)
-    f, _, interior = field_core(phi, normal, normal[::-1], V, k_e, gamma, gamma_dot,
+    f, _, interior = field_core(phi, normal, normal[::-1], OPS, k_e, gamma, gamma_dot,
                                 zero, 0 * normal)
     assert np.all(interior)
     return f[1]
@@ -190,7 +191,7 @@ class TestCore:
         gad = rng.uniform(-15, 15, n)
         normal = np.broadcast_to(NORMAL[:, None], (2, n))
         tangent = np.broadcast_to(TANGENT[:, None], (2, n))
-        f, _, interior = field_core(pts[:, 1], normal, tangent, V, 1.0, gam, gad,
+        f, _, interior = field_core(pts[:, 1], normal, tangent, OPS, 1.0, gam, gad,
                                     np.zeros(n), np.zeros((2, n)))
         assert interior.any() and not interior.all()
         for i in range(n):
@@ -203,7 +204,7 @@ class TestCore:
         phi = np.array([10.0, 10.0])
         normal = np.array([[0.0, 0.0], [1.0, 1.0]])
         tangent = np.array([[1.0, 1.0], [0.0, 0.0]])
-        f, _, interior = field_core(phi, normal, tangent, V, np.array([1.0, 2.0]), 0.0, 0.0,
+        f, _, interior = field_core(phi, normal, tangent, OPS, np.array([1.0, 2.0]), 0.0, 0.0,
                                     0.0, np.zeros((2, 2)))
         assert interior[0] and not interior[1]
         assert f.shape == (2, 2)
@@ -312,7 +313,7 @@ class TestCoreShortcut:
                 # ones: f and the branch flag must not read them
                 want = _oracle_core(phi, normal, tangent, V, 1.0, gam, gad)
                 gadd, p_dot = np.full_like(gam, np.nan), np.full_like(p_dot, np.nan)
-            got = field_core(phi, normal, tangent, V, 1.0, gam, gad, gadd, p_dot)
+            got = field_core(phi, normal, tangent, OPS, 1.0, gam, gad, gadd, p_dot)
             interior = np.asarray(want[2])
             if case == "interior":
                 assert interior.all()
@@ -335,7 +336,7 @@ class TestCoreShortcut:
         normal = np.array([[-0.0, -0.0], [1.0, 1.0]])
         tangent = np.array([[1.0, 1.0], [0.0, 0.0]])
         gadd, p_dot = np.array([-0.0, 0.0]), np.array([[V, V], [-0.0, -0.0]])
-        got = field_core(phi, normal, tangent, V, 1.0, 0.0, 0.0, gadd, p_dot)
+        got = field_core(phi, normal, tangent, OPS, 1.0, 0.0, 0.0, gadd, p_dot)
         want = _oracle_core(phi, normal, tangent, V, 1.0, 0.0, 0.0, gamma_ddot=gadd, p_dot=p_dot)
         assert list(want[2]) == [True, False]
         for key, a, b in zip(("f", "f_dot", "interior"), got, want):

@@ -20,8 +20,11 @@ from gvfswarm.oscillation import (
     gamma,
     gamma_ddot,
     gamma_dot,
+    relaxation_operands,
     relaxation_step,
+    schedule_operands,
     wave,
+    wave_operands,
 )
 
 V, W = 16.0, 0.6
@@ -141,7 +144,7 @@ class TestWaveKernel:
         times = np.arange(30001) * 0.02
         for t in times[::7]:
             wt = W * float(t)
-            g, gd, gdd = wave(math.sin(wt), math.cos(wt), a, ar, aa, W)
+            g, gd, gdd = wave(math.sin(wt), math.cos(wt), a, ar, aa, wave_operands(W))
             assert _bits(g) == _bits(_old_gamma(t, a, W))
             assert _bits(gd) == _bits(_old_gamma_dot(t, a, ar, W))
             assert _bits(gdd) == _bits(_old_gamma_ddot(t, a, ar, aa, W))
@@ -258,26 +261,27 @@ class TestEpsilon:
 
 class TestAmplitudeForVelocity:
     def test_full_speed_needs_no_wave(self):
-        assert amplitude_schedule(V, V, W, 1.35, 30.0)[0] == 0.0
+        assert amplitude_schedule(V, schedule_operands(V, W, 1.35, 30.0))[0] == 0.0
 
     def test_epsilon_maps_to_kinematic_limit(self):
         # at the lowest schedulable velocity the commanded amplitude is
         # exactly v/w, independent of k_a
         eps = epsilon(V, 1.35)
-        a = amplitude_schedule(eps, V, W, 1.35, 30.0)[0]
+        a = amplitude_schedule(eps, schedule_operands(V, W, 1.35, 30.0))[0]
         assert a == pytest.approx(V / W, abs=1e-9)
 
     def test_cap_clamps_and_raw_exceeds(self):
         eps = epsilon(V, 1.35)
-        a, raw = amplitude_schedule(eps, V, W, 1.35, 20.0)
+        a, raw = amplitude_schedule(eps, schedule_operands(V, W, 1.35, 20.0))
         assert a == 20.0
         assert raw > 20.0
 
     def test_above_speed_needs_no_wave(self):
-        assert amplitude_schedule(V + 5.0, V, W, 1.35, 40.0)[0] == 0.0
+        assert amplitude_schedule(V + 5.0, schedule_operands(V, W, 1.35, 40.0))[0] == 0.0
 
     def test_array_input(self):
-        out = amplitude_schedule(np.array([V, epsilon(V, 1.35)]), V, W, 1.35, 40.0)[0]
+        ops = schedule_operands(V, W, 1.35, 40.0)
+        out = amplitude_schedule(np.array([V, epsilon(V, 1.35)]), ops)[0]
         assert out.shape == (2,)
         assert out[0] == 0.0
         assert out[1] == pytest.approx(V / W, abs=1e-9)
@@ -306,7 +310,8 @@ class TestFitKA:
         amplitudes = np.linspace(0.0, v / w, 100)
         xdot = np.array([average_parametric_velocity(v, w, a) for a in amplitudes])
         g = np.sqrt(np.maximum(v * v - xdot * xdot, 0.0)) / w
-        assert amplitude_schedule(xdot, v, w, 1.0, np.inf)[1].tobytes() == g.tobytes()
+        raw = amplitude_schedule(xdot, schedule_operands(v, w, 1.0, np.inf))[1]
+        assert raw.tobytes() == g.tobytes()
         assert fit_k_a(v, w) == float(np.dot(amplitudes, g) / np.dot(g, g))
 
     def test_model_quality(self):
@@ -339,11 +344,11 @@ class TestFitKA:
         eps = epsilon(V, k_a)
         cap = V / W
         for xd in np.linspace(1.05 * eps, V, 40):
-            a = amplitude_schedule(float(xd), V, W, k_a, cap)[0]
+            a = amplitude_schedule(float(xd), schedule_operands(V, W, k_a, cap))[0]
             realized = average_parametric_velocity(V, W, min(float(a), cap))
             assert abs(realized - xd) < 0.02 * V
         for xd in np.linspace(eps, V, 40):
-            a = amplitude_schedule(float(xd), V, W, k_a, cap)[0]
+            a = amplitude_schedule(float(xd), schedule_operands(V, W, k_a, cap))[0]
             realized = average_parametric_velocity(V, W, min(float(a), cap))
             assert abs(realized - xd) < 0.036 * V
 
@@ -354,7 +359,7 @@ class TestAmplitudeFilter:
         a, rate = 0.0, 0.0
         target = 10.0
         for k in range(500):
-            a, rate, accel = relaxation_step(a, target, dt, tau)
+            a, rate, accel = relaxation_step(a, target, relaxation_operands(dt, tau))
         t = 500 * dt
         assert a == pytest.approx(target * (1.0 - math.exp(-t / tau)), rel=1e-12)
         assert rate == pytest.approx((target - a) / tau, rel=1e-12)
@@ -363,23 +368,23 @@ class TestAmplitudeFilter:
     def test_no_overshoot(self):
         a = 0.0
         for _ in range(10000):
-            a, _, _ = relaxation_step(a, 7.0, 0.05, 1.0)
+            a, _, _ = relaxation_step(a, 7.0, relaxation_operands(0.05, 1.0))
             assert 0.0 <= a <= 7.0
         assert a == pytest.approx(7.0, abs=1e-9)
 
     def test_convex_combination_stays_in_range(self):
         a = np.array([0.0, 3.0, 12.0])
         for _ in range(100):
-            a, _, _ = relaxation_step(a, 5.0, 0.1, 2.0)
+            a, _, _ = relaxation_step(a, 5.0, relaxation_operands(0.1, 2.0))
             assert np.all(a >= 0.0) and np.all(a <= 12.0)
 
     def test_zero_dt_is_identity(self):
-        a, rate, _ = relaxation_step(4.0, 9.0, 0.0, 3.0)
+        a, rate, _ = relaxation_step(4.0, 9.0, relaxation_operands(0.0, 3.0))
         assert a == 4.0
         assert rate == pytest.approx((9.0 - 4.0) / 3.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            relaxation_step(0.0, 1.0, 0.1, 0.0)
+            relaxation_operands(0.1, 0.0)
         with pytest.raises(ValueError):
-            relaxation_step(0.0, 1.0, -0.1, 1.0)
+            relaxation_operands(-0.1, 1.0)

@@ -14,7 +14,7 @@ from test_consensus import disagreement_loop
 
 from gvfswarm import oscillation as osc
 from gvfswarm import sim
-from gvfswarm.consensus import lyapunov_value, neighbor_disagreement, sat
+from gvfswarm.consensus import WindowAverager, lyapunov_value, neighbor_disagreement, sat
 from gvfswarm.scenario import apply_overrides, build_scenario, load_mapping
 from gvfswarm.sim import TELEMETRY_FLOAT_FORMAT, run
 
@@ -471,6 +471,47 @@ class TestTickSums:
         assert res.phis[0].tobytes() == np.zeros(1).tobytes()
 
 
+class TestKernelCalls:
+    """The tick calls each traced kernel where a tracer looks it up, as often as ever.
+
+    A tracer (and the benchmark's) replaces these names: the kernels in
+    ``gvfswarm.sim``'s globals, ``relaxation_step`` in
+    ``gvfswarm.oscillation`` and the averager's two methods on its class.
+    A kernel inlined into the tick, or called through another name,
+    would change a count here.
+    """
+
+    @pytest.mark.parametrize(
+        "delay,disagreements", [(0, 201), (2, 401)], ids=["delay-0", "delay-2"],
+    )
+    def test_call_counts(self, delay, disagreements, monkeypatch):
+        # 200 steps, 201 ticks: two observer blocks of 141 rows with telemetry on
+        doc = pair_doc()
+        doc["t_end_s"] = 4.0
+        doc["consensus"]["comm_delay_ticks"] = delay
+        targets = [(sim, name) for name in (
+            "field_core", "heading_rate_core", "unicycle_step", "neighbor_disagreement",
+            "lyapunov_value")]
+        targets += [(osc, "relaxation_step"), (WindowAverager, "push"),
+                    (WindowAverager, "average")]
+        calls = {}
+        for owner, name in targets:
+            calls[name] = 0
+
+            def counted(*args, _kernel=getattr(owner, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        res = run(build_scenario(doc), compute_digest=True)
+        assert res.telemetry_digest is not None
+        assert calls == {
+            "field_core": 201, "heading_rate_core": 201, "unicycle_step": 200,
+            "neighbor_disagreement": disagreements, "lyapunov_value": 2,
+            "relaxation_step": 200, "push": 201, "average": 201,
+        }
+
+
 class TestControlVelocity:
     def test_control_sees_v_cos_sin_of_each_heading(self, monkeypatch, westbound_eight):
         # advance hands its end-of-step velocity to the next tick's control;
@@ -710,7 +751,8 @@ class TestAmplitudeSchedule:
         cfg = sc.oscillation
         assert np.any(res.commanded_amplitudes > 0.0)
         want, raw = osc.amplitude_schedule(
-            res.desired_velocities, sc.speed, cfg.w_gamma, cfg.k_a, cfg.amplitude_cap
+            res.desired_velocities,
+            osc.schedule_operands(sc.speed, cfg.w_gamma, cfg.k_a, cfg.amplitude_cap),
         )
         # the 12 m cap of the bundled scenario binds early on, where the
         # uncapped schedule asks for v/w = 8/0.6 m

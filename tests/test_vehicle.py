@@ -5,29 +5,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gvfswarm.vehicle import heading_rate_core, unicycle_step, wrap_angle
+from gvfswarm.vehicle import heading_rate_core, unicycle_step, vehicle_operands, wrap_angle
 
 V = 16.0
+# the operands of one drone (0-d headings) and of a swarm (one axis)
+ONE = vehicle_operands(V, 0.02, ndim=0)
+SWARM = vehicle_operands(V, 0.02)
 
 
 class TestHeadingRate:
     def test_zero_when_aligned(self):
         # velocity parallel to f with no field rotation: nothing to do
         f = np.array([V, 0.0])
-        assert heading_rate_core(f, np.zeros(2), np.array([V, 0.0]), V, 1.0) == 0.0
+        assert heading_rate_core(f, np.zeros(2), np.array([V, 0.0]), ONE, 1.0) == 0.0
         f2 = V * np.array([math.cos(0.7), math.sin(0.7)])
-        assert heading_rate_core(f2, np.zeros(2), f2, V, 2.5) == pytest.approx(0.0, abs=1e-15)
+        assert heading_rate_core(f2, np.zeros(2), f2, ONE, 2.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_quarter_turn_cases(self):
         # f east, flying north: f^T E pdot = f_y vx - f_x vy = -v^2
         f = np.array([V, 0.0])
-        assert heading_rate_core(f, np.zeros(2), np.array([0.0, V]), V, 1.0) == pytest.approx(-1.0)
-        assert heading_rate_core(f, np.zeros(2), np.array([0.0, -V]), V, 1.0) == pytest.approx(1.0)
+        assert heading_rate_core(f, np.zeros(2), np.array([0.0, V]), ONE, 1.0) == pytest.approx(-1.0)
+        assert heading_rate_core(f, np.zeros(2), np.array([0.0, -V]), ONE, 1.0) == pytest.approx(1.0)
 
     def test_gain_scales_feedback(self):
         f = np.array([V, 0.0])
         vel = np.array([0.0, V])
-        assert heading_rate_core(f, np.zeros(2), vel, V, 3.0) == pytest.approx(-3.0)
+        assert heading_rate_core(f, np.zeros(2), vel, ONE, 3.0) == pytest.approx(-3.0)
 
     def test_feedforward_term(self):
         # aligned flight but the field itself is rotating: omega must
@@ -35,13 +38,13 @@ class TestHeadingRate:
         f = np.array([V, 0.0])
         f_dot = np.array([0.0, 4.0])  # field turning left
         vel = np.array([V, 0.0])
-        assert heading_rate_core(f, f_dot, vel, V, 1.0) == pytest.approx(4.0 / V)
+        assert heading_rate_core(f, f_dot, vel, ONE, 1.0) == pytest.approx(4.0 / V)
 
     def test_small_misalignment_damps(self):
         # slightly left of the field: the command turns right
         theta = 0.1
         vel = V * np.array([math.cos(theta), math.sin(theta)])
-        w = heading_rate_core(np.array([V, 0.0]), np.zeros(2), vel, V, 1.0)
+        w = heading_rate_core(np.array([V, 0.0]), np.zeros(2), vel, ONE, 1.0)
         assert w < 0.0
         assert w == pytest.approx(-math.sin(theta), abs=1e-12)
 
@@ -49,7 +52,7 @@ class TestHeadingRate:
         # two drones, component-first: both f (V, 0), both velocities (0, V)
         f = np.array([[V, V], [0.0, 0.0]])
         vel = np.array([[0.0, 0.0], [V, V]])
-        out = heading_rate_core(f, np.zeros((2, 2)), vel, V, np.array([1.0, 2.0]))
+        out = heading_rate_core(f, np.zeros((2, 2)), vel, SWARM, np.array([1.0, 2.0]))
         assert np.allclose(out, [-1.0, -2.0], atol=1e-12)
 
 
@@ -90,7 +93,7 @@ def _velocity(theta):
 
 class TestUnicycleStep:
     def test_straight_line(self):
-        p, th, vel = unicycle_step(np.zeros(2), 0.7, _velocity(0.7), 0.0, V, 0.02)
+        p, th, vel = unicycle_step(np.zeros(2), 0.7, _velocity(0.7), 0.0, ONE)
         expected = V * 0.02 * np.array([math.cos(0.7), math.sin(0.7)])
         assert np.linalg.norm(p - expected) <= 1e-12
         assert th == 0.7
@@ -103,9 +106,10 @@ class TestUnicycleStep:
         p = np.zeros(2)
         th = 0.0
         vel = _velocity(th)
+        ops = vehicle_operands(V, dt, ndim=0)
         n = int(round((math.pi / 2) / (omega * dt)))
         for _ in range(n):
-            p, th, vel = unicycle_step(p, th, vel, omega, V, dt)
+            p, th, vel = unicycle_step(p, th, vel, omega, ops)
         expected = radius * np.array(
             [math.sin(omega * n * dt), 1.0 - math.cos(omega * n * dt)]
         )
@@ -113,7 +117,7 @@ class TestUnicycleStep:
         assert th == pytest.approx(omega * n * dt, abs=1e-12)
 
     def test_heading_update_is_exact(self):
-        _, th, _ = unicycle_step(np.zeros(2), 1.0, _velocity(1.0), 0.5, V, 0.02)
+        _, th, _ = unicycle_step(np.zeros(2), 1.0, _velocity(1.0), 0.5, ONE)
         assert th == wrap_angle(1.0 + 0.5 * 0.02)
 
     @given(
@@ -124,12 +128,14 @@ class TestUnicycleStep:
     def test_displacement_bound(self, omega, theta):
         # windless step displacement can never exceed v dt
         dt = 0.05
-        p, _, _ = unicycle_step(np.zeros(2), theta, _velocity(theta), omega, V, dt)
+        p, _, _ = unicycle_step(np.zeros(2), theta, _velocity(theta), omega,
+                                vehicle_operands(V, dt, ndim=0))
         assert np.linalg.norm(p) <= V * dt + 1e-12
 
     def test_wind_is_additive_drift(self):
         wind = np.array([3.5, -1.0])
-        p, th, _ = unicycle_step(np.zeros(2), 0.3, _velocity(0.3), 0.0, V, 0.02, wind=wind)
+        p, th, _ = unicycle_step(np.zeros(2), 0.3, _velocity(0.3), 0.0,
+                                 vehicle_operands(V, 0.02, wind, ndim=0))
         expected = (V * np.array([math.cos(0.3), math.sin(0.3)]) + wind) * 0.02
         assert np.linalg.norm(p - expected) <= 1e-12
         assert th == 0.3
@@ -138,12 +144,12 @@ class TestUnicycleStep:
         pos = np.zeros((2, 4))
         theta = np.array([0.0, 0.5, -1.0, 3.0])
         omega = np.array([0.0, 0.1, -0.2, 0.0])
-        p, th, vel = unicycle_step(pos, theta, _velocity(theta), omega, V, 0.02)
+        p, th, vel = unicycle_step(pos, theta, _velocity(theta), omega, SWARM)
         assert p.shape == (2, 4)
         assert th.shape == (4,)
         assert vel.shape == (2, 4)
         for i in range(4):
-            pi, ti, vi = unicycle_step(pos[:, i], theta[i], _velocity(theta[i]), omega[i], V, 0.02)
+            pi, ti, vi = unicycle_step(pos[:, i], theta[i], _velocity(theta[i]), omega[i], ONE)
             assert np.array_equal(p[:, i], pi)
             assert th[i] == ti
             assert np.array_equal(vel[:, i], vi)
@@ -217,7 +223,7 @@ class TestShortcutsAgainstFormulas:
                 # the kernel takes (2, ...) positions and velocities, the
                 # oracle (..., 2) positions and the heading alone
                 got = unicycle_step(np.moveaxis(pos, -1, 0), theta, _velocity(theta), omega,
-                                    V, dt, np.array(wind))
+                                    vehicle_operands(V, dt, np.array(wind), ndim=len(shape)))
                 want = _three_stack_step(pos, theta, omega, V, dt, np.array(wind))
                 assert _same_bits(got[0], np.moveaxis(want[0], -1, 0))
                 assert _same_bits(got[1], want[1])
