@@ -9,6 +9,7 @@ nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -51,13 +52,43 @@ class NeighborTable:
     > s, the nodes in descending-degree order (ties by id), so slot s
     occupies rows bounds[s]:bounds[s + 1] and its owners are the first
     bounds[s + 1] - bounds[s] nodes of that order. ``inverse[i]`` is
-    node i's place in the order. The arrays are read-only.
+    node i's place in the order. The table makes its arrays read-only.
+
+    Derived on first use, then kept: ``slots`` pairs slot s's rows
+    with its owners' places, and ``ordered`` says that ``inverse`` is
+    the identity, so each node's place is its id (see ``relabelled``).
     """
 
     owners: np.ndarray
     neighbors: np.ndarray
     bounds: tuple[int, ...]
     inverse: np.ndarray
+
+    def __post_init__(self) -> None:
+        for a in (self.owners, self.neighbors, self.inverse):
+            a.flags.writeable = False
+
+    @cached_property
+    def slots(self) -> tuple[tuple[slice, slice], ...]:
+        """(rows, places) slices of each slot, for the batched sums: about
+        175 bytes a slot, so a caller that only sums rows builds none."""
+        b = self.bounds
+        return tuple((slice(start, stop), slice(0, stop - start)) for start, stop in zip(b[:-1], b[1:]))
+
+    @cached_property
+    def ordered(self) -> bool:
+        return bool(np.array_equal(self.inverse, np.arange(len(self.inverse))))
+
+    def relabelled(self) -> "NeighborTable":
+        """The same entries, each node named by its place: inverse[owner], inverse[neighbor].
+
+        Every node keeps its terms in the same rows, in the same slot
+        order, so a sum over this table is bitwise the node-order sum,
+        read in place order; its ``inverse`` is the identity.
+        """
+        inverse = self.inverse
+        return NeighborTable(inverse[self.owners], inverse[self.neighbors], self.bounds,
+                             np.arange(len(inverse)))
 
 
 def _id_array(edges) -> np.ndarray:
@@ -142,8 +173,7 @@ class Graph:
         entries = np.argsort(slot * n + inverse[owners], kind="stable")
         bounds = np.concatenate([[0], np.cumsum(np.bincount(slot))])
         table = NeighborTable(owners[entries], neighbors[entries], tuple(bounds.tolist()), inverse)
-        for a in (e, table.owners, table.neighbors, table.inverse):
-            a.flags.writeable = False
+        e.flags.writeable = False
         object.__setattr__(self, "n_nodes", n)
         object.__setattr__(self, "edge_array", e)
         object.__setattr__(self, "neighbor_table", table)

@@ -28,6 +28,9 @@ STAR8 = Graph(8, tuple((0, i) for i in range(1, 8)))  # hub of degree 7
 
 
 STAR40 = Graph(40, tuple((0, i) for i in range(1, 40)))  # hub of degree 39
+# the same star with its hub at the last id: the hub's place in the
+# table, 0, is no longer its id, so the table's order is not node order
+STAR40_HUB_LAST = Graph(40, tuple((39, i) for i in range(39)))
 
 
 def disagreement_last_axis(x, table, own=None):
@@ -92,6 +95,12 @@ def random_recursive_tree(n, seed):
     edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
     flip = rng.random(n - 1) < 0.5
     return Graph(n, tuple(edges[k][::-1] if flip[k] else edges[k] for k in rng.permutation(n - 1)))
+
+
+def shuffled_ids(graph, seed):
+    """The graph with its node ids permuted at random."""
+    perm = np.random.default_rng(seed).permutation(graph.n_nodes)
+    return Graph(graph.n_nodes, perm[graph.edge_array])
 
 
 def laplacian(graph):
@@ -501,6 +510,11 @@ GRAPHS = {
     "tree8": TREE8, "chain5": CHAIN5, "star8": STAR8, "star40": STAR40,
     "rrt512": random_recursive_tree(512, 1), "rrt4096": random_recursive_tree(4096, 5),
     "triangle": TRIANGLE, "single": Graph(1), "isolated": Graph(4, ((0, 1),)),
+    "star40-hub-last": STAR40_HUB_LAST,
+    "rrt64-shuffled": shuffled_ids(random_recursive_tree(64, 8), 9),
+    "rrt512-shuffled": shuffled_ids(random_recursive_tree(512, 10), 11),
+    # node 0 has no neighbour and comes last in the table's order
+    "isolated-first": Graph(4, ((1, 3), (3, 2))),
 }
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.5e-310, 1.0])
 
@@ -610,6 +624,8 @@ class TestNeighborOps:
             assert (g.dtype, g.tolist()) == (np.int64, w)
             assert not g.flags.writeable
         assert got.bounds == tuple(bounds)
+        assert got.slots == tuple((slice(a, b), slice(0, b - a)) for a, b in zip(bounds[:-1], bounds[1:]))
+        assert got.ordered == (inverse == list(range(graph.n_nodes)))
 
     def test_table_has_one_entry_per_edge_end(self):
         # 2M entries and no padding: each node owns as many as its degree,
@@ -626,17 +642,52 @@ class TestNeighborOps:
                 assert np.all(degrees[order[:stop - start]] > s)
                 assert np.all(degrees[order[stop - start:]] <= s)
 
-    def test_infinite_own_stays_in_its_node(self):
+    @pytest.mark.parametrize("relabelled", [False, True], ids=["node-order", "table-order"])
+    @graphs("star8", "star40-hub-last")
+    def test_infinite_own_stays_in_its_node(self, graph, relabelled):
         # no padded slot: an infinite own value reaches only its node's
-        # sum, and no node of lower degree turns NaN
-        table = STAR8.neighbor_table
-        x = np.arange(8.0)
-        own = x.copy()
-        own[3] = np.inf
-        for got in (neighbor_disagreement(x, table, own=own),
-                    neighbor_disagreement(np.stack([x, x], axis=1), table, own=np.stack([own, own], axis=1))[:, 0]):
-            assert got[3] == -np.inf
-            assert np.isfinite(np.delete(got, 3)).all()
+        # sum, and no node of lower degree turns NaN, in either order
+        table = graph.neighbor_table
+        n = graph.n_nodes
+        # where each node's value sits in x
+        where = table.inverse if relabelled else np.arange(n)
+        if relabelled:
+            table = table.relabelled()
+        for node in (0, 3, n - 1):
+            x = np.arange(float(n))
+            own = x.copy()
+            own[where[node]] = np.inf
+            for got in (neighbor_disagreement(x, table, own=own),
+                        neighbor_disagreement(np.stack([x, x], axis=1), table,
+                                              own=np.stack([own, own], axis=1))[:, 0]):
+                assert got[where[node]] == -np.inf
+                assert np.isfinite(np.delete(got, where[node])).all()
+
+    @graphs("tree8", "star40-hub-last", "rrt64-shuffled", "rrt512-shuffled", "isolated-first", "single")
+    def test_table_in_its_own_order_sums_bitwise(self, graph):
+        # relabelled by place, every node keeps its terms in their slot
+        # order, so the sums are the node-order sums read in place order,
+        # bit for bit, though no gather puts them back: on rows and
+        # batches, special values, and zeros of either sign, which sum
+        # to +0.0
+        table = graph.neighbor_table
+        placed = table.relabelled()
+        n = graph.n_nodes
+        assert placed.ordered and placed.inverse.tolist() == list(range(n))
+        assert placed.bounds == table.bounds and placed.slots == table.slots
+        assert not any(a.flags.writeable for a in (placed.owners, placed.neighbors, placed.inverse))
+        order = np.argsort(table.inverse)
+        rng = np.random.default_rng(21)
+        for shape in ((n,), (n, 3), (n, 2, 5)):
+            zeros = rng.choice([0.0, -0.0], shape)
+            rows = [rng.uniform(-100.0, 100.0, shape), rng.choice(SPECIAL, shape), zeros]
+            for x, own in ((x, own) for x in rows for own in (None, *rows)):
+                with np.errstate(invalid="ignore"):  # inf - inf
+                    want = neighbor_disagreement(x, table, own=own)[order]
+                    got = neighbor_disagreement(x[order], placed, own=None if own is None else own[order])
+                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+            got = neighbor_disagreement(zeros[order], placed, own=rng.choice([0.0, -0.0], shape))
+            assert got.tobytes() == np.zeros(shape).tobytes()
 
     def test_memory_is_linear_in_nodes_and_edges(self):
         # a 16 384-node star: the padded table would be (N, N - 1), 2 GiB
@@ -829,7 +880,7 @@ class TestIntegrateConsensus:
         # spill one or two records into the next
         rows = _SUMMARY_BLOCK // math.prod(shape)
         n_steps = 1 if offset is None else rows + offset
-        calls = {"sat": 0, "lyapunov_value": 0}
+        calls = {"sat": 0, "neighbor_disagreement": 0, "lyapunov_value": 0}
         for name in calls:
             inner = getattr(consensus, name)
 
@@ -841,7 +892,11 @@ class TestIntegrateConsensus:
         x0 = np.random.default_rng(16).uniform(-30.0, 30.0, shape)
         dt = 0.01
         run = integrate_consensus(TREE8, x0, self.PARAMS, dt, n_steps * dt, record_states)
-        assert calls == {"sat": 4 * n_steps + 1, "lyapunov_value": math.ceil((n_steps + 1) / rows)}
+        assert calls == {
+            "sat": 4 * n_steps + 1,
+            "neighbor_disagreement": 4 * n_steps + 1,
+            "lyapunov_value": math.ceil((n_steps + 1) / rows),
+        }
         monkeypatch.undo()
         states, lyap, x, u = self._five_evaluation_rk4(x0, dt, n_steps)
         if record_states:
@@ -867,6 +922,26 @@ class TestIntegrateConsensus:
         assert np.array_equal(run.final_state, x)
         assert np.array_equal(run.final_input, u)
         assert run.final_state.shape == run.final_input.shape == shape
+
+    @pytest.mark.parametrize("record_states", [True, False], ids=["states", "no-states"])
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 3)], ids=["row", "batch", "batch2"])
+    @graphs("star40-hub-last", "rrt64-shuffled")
+    def test_bitwise_equal_to_five_evaluation_rk4_far_from_table_order(self, graph, batch, record_states):
+        # the integrator sums in the table's order and puts only its
+        # records back in node order; here almost every node's place is
+        # not its id, so a record left in place order shows
+        n = graph.n_nodes
+        assert np.count_nonzero(graph.neighbor_table.inverse != np.arange(n)) > 0.9 * n
+        x0 = np.random.default_rng(22).uniform(-30.0, 30.0, batch + (n,))
+        dt, n_steps = 0.01, 120
+        run = integrate_consensus(graph, x0, self.PARAMS, dt, n_steps * dt, record_states)
+        states, lyap, x, u = self._five_evaluation_rk4(x0, dt, n_steps, graph)
+        if record_states:
+            assert (run.states.shape, run.states.tobytes()) == (states.shape, states.tobytes())
+        else:
+            assert run.states is None
+        for got, want in ((run.lyapunov, lyap), (run.final_state, x), (run.final_input, u)):
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
     def test_record_shapes(self):
         run = integrate_consensus(
