@@ -44,7 +44,7 @@ class TreeCheck:
     message: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeighborTable:
     """Every (owner, neighbor) pair of a graph, 2M entries, slot-major.
 
@@ -57,6 +57,9 @@ class NeighborTable:
     Derived on first use, then kept: ``slots`` pairs slot s's rows
     with its owners' places, and ``ordered`` says that ``inverse`` is
     the identity, so each node's place is its id (see ``relabelled``).
+
+    Tables compare and hash by identity: the arrays have no single
+    truth value to compare fields by.
     """
 
     owners: np.ndarray

@@ -232,6 +232,23 @@ def _pair(x) -> bool:
     return _seq(x, 2) and all(map(_finite, x))
 
 
+def _squares_finite(value, label: str, bad: list) -> bool:
+    """Whether every number in ``value``, a finite number or a list of them, has a finite square.
+
+    One violation per number whose square overflows, naming its entry
+    in a list: a speed, wind component or gain that large turns the
+    flight's first tick to inf and NaN.
+    """
+    values = value if _seq(value) else [value]
+    ok = True
+    for i, v in enumerate(values):
+        if not math.isfinite(float(v) * float(v)):
+            what = f"entry {i}, {v:g}," if _seq(value) else f"{v:g}"
+            bad.append(f"{label}: the square of {what} is not a finite number")
+            ok = False
+    return ok
+
+
 def _check(value, ok, label: str, message: str, bad: list):
     """``value`` if ``ok(value)``, else None with the violation recorded."""
     if ok(value):
@@ -282,6 +299,8 @@ def _parse(mapping) -> tuple[Scenario | None, list[str]]:
         speed = speeds.pop() if len(speeds) == 1 else None
     else:
         speed = _check(speed, _pos_num, "speed_mps", "required positive number", bad)
+    if speed is not None and not _squares_finite(speed, "speed_mps", bad):
+        speed = None
     dt = _check(mapping.get("dt_s"), _pos_num, "dt_s", "required positive number", bad)
     t_end = _check(mapping.get("t_end_s"), _pos_num, "t_end_s", "required positive number", bad)
     if dt is not None and t_end is not None and t_end < dt:
@@ -293,6 +312,8 @@ def _parse(mapping) -> tuple[Scenario | None, list[str]]:
         bad.append("seed: must be a non-negative integer or absent")
     wind = mapping.get("wind_mps", [0.0, 0.0])
     wind = _check(wind, _pair, "wind_mps", "must be two finite numbers [east, north]", bad)
+    if wind is not None and not _squares_finite(wind, "wind_mps", bad):
+        wind = None
     threshold = mapping.get("convergence_threshold_m", 1.0)
     threshold = _check(threshold, _pos_num, "convergence_threshold_m",
                        "must be a positive number", bad)
@@ -346,10 +367,12 @@ def _parse(mapping) -> tuple[Scenario | None, list[str]]:
     gains = {}
     if n is not None:
         for key in ("k_e", "k_n"):
-            gain = _per_drone(vsec.get(key, 1.0), n, f"gvf.{key}", bad)
+            value = vsec.get(key, 1.0)
+            gain = _per_drone(value, n, f"gvf.{key}", bad)
             if gain is not None:
-                gains[key] = _check(gain, lambda g: np.all(g > 0),
-                                    f"gvf.{key}", "must be positive", bad)
+                gain = _check(gain, lambda g: np.all(g > 0), f"gvf.{key}", "must be positive", bad)
+            if gain is not None and _squares_finite(value, f"gvf.{key}", bad):
+                gains[key] = gain
 
     osec = _section(mapping, "oscillation", _OSC_KEYS, bad)
     w = _check(osec.get("w_gamma_rad_s"), _pos_num,

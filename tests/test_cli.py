@@ -271,11 +271,10 @@ class TestRun:
     @pytest.mark.parametrize(
         "override,message",
         [
-            ("gvf.k_e=1e308", "summary final_max_edge_diff_m is nan"),
-            ("wind_mps=[1e300,0]", "summary ground_speed_min_mps is inf"),
-            ("speed_mps=1e200", "summary final_max_edge_diff_m is nan"),
+            ("wind_mps=[1.3e154,1.3e154]", "summary ground_speed_min_mps is inf"),
+            ("initial.offsets_m=1e308", "summary final_max_edge_diff_m is nan"),
         ],
-        ids=["gain", "wind", "speed"],
+        ids=["wind-norm", "offset"],
     )
     def test_overflowing_run_is_one_error_line(self, override, message, scenario_dir, tmp_path,
                                                capsys):
@@ -287,6 +286,32 @@ class TestRun:
         assert main(["run"] + args + ["--summary", str(summary)]) == 2
         assert capsys.readouterr() == ("", f"the run overflowed: {message}\n")
         assert summary.read_text() == ""
+
+    @pytest.mark.parametrize(
+        "override,violation",
+        [
+            ("gvf.k_e=1e308", "gvf.k_e: the square of 1e+308 is not a finite number"),
+            ("wind_mps=[1e300,0]",
+             "wind_mps: the square of entry 0, 1e+300, is not a finite number"),
+            ("speed_mps=1e200", "speed_mps: the square of 1e+200 is not a finite number"),
+        ],
+        ids=["gain", "wind", "speed"],
+    )
+    def test_value_whose_square_overflows_is_invalid(self, override, violation, scenario_dir,
+                                                      tmp_path, monkeypatch, capsys):
+        # validate rejects it, and run exits 2 before the first tick
+        args = [str(scenario_dir / "two_drones.scn"), "--set", override]
+        assert main(["validate"] + args) == 2
+        assert capsys.readouterr() == ("", f"invalid: {violation}\n")
+
+        def no_flight(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_sim", no_flight)
+        summary = tmp_path / "summary.yaml"
+        assert main(["run"] + args + ["--summary", str(summary)]) == 2
+        assert capsys.readouterr() == ("", f"invalid: {violation}\n")
+        assert not summary.exists()
 
     def test_invalid_override_rejected(self, scenario_dir, capsys):
         code = main(

@@ -837,18 +837,18 @@ class TestIntegrateConsensus:
         shifted = integrate_consensus(TREE8, x0 + 64.0, self.PARAMS, 0.01, 40.0)
         assert np.max(np.abs(shifted.final_state - base.final_state - 64.0)) < 1e-9
 
-    def _five_evaluation_rk4(self, x0, dt, n_steps, graph=TREE8):
+    def _five_evaluation_rk4(self, x0, dt, n_steps, graph=TREE8, params=PARAMS):
         """Reference loop: evaluates the disagreement afresh, by the Python
         neighbour loop, for k1, the Lyapunov record and the final input,
         and V step by step; returns (states, lyapunov, final state, final
         input)."""
 
         def rate(state):
-            return sat(disagreement_loop(graph, state), self.PARAMS)
+            return sat(disagreement_loop(graph, state), params)
 
         x = x0.copy()
         states = [x]
-        lyap = [lyapunov_value(disagreement_loop(graph, x), self.PARAMS)]
+        lyap = [lyapunov_value(disagreement_loop(graph, x), params)]
         for _ in range(n_steps):
             k1 = rate(x)
             k2 = rate(x + 0.5 * dt * k1)
@@ -856,7 +856,7 @@ class TestIntegrateConsensus:
             k4 = rate(x + dt * k3)
             x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             states.append(x)
-            lyap.append(lyapunov_value(disagreement_loop(graph, x), self.PARAMS))
+            lyap.append(lyapunov_value(disagreement_loop(graph, x), params))
         return np.array(states), np.array(lyap), x, rate(x)
 
     def test_bitwise_equal_to_five_evaluation_rk4(self):
@@ -941,6 +941,86 @@ class TestIntegrateConsensus:
         else:
             assert run.states is None
         for got, want in ((run.lyapunov, lyap), (run.final_state, x), (run.final_input, u)):
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+    # slope 80: from spreads up to about 10, runs settle bitwise within
+    # a few hundred steps of dt = 0.01; a spread of 1000 takes 50 s
+    SETTLING = SaturationParams(0.0, 20.0, 0.25)
+    SPREADS = np.array([0.0, 1e-3, 1e-2, 0.1, 1.0, 3.0, 10.0, 1000.0])
+
+    def _settling_starts(self, batch, n, first=0, seed=31):
+        """Starts whose spreads cycle through SPREADS from SPREADS[first];
+        a spread of 0 gives +0.0 and -0.0 at random."""
+        runs = math.prod(batch)
+        spread = np.resize(np.roll(self.SPREADS, -first), runs)[:, None]
+        x0 = np.random.default_rng(seed).uniform(-0.5, 0.5, (runs, n)) * spread
+        return x0.reshape(batch + (n,))
+
+    def _count_calls(self, monkeypatch):
+        """Wrap sat and neighbor_disagreement; returns each one's list of
+        the batch widths it was called with (1 for a row)."""
+        widths = {"sat": [], "neighbor_disagreement": []}
+        for name, seen in widths.items():
+            inner = getattr(consensus, name)
+
+            def counted(*args, _inner=inner, _seen=seen):
+                _seen.append(args[0].shape[1] if args[0].ndim > 1 else 1)
+                return _inner(*args)
+
+            monkeypatch.setattr(consensus, name, counted)
+        return widths
+
+    @pytest.mark.parametrize("record_states", [True, False], ids=["states", "no-states"])
+    @pytest.mark.parametrize(
+        "graph,batch,n_steps",
+        [(TREE8, (8,), 700), (TREE8, (2, 3), 700), (TREE8, (), 1100), (STAR40, (8,), 500)],
+        ids=["tree-batch", "tree-batch2", "tree-row", "star40-batch"],
+    )
+    def test_retired_runs_bitwise_equal_to_five_evaluation_rk4(self, graph, batch, n_steps,
+                                                               record_states, monkeypatch):
+        # runs settle at different steps, and retire at the next check; the
+        # star's V sums 40 nodes a run, so its pairwise blocks show
+        x0 = self._settling_starts(batch, graph.n_nodes, first=2 if batch == () else 0)
+        widths = self._count_calls(monkeypatch)
+        dt = 0.01
+        run = integrate_consensus(graph, x0, self.SETTLING, dt, n_steps * dt, record_states)
+        monkeypatch.undo()
+        runs = math.prod(batch)
+        if batch == ():
+            # the lone run (spread 0.01) settles near step 650, after the
+            # first check at step 511, and retires at the second, step 1023,
+            # which ends the loop: no sat for the final input
+            assert len(widths["sat"]) < 4 * n_steps and len(widths["sat"]) % 4 == 0
+        else:
+            # runs left at several steps, and some still move at t_end
+            assert len(set(widths["sat"])) > 2 and widths["sat"][0] == runs
+            assert len(widths["sat"]) == 4 * n_steps + 1
+        states, lyap, x, u = self._five_evaluation_rk4(x0, dt, n_steps, graph, self.SETTLING)
+        if record_states:
+            assert (run.states.shape, run.states.tobytes()) == (states.shape, states.tobytes())
+        else:
+            assert run.states is None
+        for got, want in ((run.lyapunov, lyap), (run.final_state, x), (run.final_input, u)):
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+    @pytest.mark.parametrize("batch", [(), (7,)], ids=["row", "batch"])
+    def test_retired_runs_call_no_kernel_once_all_have_settled(self, batch, monkeypatch):
+        # every run settles long before t_end, so the loop ends early: sat
+        # runs four times a step taken and never for the final input, the
+        # disagreement once more, and neither sees an empty batch
+        x0 = self._settling_starts(batch, 8)
+        widths = self._count_calls(monkeypatch)
+        dt, n_steps = 0.01, 1500
+        run = integrate_consensus(TREE8, x0, self.SETTLING, dt, n_steps * dt, record_states=True)
+        monkeypatch.undo()
+        taken = len(widths["sat"]) // 4
+        assert len(widths["sat"]) == 4 * taken
+        assert len(widths["neighbor_disagreement"]) == 4 * taken + 1
+        assert taken < n_steps // 2
+        assert min(widths["sat"] + widths["neighbor_disagreement"]) >= 1
+        states, lyap, x, u = self._five_evaluation_rk4(x0, dt, n_steps, TREE8, self.SETTLING)
+        for got, want in ((run.states, states), (run.lyapunov, lyap), (run.final_state, x),
+                          (run.final_input, u)):
             assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
     def test_record_shapes(self):

@@ -282,6 +282,13 @@ class TestConstruction:
             assert g == Graph(3, ((0, 1), (1, 2)))
             assert g.check_spanning_tree().is_tree
 
+    def test_tables_compare_and_hash_by_identity(self):
+        g, h = Graph(3, ((0, 1), (1, 2))), Graph(3, ((0, 1), (1, 2)))
+        assert (g.neighbor_table == h.neighbor_table) is False
+        assert (g.neighbor_table == g.neighbor_table) is True
+        assert hash(g.neighbor_table) == hash(g.neighbor_table)
+        assert len({g.neighbor_table, h.neighbor_table}) == 2
+
     def test_neighbors_sorted(self):
         g = demo_tree()
         # node 3 (0-based 2) touches nodes 2, 4, 5 (0-based 1, 3, 4); the

@@ -1,5 +1,6 @@
 import copy
 import functools
+import importlib.util
 import math
 import os
 import subprocess
@@ -45,6 +46,52 @@ class TestLoad:
         for name in ("eight_drones.scn", "two_drones.scn"):
             doc = load_mapping(scenario_dir / name)
             assert validate_mapping(doc) == []
+
+    def test_benchmark_scenarios_are_valid(self):
+        # perfbench/inputs.py raises on a generated document with any violation
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_inputs", Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py")
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        for workload in inputs.SIM_WORKLOADS:
+            for seed, job in ((1, 0), (2, 3), (501, 1)):
+                assert validate_mapping(inputs.scenario_mapping(workload, seed, job)) == []
+
+    @pytest.mark.parametrize(
+        "override,violations",
+        [
+            ({"gvf": {"k_e": 1e308}}, ["gvf.k_e: the square of 1e+308 is not a finite number"]),
+            ({"gvf": {"k_n": [1.0, 2e154, 1e200, 3.0, 1.0, 1.0, 1.0, 1.0]}},
+             ["gvf.k_n: the square of entry 1, 2e+154, is not a finite number",
+              "gvf.k_n: the square of entry 2, 1e+200, is not a finite number"]),
+            ({"speed_mps": 1e200}, ["speed_mps: the square of 1e+200 is not a finite number"]),
+            ({"speed_mps": [2e154] * 8},
+             ["speed_mps: the square of 2e+154 is not a finite number"]),
+            ({"wind_mps": [1e300, -1e155]},
+             ["wind_mps: the square of entry 0, 1e+300, is not a finite number",
+              "wind_mps: the square of entry 1, -1e+155, is not a finite number"]),
+            ({"wind_mps": [0.0, 10**160]},
+             ["wind_mps: the square of entry 1, 1e+160, is not a finite number"]),
+        ],
+        ids=["gain", "per-drone-gains", "speed", "per-drone-speed", "wind", "integer-wind"],
+    )
+    def test_squares_beyond_the_float_range_are_invalid(self, scenario_dir, override, violations):
+        # each such value turns the first tick's squares to inf; the
+        # largest whose square is finite, about 1.34e154, validates
+        doc = load_mapping(scenario_dir / "eight_drones.scn")
+        for key, value in override.items():
+            if isinstance(value, dict):
+                doc[key].update(value)
+            else:
+                doc[key] = value
+        assert validate_mapping(doc) == violations
+        with pytest.raises(ScenarioError) as err:
+            build_scenario(doc)
+        assert err.value.violations == violations
+        doc = load_mapping(scenario_dir / "eight_drones.scn")
+        doc.update(speed_mps=1.3e154, wind_mps=[1.3e154, -1.3e154])
+        doc["gvf"].update(k_e=1.3e154, k_n=1.3e154)
+        assert not any("square" in line for line in validate_mapping(doc))
 
     def test_non_mapping_rejected(self, tmp_path):
         f = tmp_path / "bad.scn"
