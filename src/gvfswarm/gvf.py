@@ -12,10 +12,10 @@ whole budget goes lateral (exterior branch):
 
 Both branches have ||f|| = v and they agree at the boundary. Along
 closed-loop motion pdot = f the tracking error phi - gamma contracts
-as exp(-k_e t). Vectors are component-first, (2, ...), so a vector
-meets a per-drone scalar in two contiguous inner loops. The kernel takes
+as exp(-k_e t). Vectors are component-first, (2, ...). The kernel takes
 its run constants ready-made, as one :class:`FieldOperands` from
-:func:`field_operands`.
+:func:`field_operands`, each array in the shape of the one it meets, so
+no operation of an all-interior call broadcasts or strides.
 """
 
 from __future__ import annotations
@@ -34,71 +34,103 @@ __all__ = ["FieldOperands", "field_operands", "field_core"]
 ALPHA_FLOOR_REL = 1e-6
 
 
+# rows (y, x, x, y) of a (2, ...) pair: with (alpha, alpha, alpha_dot,
+# alpha_dot) against the tangents' and (u, u, u_dot, u_dot) against the
+# normals', one product each gives (f_y, f_x, f_dot_x, f_dot_y)
+_ROWS = np.array([1, 0, 0, 1])
+# (u, u_dot) -> (u, u, u_dot, u_dot)
+_TWICE = np.array([0, 0, 1, 1])
+
+
 class FieldOperands(NamedTuple):
-    """The run constants of :func:`field_core`, boxed (see ``_box``)."""
+    """The run constants of :func:`field_core`: boxed scalars (see ``_box``) and line arrays."""
 
     speed: np.ndarray  # v
     speed_sq: np.ndarray  # v^2
     alpha_floor: np.ndarray  # ALPHA_FLOOR_REL v, the floor of the tangential magnitude
+    gain: np.ndarray  # (k_e, k_e), (2, ...)
+    normal: np.ndarray  # (2, ...) unit left normals, the gradient of phi
+    normal_rows: np.ndarray  # (n_y, n_x, n_x, n_y), (4, ...)
+    tangent_rows: np.ndarray  # (t_y, t_x, t_x, t_y), (4, ...)
 
 
-def field_operands(speed: float) -> FieldOperands:
-    """field_core's operands for ground speed v."""
+def _fixed(a) -> np.ndarray:
+    out = np.array(a, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+def field_operands(speed: float, normal, tangent, k_e=1.0) -> FieldOperands:
+    """field_core's operands for ground speed v, (2, ...) unit normals and tangents and gain k_e."""
     v = float(speed)
-    return FieldOperands(box(v), box(v * v), box(ALPHA_FLOOR_REL * v))
+    normal, tangent = np.asarray(normal, dtype=float), np.asarray(tangent, dtype=float)
+    return FieldOperands(
+        box(v), box(v * v), box(ALPHA_FLOOR_REL * v),
+        _fixed(np.broadcast_to(k_e, normal.shape)), _fixed(normal),
+        _fixed(normal[_ROWS]), _fixed(tangent[_ROWS]),
+    )
 
 
-def field_core(phi, normal, tangent, ops: FieldOperands, k_e, gamma, gamma_dot, gamma_ddot, p_dot):
+def field_core(phi, gammas, p_dot, ops: FieldOperands):
     """Vectorized field and field rate on stacked line geometry.
 
     Parameters
     ----------
     phi : array (...)
         Level values at the query points.
-    normal, tangent : array (2, ...)
-        Unit left normal (the gradient of phi) and unit tangent of
-        each line.
-    ops : FieldOperands
-        Ground speed v and what the kernel derives from it.
-    k_e : float or array (...)
-        Convergence gain, one for all points or one per point.
-    gamma, gamma_dot, gamma_ddot : array (...)
-        Offset reference and its first two rates.
+    gammas : array (3, ...)
+        Offset reference and its first two rates, (gamma, gamma_dot,
+        gamma_ddot), as :func:`gvfswarm.oscillation.wave` returns them.
     p_dot : array (2, ...)
         Velocity along which the field rate is taken.
+    ops : FieldOperands
+        Ground speed v, the gain k_e and the lines' unit normals and
+        tangents, in the layouts the kernel multiplies.
 
     Returns
     -------
     (f, f_dot, interior): the field and its time derivative, both
     (2, ...), and the interior-branch flag (... bool).
 
-    When every point is interior, the exterior arrays and the ``where``
-    selects are skipped and the interior arrays are returned as they
-    are: the values ``where`` would pick, so the bits are the same.
+    u_phi and its rate come out of one pair (phi, phi_dot) - (gamma,
+    gamma_dot), and the interior field and its rate out of one (4, ...)
+    block (f_y, f_x, f_dot_x, f_dot_y): f is its first two rows reversed,
+    so the heading law's f[::-1] reads them in memory order. When every
+    point is interior, the exterior arrays and the ``where`` selects are
+    skipped and the interior arrays are returned as they are: the values
+    ``where`` would pick, so the bits are the same.
     """
     speed = ops.speed
+    levels = np.empty(ops.gain.shape)
+    levels[0] = phi
+    # a sum over axis 0, not a[0]*b[0] + a[1]*b[1]: -0.0 + -0.0 sums to +0.0
+    np.add.reduce(ops.normal * p_dot, axis=0, out=levels[1, ...])
     # gamma_dot - k_e (phi - gamma) is -k_e (phi - gamma) + gamma_dot to
-    # the bit: negation is exact and x - y is x + (-y)
-    u_phi = gamma_dot - k_e * (phi - gamma)
+    # the bit: negation is exact and x - y is x + (-y); likewise the rate
+    levels -= gammas[:2]
+    levels *= ops.gain
+    u = gammas[1:] - levels
     # unit gradient: zeta = grad/||grad||^2 = normal, so beta = u_phi * normal
-    beta = u_phi * normal
-    beta_norm = np.abs(u_phi)
+    twice = u.take(_TWICE, axis=0)
+    beta_norm = np.abs(u[0])
     interior = beta_norm <= speed
     # a count, not a logical_and reduction: a third of the cost on 8 points
     all_interior = np.count_nonzero(interior) == interior.size
-    alpha = np.sqrt(np.maximum(ops.speed_sq - u_phi * u_phi, ZERO))
-    f = alpha * tangent + beta
-
-    # a sum over axis 0, not a[0]*b[0] + a[1]*b[1]: -0.0 + -0.0 sums to +0.0
-    phi_dot = np.add.reduce(normal * p_dot, axis=0)
-    u_phi_dot = gamma_ddot - k_e * (phi_dot - gamma_dot)
-    beta_dot = u_phi_dot * normal
-    # interior: f_dot = alpha_dot t_hat + beta_dot, with
-    # alpha_dot = -(beta . beta_dot)/alpha floored near the boundary
+    # interior: f = alpha t_hat + beta, f_dot = alpha_dot t_hat + beta_dot,
+    # with alpha_dot = -(beta . beta_dot)/alpha floored near the boundary
+    u_u, u_dot_u_dot = twice[:2], twice[2:]
+    rates = np.empty(twice.shape)
+    alpha = np.sqrt(np.maximum(ops.speed_sq - u_u * u_u, ZERO), out=rates[:2])
     alpha_safe = np.maximum(alpha, ops.alpha_floor)
-    alpha_dot = -(u_phi * u_phi_dot) / alpha_safe
-    f_dot = alpha_dot * tangent + beta_dot
+    lead = u_u * u_dot_u_dot
+    np.negative(lead, out=lead)
+    np.divide(lead, alpha_safe, out=rates[2:])
+    block = rates * ops.tangent_rows
+    block += twice * ops.normal_rows
+    f, f_dot = block[1::-1], block[2:]
     if not all_interior:
+        normal = ops.normal
+        beta, beta_dot = u[0] * normal, u[1] * normal
         safe_norm = np.where(interior, 1.0, beta_norm)
         f = np.where(interior, f, speed * beta / safe_norm)
         # exterior: f_dot = v (I/||b|| - b b^T/||b||^3) beta_dot, the

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._box import TWO, ZERO, box
+from ._box import ZERO, box
 
 __all__ = [
     "OscillationConfig",
@@ -98,58 +98,71 @@ class OscillationConfig:
 
 
 class WaveOperands(NamedTuple):
-    """The run constants of :func:`wave`: w and w^2, boxed for a scalar w."""
+    """The run constants of :func:`wave`: w^2 (boxed for a scalar w) and the pair (w, 2w)."""
 
-    w_gamma: np.ndarray
     w_sq: np.ndarray
+    rate_gains: np.ndarray  # (w, 2w), (2, ...): the cos gains of A and Adot
 
 
-def wave_operands(w_gamma) -> WaveOperands:
-    """wave's operands for one angular frequency w, or an array of them."""
+def wave_operands(w_gamma, shape=()) -> WaveOperands:
+    """wave's operands for one angular frequency w, or an array of them, and waves of ``shape``."""
     if getattr(w_gamma, "ndim", 0):
-        return WaveOperands(w_gamma, w_gamma**2)
-    # w^2 is Python's float **: a 0-d array's ** squares, which differs
-    # from pow(w, 2) in the last bit for some w
-    w = float(w_gamma)
-    return WaveOperands(box(w), box(w**2))
+        w_sq = w_gamma**2
+    else:
+        # w^2 is Python's float **: a 0-d array's ** squares, which differs
+        # from pow(w, 2) in the last bit for some w
+        w_gamma = float(w_gamma)
+        w_sq = box(w_gamma**2)
+    rate_gains = np.empty((2,) + tuple(shape))
+    rate_gains[0], rate_gains[1] = w_gamma, 2.0 * w_gamma
+    rate_gains.flags.writeable = False
+    return WaveOperands(w_sq, rate_gains)
 
 
-def wave(sin_wt, cos_wt, amplitude, amplitude_rate, amplitude_accel, ops: WaveOperands):
-    """gamma, gamma_dot and gamma_ddot from a given sin(w t) and cos(w t).
+def wave(sin_wt, cos_wt, block, ops: WaveOperands):
+    """(gamma, gamma_dot, gamma_ddot), one (3, ...) array, from sin(w t) and cos(w t).
 
-    The one kernel behind :func:`gamma`, :func:`gamma_dot` and
-    :func:`gamma_ddot`; the simulator calls it once per tick with the
-    phase evaluated once. Broadcasts over array inputs.
+    ``block`` holds (A, Adot, Addot - A w^2) in its first three rows, the
+    layout :func:`relaxation_step` returns, so that
+
+        gamma = A sin, gamma_dot = Adot sin + (A w) cos,
+        gamma_ddot = (Addot - A w^2) sin + (Adot 2w) cos
+
+    take one product with sin, one with (w, 2w), one with cos and one
+    sum. Adot (2w) is (2 Adot) w to the bit: doubling is exact. The
+    simulator calls it once per tick with the phase evaluated once.
     """
-    w_gamma = ops.w_gamma
-    g = amplitude * sin_wt
-    g_dot = amplitude_rate * sin_wt + amplitude * w_gamma * cos_wt
-    g_ddot = (
-        (amplitude_accel - amplitude * ops.w_sq) * sin_wt
-        + TWO * amplitude_rate * w_gamma * cos_wt
-    )
-    return g, g_dot, g_ddot
+    out = block[:3] * sin_wt
+    rates = block[:2] * ops.rate_gains
+    rates *= cos_wt
+    out[1:] += rates
+    return out
 
 
-def _phase(t, w_gamma):
+def _waves(t, amplitude, amplitude_rate, amplitude_accel, w_gamma):
+    """wave() at times t: the kernel behind the three public waves."""
     wt = w_gamma * np.asarray(t, dtype=float)
-    return np.sin(wt), np.cos(wt)
+    shape = np.broadcast_shapes(wt.shape, *map(np.shape, (amplitude, amplitude_rate, amplitude_accel)))
+    ops = wave_operands(w_gamma, shape)
+    block = np.empty((3,) + shape)
+    block[0], block[1] = amplitude, amplitude_rate
+    block[2] = amplitude_accel - amplitude * ops.w_sq
+    return wave(np.sin(wt), np.cos(wt), block, ops)
 
 
 def gamma(t, amplitude, w_gamma):
     """Lateral reference A sin(w t). Broadcasts over array inputs."""
-    return wave(*_phase(t, w_gamma), amplitude, 0.0, 0.0, wave_operands(w_gamma))[0]
+    return _waves(t, amplitude, 0.0, 0.0, w_gamma)[0]
 
 
 def gamma_dot(t, amplitude, amplitude_rate, w_gamma):
     """Time derivative of gamma for a time-varying amplitude."""
-    return wave(*_phase(t, w_gamma), amplitude, amplitude_rate, 0.0, wave_operands(w_gamma))[1]
+    return _waves(t, amplitude, amplitude_rate, 0.0, w_gamma)[1]
 
 
 def gamma_ddot(t, amplitude, amplitude_rate, amplitude_accel, w_gamma):
     """Second time derivative of gamma for a time-varying amplitude."""
-    ops = wave_operands(w_gamma)
-    return wave(*_phase(t, w_gamma), amplitude, amplitude_rate, amplitude_accel, ops)[2]
+    return _waves(t, amplitude, amplitude_rate, amplitude_accel, w_gamma)[2]
 
 
 def complete_elliptic_e(m: float) -> float:
@@ -262,17 +275,18 @@ def schedule_operands(
     return ScheduleOperands(box(v * v), box(w_gamma), box(k_a), box(amplitude_cap))
 
 
-def amplitude_schedule(xdot, ops: ScheduleOperands):
+def amplitude_schedule(xdot, ops: ScheduleOperands, out=None):
     """A_d = min(k_A sqrt(max(v^2 - xdot^2, 0)) / w, cap), and the unclamped value.
 
     The one schedule kernel: the simulator calls it on every tick, where
     xdot already lies in [0, v]. Returns (clamped, raw): the cap binds
-    where raw exceeds it. No input is clipped and nothing is logged;
-    xdot above v gives 0, and xdot below 0 gives the formula as it
-    stands. Broadcasts over array inputs.
+    where raw exceeds it; the clamped value goes to ``out`` if given. No
+    input is clipped and nothing is logged; xdot above v gives 0, and
+    xdot below 0 gives the formula as it stands. Broadcasts over array
+    inputs.
     """
     raw = ops.k_a * np.sqrt(np.maximum(ops.speed_sq - xdot * xdot, ZERO)) / ops.w_gamma
-    return np.minimum(raw, ops.amplitude_cap), raw
+    return np.minimum(raw, ops.amplitude_cap, out=out), raw
 
 
 def fit_k_a(speed: float, w_gamma: float, n_samples: int = 100) -> float:
@@ -295,27 +309,44 @@ class RelaxationOperands(NamedTuple):
 
     decay: np.ndarray  # exp(-dt/tau)
     tau: np.ndarray
+    neg_tau: np.ndarray  # -tau
+    w_sq: np.ndarray  # w^2 of the wave that reads the block
 
 
-def relaxation_operands(dt: float, tau: float) -> RelaxationOperands:
-    """relaxation_step's operands for step dt and time constant tau."""
+def relaxation_operands(dt: float, tau: float, w_gamma: float = 0.0) -> RelaxationOperands:
+    """relaxation_step's operands for step dt, time constant tau and wave frequency w."""
     h, t = float(dt), float(tau)
     if not t > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if h < 0:
         raise ValueError(f"dt must be non-negative, got {dt}")
-    return RelaxationOperands(box(math.exp(-h / t)), box(t))
+    return RelaxationOperands(box(math.exp(-h / t)), box(t), box(-t), box(float(w_gamma) ** 2))
 
 
-def relaxation_step(value, target, ops: RelaxationOperands):
+def relaxation_step(value, target, ops: RelaxationOperands, out=None):
     """One exact step of tau * xdot = target - x under a held target.
 
-    Returns (value, rate, accel) after the operands' dt. Array-capable;
-    with target in [lo, hi] the new value is a convex combination and
-    stays inside the same interval, so no clamping is needed downstream.
+    Returns the (4, ...) block (value, rate, accel - value w^2, accel)
+    after the operands' dt, the layout :func:`wave` reads. ``out`` may be
+    the four rows of such a block, written and returned in its place;
+    ``value`` may be its first row. Array-capable; with target in
+    [lo, hi] the new value is a convex combination and stays inside the
+    same interval, so no clamping is needed downstream. The accel
+    -rate/tau is rate/(-tau) to the bit.
     """
-    tau = ops.tau
-    new_value = target + (value - target) * ops.decay
-    new_rate = (target - new_value) / tau
-    new_accel = -new_rate / tau
-    return new_value, new_rate, new_accel
+    if out is None:
+        block = np.empty((4,) + np.broadcast_shapes(np.shape(value), np.shape(target)))
+        out = block
+        rows = [block[i, ...] for i in range(4)]
+    else:
+        rows = out
+    new_value, new_rate, shifted, new_accel = rows
+    step = value - target
+    step *= ops.decay
+    np.add(target, step, out=new_value)
+    np.subtract(target, new_value, out=new_rate)
+    new_rate /= ops.tau
+    np.divide(new_rate, ops.neg_tau, out=new_accel)
+    np.multiply(new_value, ops.w_sq, out=shifted)
+    np.subtract(new_accel, shifted, out=shifted)
+    return out

@@ -314,6 +314,9 @@ def _parse(mapping) -> tuple[Scenario | None, list[str]]:
     wind = _check(wind, _pair, "wind_mps", "must be two finite numbers [east, north]", bad)
     if wind is not None and not _squares_finite(wind, "wind_mps", bad):
         wind = None
+    elif wind is not None and not math.isfinite(float(wind[0]) ** 2 + float(wind[1]) ** 2):
+        bad.append(f"wind_mps: the squared norm of {wind} is not a finite number")
+        wind = None
     threshold = mapping.get("convergence_threshold_m", 1.0)
     threshold = _check(threshold, _pos_num, "convergence_threshold_m",
                        "must be a positive number", bad)
@@ -484,6 +487,11 @@ def _parse(mapping) -> tuple[Scenario | None, list[str]]:
         wind=np.array([float(v) for v in wind]),
         convergence_threshold=float(threshold),
     )
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = scenario.initial_positions()
+        if not np.isfinite(start * start).all():
+            return None, ["initial: a drone starts where the square of a coordinate "
+                          "is not a finite number"]
     return scenario, []
 
 

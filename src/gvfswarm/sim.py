@@ -110,8 +110,7 @@ __all__ = [
 TELEMETRY_FLOAT_FORMAT = "%.9g"
 
 # the per-drone telemetry cells in row order: header stem and the
-# SimulationResult field that holds it; all but the int8 branch code are
-# the float cells of the history store, in this order, positions two
+# SimulationResult field that holds it
 _DRONE_CELLS = (
     ("p{i}_x_m", "positions"), ("p{i}_y_m", "positions"), ("theta{i}_rad", "headings"),
     ("phi{i}_m", "phis"), ("gamma{i}_m", "gammas"), ("x{i}_m", "path_parameters"),
@@ -119,6 +118,16 @@ _DRONE_CELLS = (
     ("xdot_d{i}_mps", "desired_velocities"), ("A{i}_m", "amplitudes"),
     ("A_d{i}_m", "commanded_amplitudes"), ("omega{i}_rad_s", "omegas"), ("branch{i}", "branches"),
 )
+# the float cells of the history store: the telemetry's order with x
+# moved next to phi, so one sum writes both (positions two cells)
+_STORE_CELLS = (
+    "positions", "positions", "headings", "phis", "path_parameters", "gammas",
+    "averaged_parameters", "inputs", "desired_velocities", "amplitudes",
+    "commanded_amplitudes", "omegas",
+)
+_CELL = {name: _STORE_CELLS.index(name) for name in _STORE_CELLS}
+# the store cell of each float telemetry cell
+_TELEMETRY_ORDER = [_STORE_CELLS.index(name) + (stem == "p{i}_y_m") for stem, name in _DRONE_CELLS[:-1]]
 
 
 @dataclass
@@ -126,7 +135,7 @@ class SimulationResult:
     """Complete tick history of one run plus the summary document.
 
     ``positions`` through ``omegas`` are slices, strided views, of one
-    (ticks, 12, N) float64 array in telemetry cell order (_DRONE_CELLS).
+    (ticks, 12, N) float64 array in _STORE_CELLS order.
     """
 
     scenario: Scenario
@@ -382,56 +391,61 @@ def run(
     w = cfg.w_gamma
 
     origins, tangents, normals = sc.origins, sc.tangents, sc.normals
-    # each line's tangent over its normal, (2, 2, N): one product and one
-    # sum over the components give the path parameter x and the level value
-    # phi together, each the same sum as over its own (2, N) product
-    frames = np.stack([tangents, normals])
+    # each line's normal over its tangent, (2, 2, N), against each drone's
+    # offset from its line twice: one product and one sum over the
+    # components give the level value phi and the path parameter x
+    # together, each the same sum as over its own (2, N) product
+    frames = np.stack([normals, tangents])
+    offsets = np.empty_like(frames)
     table = sc.graph.neighbor_table
     tails, heads = sc.graph.edge_array.T
 
     # every run constant a kernel combines with an array, built once by
-    # the kernel's own helper; the gains k_e and k_n are per-drone arrays
-    kin = vehicle_operands(speed, dt, wind)
-    field_ops = field_operands(speed)
-    wave_ops = osc.wave_operands(w)
+    # the kernel's own helper in the shape of the array it meets
+    kin = vehicle_operands(speed, dt, wind, sc.k_n, (n,))
+    field_ops = field_operands(speed, normals, tangents, sc.k_e)
+    wave_ops = osc.wave_operands(w, (n,))
     schedule_ops = osc.schedule_operands(speed, w, cfg.k_a, cfg.amplitude_cap)
-    relax_ops = osc.relaxation_operands(dt, cfg.tau_a)
+    relax_ops = osc.relaxation_operands(dt, cfg.tau_a, w)
     speed_b, k_u_b = kin.speed, box(sc.k_u)
     # this tick's sin(w t) and cos(w t), written in place
     sin_wt, cos_wt = np.empty(()), np.empty(())
     # relaxation_step and the history only read a fixed command
     fixed_cmd = None if sc.fixed_amplitude is None else np.full(n, sc.fixed_amplitude)
 
-    # mutable state
-    pos = sc.initial_positions().T.copy()
-    theta = sc.initial_headings.copy()
-    # the model velocity v (cos theta, sin theta); advance returns the next one
-    velocity = np.empty((2, n))
-    np.cos(theta, out=velocity[0])
-    np.sin(theta, out=velocity[1])
-    velocity *= speed
-    amp = np.zeros(n)
-    amp_rate = np.zeros(n)
-    amp_accel = np.zeros(n)
-    averager = WindowAverager(window=cfg.period, dt=dt, shape=(n,))
-
-    # each tick's float drone cells in telemetry order; the fields are views.
-    # It is the largest history array, so numpy can address the others
-    store = np.empty(_addressable((n_ticks + 1, len(_DRONE_CELLS) - 1, n)))
+    # each tick's float drone cells in _STORE_CELLS order; the fields are
+    # views. It is the largest history array, so numpy can address the others
+    store = np.empty(_addressable((n_ticks + 1, len(_STORE_CELLS), n)))
     times = np.arange(n_ticks + 1) * dt
     hist = SimulationResult(
         scenario=sc, times=times, positions=store[:, 0:2].transpose(0, 2, 1),
-        **{name: store[:, c] for c, (_, name) in enumerate(_DRONE_CELLS[2:-1], start=2)},
+        **{name: store[:, c] for name, c in _CELL.items() if name != "positions"},
         branches=np.empty((n_ticks + 1, n), dtype=np.int8),
         edge_diffs=np.empty((n_ticks + 1, m)), lyapunov=np.empty(n_ticks + 1),
     )
+    HEADING, PHI, X, GAMMA, XBAR, U, XDOT_D, AMP, A_CMD, OMEGA = (
+        _CELL[name] for name in _STORE_CELLS[2:])
+
+    # mutable state: position and heading in the tick's store row, which
+    # the advance writes for the next tick
+    store[0, 0:2] = sc.initial_positions().T
+    store[0, HEADING] = sc.initial_headings
+    # the model velocity v (cos theta, sin theta); advance returns the next one
+    velocity = np.empty((2, n))
+    np.cos(sc.initial_headings, out=velocity[0])
+    np.sin(sc.initial_headings, out=velocity[1])
+    velocity *= speed
+    # (A, A_dot, A_ddot - A w^2, A_ddot), all zero at rest
+    waves = np.zeros((4, n))
+    wave_rows = tuple(waves)
+    averager = WindowAverager(window=cfg.period, dt=dt, shape=(n,))
 
     # the telemetry columns, None when no rows are formatted
     columns = _telemetry_header(n, m) if compute_digest or telemetry_path is not None else None
     # the observers run once per block of about _SUMMARY_BLOCK cells, from
     # the history and each tick's eta and p_dot
     rows = max(1, _SUMMARY_BLOCK // (n if columns is None else len(columns)))
-    eta_rows, p_dot_rows = np.empty((rows, n)), np.empty((2, rows, n))
+    eta_rows, p_dot_rows = np.empty((rows, n)), np.empty((rows, 2, n))
     last_violation, final_edge = -1, 0.0
     ground_min = omega_min = np.inf
     ground_max = omega_max = -np.inf
@@ -450,11 +464,14 @@ def run(
         for k in range(n_ticks + 1):
             t0 = clock()
             j = k % rows
+            row = store[k]
             # publish
-            projections = np.add.reduce((pos - origins) * frames, axis=1)
-            x, phi = projections[0], projections[1]
-            averager.push(x)
-            xbar = averager.average()
+            np.subtract(row[0:2], origins, out=offsets[0])
+            offsets[1] = offsets[0]
+            offsets *= frames
+            np.add.reduce(offsets, axis=1, out=row[PHI:X + 1])
+            averager.push(row[X])
+            xbar = row[XBAR] = averager.average()
             t1 = clock()
             # control: own average against the neighbors' from tick seen's history row
             eta = neighbor_disagreement(xbar, table)
@@ -463,25 +480,26 @@ def run(
                 lead = -eta
             else:
                 lead = -neighbor_disagreement(hist.averaged_parameters[seen], table, own=xbar)
-            u = sat(lead, sat_p)
-            xdot_d = speed_b - k_u_b * u
+            u = row[U] = sat(lead, sat_p)
+            xdot_d = np.subtract(speed_b, k_u_b * u, out=row[XDOT_D])
             if fixed_cmd is None:
-                a_cmd = osc.amplitude_schedule(xdot_d, schedule_ops)[0]
+                a_cmd = osc.amplitude_schedule(xdot_d, schedule_ops, out=row[A_CMD])[0]
             else:
-                a_cmd = fixed_cmd
-            wt = w * float(times[k])
+                a_cmd = row[A_CMD] = fixed_cmd
+            # k dt is times[k] to the bit: np.arange's k is exact
+            wt = w * (k * dt)
             sin_wt[()], cos_wt[()] = math.sin(wt), math.cos(wt)
-            g, g_dot, g_ddot = osc.wave(sin_wt, cos_wt, amp, amp_rate, amp_accel, wave_ops)
-            f, f_dot, interior = field_core(
-                phi, normals, tangents, field_ops, sc.k_e, g, g_dot, g_ddot, velocity)
-            omega = heading_rate_core(f, f_dot, velocity, kin, sc.k_n)
+            gammas = osc.wave(sin_wt, cos_wt, waves, wave_ops)
+            f, f_dot, interior = field_core(row[PHI], gammas, velocity, field_ops)
+            omega = heading_rate_core(f, f_dot, velocity, kin, row[OMEGA])
             t2 = clock()
-            # telemetry: the history rows, then the observers once per block
-            store[k, 0:2] = pos
-            store[k, 2:] = theta, phi, g, x, xbar, u, xdot_d, amp, a_cmd, omega
+            # telemetry: the history cells the kernels did not write, then
+            # the observers once per block
+            row[GAMMA] = gammas[0]
+            row[AMP] = wave_rows[0]
             hist.branches[k] = interior
             eta_rows[j] = eta
-            p_dot_rows[:, j] = velocity
+            p_dot_rows[j] = velocity
             if j == rows - 1 or k == n_ticks:
                 b, ticks = j + 1, slice(k - j, k + 1)
                 hist.branches[ticks] ^= 1  # interior flag -> exterior code
@@ -497,7 +515,7 @@ def run(
                         last_violation = k - j + int(late[-1])
                     final_edge = max_edge[-1]
                 # sqrt(vx^2 + vy^2) is bitwise np.linalg.norm over the pair
-                vx, vy = p_dot_rows[:, :b] + kin.stage_wind
+                vx, vy = (p_dot_rows[:b] + kin.wind).transpose(1, 0, 2)
                 ground = np.sqrt(vx * vx + vy * vy)
                 ground_min = np.minimum(ground_min, ground.min())
                 ground_max = np.maximum(ground_max, ground.max())
@@ -505,7 +523,7 @@ def run(
                 omega_max = np.maximum(omega_max, hist.omegas[ticks].max())
                 if columns is not None:
                     block[:b, 0] = times[ticks]
-                    drone_cells[:b, :, :-1] = store[ticks].transpose(0, 2, 1)
+                    drone_cells[:b, :, :-1] = store[ticks, _TELEMETRY_ORDER].transpose(0, 2, 1)
                     drone_cells[:b, :, -1] = hist.branches[ticks]
                     block[:b, -1 - m:-1] = z
                     block[:b, -1] = v
@@ -519,8 +537,10 @@ def run(
             t3 = clock()
             # advance
             if k < n_ticks:
-                pos, theta, velocity = unicycle_step(pos, theta, velocity, omega, kin)
-                amp, amp_rate, amp_accel = osc.relaxation_step(amp, a_cmd, relax_ops)
+                ahead = store[k + 1]
+                velocity = unicycle_step(row[0:2], row[HEADING], velocity, omega, kin,
+                                         out=(ahead[0:2], ahead[HEADING]))[2]
+                osc.relaxation_step(wave_rows[0], a_cmd, relax_ops, out=wave_rows)
             t4 = clock()
             ns_publish += t1 - t0
             ns_control += t2 - t1

@@ -32,44 +32,53 @@ __all__ = [
 class VehicleOperands(NamedTuple):
     """The run constants of :func:`heading_rate_core` and :func:`unicycle_step`.
 
-    Scalars are boxed (see ``_box``); the arrays are read-only and shaped
-    to broadcast against (2, ...) stages of headings with ``ndim`` axes.
+    Scalars are boxed (see ``_box``); the arrays are read-only and of the
+    full shape of the (2, ...) velocities and (2, 2, ...) stage
+    velocities they meet, for headings of the ``shape`` they were built for.
     """
 
     speed: np.ndarray  # v
     speed_sq: np.ndarray  # v^2
-    stage_dt: np.ndarray  # (h/2, h), (2, 1, ...): the midpoint and end stage offsets
+    half_dt: np.ndarray  # h/2, the midpoint stage offset
+    dt: np.ndarray  # h, the end stage offset
     sixth_dt: np.ndarray  # h/6, the Simpson weight
-    wind: np.ndarray  # (2, 1, ...), against a (2, ...) velocity
-    stage_wind: np.ndarray  # (2, 1, 1, ...), against the (2, 2 stages, ...) stage velocities
+    gain: np.ndarray  # (k_n, k_n), (2, ...)
+    wind: np.ndarray  # (2, ...)
+    stage_wind: np.ndarray  # (2 stages, 2, ...)
 
 
 def _fixed(values, shape) -> np.ndarray:
-    out = np.array(values, dtype=float).reshape(shape)
+    out = np.array(np.broadcast_to(values, shape), dtype=float)
     out.flags.writeable = False
     return out
 
 
-def vehicle_operands(speed: float, dt: float, wind=(0.0, 0.0), ndim: int = 1) -> VehicleOperands:
-    """The vehicle kernels' operands for speed v, step h, a (2,) wind and ndim-axis headings."""
+def vehicle_operands(speed: float, dt: float, wind=(0.0, 0.0), k_n=1.0, shape=(1,)) -> VehicleOperands:
+    """The vehicle kernels' operands for speed v, step h, a (2,) wind, gain k_n and headings of ``shape``.
+
+    The default shape (1,) broadcasts against headings along one axis.
+    """
     v, h = float(speed), float(dt)
-    trail = (1,) * ndim
+    pair = (2,) + tuple(shape)
+    wind = _fixed(np.reshape(wind, (2,) + (1,) * len(shape)), pair)
     return VehicleOperands(
-        speed=box(v), speed_sq=box(v * v),
-        stage_dt=_fixed((0.5 * h, h), (2,) + trail), sixth_dt=box(h / 6.0),
-        wind=_fixed(wind, (2,) + trail), stage_wind=_fixed(wind, (2, 1) + trail),
+        speed=box(v), speed_sq=box(v * v), half_dt=box(0.5 * h), dt=box(h), sixth_dt=box(h / 6.0),
+        gain=_fixed(k_n, pair), wind=wind, stage_wind=_fixed(wind, (2,) + pair),
     )
 
 
-def heading_rate_core(f, f_dot, velocity, ops: VehicleOperands, k_n):
-    """omega = f^T E (k_n pdot - fdot) / v^2 on (2, ...) arrays.
+def heading_rate_core(f, f_dot, velocity, ops: VehicleOperands, out=None):
+    """omega = f^T E (k_n pdot - fdot) / v^2 on (2, ...) arrays, into ``out`` if given.
 
     f^T E = (f_y, -f_x), so the rate vanishes exactly when the tracking
     mismatch k_n pdot - fdot is parallel to f. One product with f
-    reversed gives both terms f_y m_x and f_x m_y.
+    reversed gives both terms f_y m_x and f_x m_y; on the f that
+    :func:`gvfswarm.gvf.field_core` returns, f[::-1] is in memory order.
     """
-    terms = f[::-1] * (k_n * velocity - f_dot)
-    return (terms[0] - terms[1]) / ops.speed_sq
+    terms = ops.gain * velocity
+    terms -= f_dot
+    terms *= f[::-1]
+    return np.divide(terms[0] - terms[1], ops.speed_sq, out=out)
 
 
 def _inside(theta) -> bool:
@@ -100,7 +109,7 @@ def wrap_angle(theta):
     return float(out) if out.ndim == 0 else out
 
 
-def unicycle_step(position, heading, velocity, omega, ops: VehicleOperands):
+def unicycle_step(position, heading, velocity, omega, ops: VehicleOperands, out=None):
     """One RK4 step of the unicycle under a zero-order-held omega.
 
     thetadot = omega is state independent, so the heading stages are
@@ -108,36 +117,47 @@ def unicycle_step(position, heading, velocity, omega, ops: VehicleOperands):
     stage headings. The step preserves ||p_new - p|| <= v dt (plus the
     wind contribution) because the update is a convex combination of
     speed-v velocities. ``position`` and ``velocity`` are (2, ...)
-    arrays for headings and rates of one shape (...), with as many axes
-    as ``ops`` was built for.
+    arrays for headings and rates of one shape (...), the shape ``ops``
+    was built for.
 
     ``velocity`` is the model velocity v (cos theta, sin theta) of
     ``heading``, the first RK4 stage, which the caller already holds.
-    The other two stage headings, heading + (h/2, h) omega, come out of
-    one product with ``ops.stage_dt`` as one (2, ...) array, so one cos
-    and one sin call give both stage velocities. The last stage is the
-    new heading's velocity, returned as the next step's ``velocity``.
-    Where a new heading leaves (-pi, pi), ``wrap_angle`` wraps it and
-    only there is the velocity recomputed from the wrapped angle, so it
-    is always v (cos, sin) of the returned heading, to the bit.
+    The stage velocities are laid out stage-major, (2 stages, 2, ...),
+    so each Simpson term and the last stage, the new heading's velocity
+    returned as the next step's ``velocity``, is one contiguous (2, ...)
+    block. Where a new heading leaves (-pi, pi), ``wrap_angle`` wraps it
+    and only there is the velocity recomputed from the wrapped angle, so
+    it is always v (cos, sin) of the returned heading, to the bit.
 
     Returns (position, heading, velocity) after dt; the heading is a
-    float for 0-d input, as ``wrap_angle`` returns it.
+    float for 0-d input, as ``wrap_angle`` returns it. ``out``, if
+    given, is a (position, heading) pair of arrays that receive them.
     """
-    thetas = ops.stage_dt * omega
-    thetas += heading
-    # stage velocities, (2 components, 2 stages, ...)
-    stages = np.empty((2,) + thetas.shape)
-    np.cos(thetas, out=stages[0])
-    np.sin(thetas, out=stages[1])
+    new_position, new_heading = (None, None) if out is None else out
+    mid = ops.half_dt * omega
+    mid += heading
+    end = np.multiply(ops.dt, omega, out=new_heading)
+    end += heading
+    stages = np.empty((2, 2) + np.shape(end))
+    np.cos(mid, out=stages[0, 0, ...])
+    np.sin(mid, out=stages[0, 1, ...])
+    np.cos(end, out=stages[1, 0, ...])
+    np.sin(end, out=stages[1, 1, ...])
     stages *= ops.speed
     ground = stages + ops.stage_wind
-    k1 = velocity + ops.wind
-    new_position = position + ops.sixth_dt * (k1 + FOUR * ground[:, 0] + ground[:, 1])
-    new_heading, new_velocity = thetas[1], stages[:, 1]
-    if _inside(new_heading):
-        return new_position, new_heading if new_heading.ndim else float(new_heading), new_velocity
-    wrapped = wrap_angle(new_heading)
+    step = velocity + ops.wind
+    ground[0] *= FOUR
+    step += ground[0]
+    step += ground[1]
+    step *= ops.sixth_dt
+    new_position = np.add(position, step, out=new_position)
+    new_velocity = stages[1]
+    if _inside(end):
+        return new_position, end if np.ndim(end) else float(end), new_velocity
+    wrapped = wrap_angle(end)
     np.copyto(new_velocity, np.multiply(ops.speed, [np.cos(wrapped), np.sin(wrapped)]),
-              where=wrapped != new_heading)
+              where=wrapped != end)
+    if new_heading is not None:
+        new_heading[...] = wrapped
+        wrapped = new_heading
     return new_position, wrapped, new_velocity

@@ -283,7 +283,8 @@ def test_field_derivative_matches_finite_difference(report):
                 break
         pd = V * np.array([math.cos(theta), math.sin(theta)])
         gdd = float(osc.gamma_ddot(t0, a0, a1, a2, W))
-        _, f_dot, interior = field_core(p[1], normal, tangent, field_operands(V), 1.0, g, gd, gdd, pd)
+        _, f_dot, interior = field_core(p[1], np.array([g, gd, gdd]), pd,
+                                        field_operands(V, normal, tangent))
         counts["interior" if interior else "exterior"] += 1
 
         def f_at(tau):
@@ -292,7 +293,8 @@ def test_field_derivative_matches_finite_difference(report):
             g_tau = float(osc.gamma(t0 + tau, a_tau, W))
             gd_tau = float(osc.gamma_dot(t0 + tau, a_tau, ad_tau, W))
             q = p + tau * pd
-            return field_core(q[1], normal, tangent, field_operands(V), 1.0, g_tau, gd_tau, 0.0, pd)[0]
+            return field_core(q[1], np.array([g_tau, gd_tau, 0.0]), pd,
+                              field_operands(V, normal, tangent))[0]
 
         fd = (f_at(h) - f_at(-h)) / (2.0 * h)
         worst = max(worst, float(np.linalg.norm(f_dot - fd)))

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import math
 import warnings
 
 import numpy as np
@@ -268,23 +269,23 @@ class TestRun:
             "error: telemetry helper was killed by signal 9 before the run ended"
         ]
 
-    @pytest.mark.parametrize(
-        "override,message",
-        [
-            ("wind_mps=[1.3e154,1.3e154]", "summary ground_speed_min_mps is inf"),
-            ("initial.offsets_m=1e308", "summary final_max_edge_diff_m is nan"),
-        ],
-        ids=["wind-norm", "offset"],
-    )
-    def test_overflowing_run_is_one_error_line(self, override, message, scenario_dir, tmp_path,
+    def test_overflowing_run_is_one_error_line(self, scenario_dir, tmp_path, monkeypatch,
                                                capsys):
-        # each validates, then overflows in flight; the summary file stays empty
-        args = [str(scenario_dir / "two_drones.scn"), "--set", "t_end_s=2", "--set", override]
-        assert main(["validate"] + args) == 0
-        capsys.readouterr()
+        # a run whose summary holds a non-finite value exits 2 with one
+        # line, and the summary file stays empty
+        args = [str(scenario_dir / "two_drones.scn"), "--set", "t_end_s=2"]
+        flown = cli.run_sim
+
+        def overflowing(*args, **kwargs):
+            result = flown(*args, **kwargs)
+            result.summary["ground_speed_min_mps"] = math.inf
+            return result
+
+        monkeypatch.setattr(cli, "run_sim", overflowing)
         summary = tmp_path / "summary.yaml"
         assert main(["run"] + args + ["--summary", str(summary)]) == 2
-        assert capsys.readouterr() == ("", f"the run overflowed: {message}\n")
+        assert capsys.readouterr() == (
+            "", "the run overflowed: summary ground_speed_min_mps is inf\n")
         assert summary.read_text() == ""
 
     @pytest.mark.parametrize(
@@ -294,8 +295,13 @@ class TestRun:
             ("wind_mps=[1e300,0]",
              "wind_mps: the square of entry 0, 1e+300, is not a finite number"),
             ("speed_mps=1e200", "speed_mps: the square of 1e+200 is not a finite number"),
+            # each component's square is finite, the norm's is not
+            ("wind_mps=[1.3e154,1.3e154]",
+             "wind_mps: the squared norm of [1.3e+154, 1.3e+154] is not a finite number"),
+            ("initial.offsets_m=1e308",
+             "initial: a drone starts where the square of a coordinate is not a finite number"),
         ],
-        ids=["gain", "wind", "speed"],
+        ids=["gain", "wind", "speed", "wind-norm", "offset"],
     )
     def test_value_whose_square_overflows_is_invalid(self, override, violation, scenario_dir,
                                                       tmp_path, monkeypatch, capsys):

@@ -6,7 +6,6 @@ import pytest
 from gvfswarm.gvf import field_core, field_operands
 
 V = 16.0
-OPS = field_operands(V)
 # the x axis as the simulator stacks one drone's line: phi is the y
 # coordinate, left normal (0, 1), tangent (1, 0). On the interior branch
 # f = alpha t + u_phi n is then exactly (alpha, u_phi)
@@ -14,11 +13,21 @@ NORMAL = np.array([0.0, 1.0])
 TANGENT = np.array([1.0, 0.0])
 
 
+def core(phi, normal, tangent, speed, k_e, gamma, gamma_dot, gamma_ddot, p_dot):
+    """field_core with its operands built for the points' shape from lines that broadcast to it."""
+    shape = np.broadcast_shapes(np.shape(phi), np.shape(normal)[1:], np.shape(p_dot)[1:])
+    pair = (2,) + shape
+    gammas = np.empty((3,) + shape)
+    gammas[0], gammas[1], gammas[2] = gamma, gamma_dot, gamma_ddot
+    ops = field_operands(speed, np.broadcast_to(normal, pair), np.broadcast_to(tangent, pair), k_e)
+    return field_core(phi, gammas, p_dot, ops)
+
+
 def field(position, speed, k_e, gamma=0.0, gamma_dot=0.0, gamma_ddot=0.0, p_dot=(0.0, 0.0)):
     """field_core at one position beside the x axis: (f, f_dot, interior)."""
     p = np.asarray(position, dtype=float)
-    return field_core(p[1], NORMAL, TANGENT, field_operands(speed), k_e, gamma, gamma_dot, gamma_ddot,
-                      np.asarray(p_dot, dtype=float))
+    return core(p[1], NORMAL, TANGENT, speed, k_e, gamma, gamma_dot, gamma_ddot,
+                np.asarray(p_dot, dtype=float))
 
 
 def u_phi(phi, gamma, gamma_dot, k_e):
@@ -26,8 +35,8 @@ def u_phi(phi, gamma, gamma_dot, k_e):
     phi = np.asarray(phi, dtype=float)
     normal = np.multiply.outer(NORMAL, np.ones_like(phi))
     zero = np.zeros_like(phi)
-    f, _, interior = field_core(phi, normal, normal[::-1], OPS, k_e, gamma, gamma_dot,
-                                zero, 0 * normal)
+    f, _, interior = core(phi, normal, normal[::-1], V, k_e, gamma, gamma_dot,
+                          zero, 0 * normal)
     assert np.all(interior)
     return f[1]
 
@@ -191,8 +200,8 @@ class TestCore:
         gad = rng.uniform(-15, 15, n)
         normal = np.broadcast_to(NORMAL[:, None], (2, n))
         tangent = np.broadcast_to(TANGENT[:, None], (2, n))
-        f, _, interior = field_core(pts[:, 1], normal, tangent, OPS, 1.0, gam, gad,
-                                    np.zeros(n), np.zeros((2, n)))
+        f, _, interior = core(pts[:, 1], normal, tangent, V, 1.0, gam, gad,
+                              np.zeros(n), np.zeros((2, n)))
         assert interior.any() and not interior.all()
         for i in range(n):
             f_i, _, interior_i = field(pts[i], V, 1.0, gam[i], gad[i])
@@ -204,8 +213,8 @@ class TestCore:
         phi = np.array([10.0, 10.0])
         normal = np.array([[0.0, 0.0], [1.0, 1.0]])
         tangent = np.array([[1.0, 1.0], [0.0, 0.0]])
-        f, _, interior = field_core(phi, normal, tangent, OPS, np.array([1.0, 2.0]), 0.0, 0.0,
-                                    0.0, np.zeros((2, 2)))
+        f, _, interior = core(phi, normal, tangent, V, np.array([1.0, 2.0]), 0.0, 0.0,
+                              0.0, np.zeros((2, 2)))
         assert interior[0] and not interior[1]
         assert f.shape == (2, 2)
         assert np.array_equal(f[:, 0], [math.sqrt(156.0), -10.0])
@@ -313,7 +322,7 @@ class TestCoreShortcut:
                 # ones: f and the branch flag must not read them
                 want = _oracle_core(phi, normal, tangent, V, 1.0, gam, gad)
                 gadd, p_dot = np.full_like(gam, np.nan), np.full_like(p_dot, np.nan)
-            got = field_core(phi, normal, tangent, OPS, 1.0, gam, gad, gadd, p_dot)
+            got = core(phi, normal, tangent, V, 1.0, gam, gad, gadd, p_dot)
             interior = np.asarray(want[2])
             if case == "interior":
                 assert interior.all()
@@ -336,7 +345,7 @@ class TestCoreShortcut:
         normal = np.array([[-0.0, -0.0], [1.0, 1.0]])
         tangent = np.array([[1.0, 1.0], [0.0, 0.0]])
         gadd, p_dot = np.array([-0.0, 0.0]), np.array([[V, V], [-0.0, -0.0]])
-        got = field_core(phi, normal, tangent, OPS, 1.0, 0.0, 0.0, gadd, p_dot)
+        got = core(phi, normal, tangent, V, 1.0, 0.0, 0.0, gadd, p_dot)
         want = _oracle_core(phi, normal, tangent, V, 1.0, 0.0, 0.0, gamma_ddot=gadd, p_dot=p_dot)
         assert list(want[2]) == [True, False]
         for key, a, b in zip(("f", "f_dot", "interior"), got, want):

@@ -77,7 +77,8 @@ class TestLoad:
     )
     def test_squares_beyond_the_float_range_are_invalid(self, scenario_dir, override, violations):
         # each such value turns the first tick's squares to inf; the
-        # largest whose square is finite, about 1.34e154, validates
+        # largest whose square is finite, about 1.34e154, validates, and
+        # a wind validates while its squared norm is finite too
         doc = load_mapping(scenario_dir / "eight_drones.scn")
         for key, value in override.items():
             if isinstance(value, dict):
@@ -89,7 +90,7 @@ class TestLoad:
             build_scenario(doc)
         assert err.value.violations == violations
         doc = load_mapping(scenario_dir / "eight_drones.scn")
-        doc.update(speed_mps=1.3e154, wind_mps=[1.3e154, -1.3e154])
+        doc.update(speed_mps=1.3e154, wind_mps=[9.4e153, -9.4e153])
         doc["gvf"].update(k_e=1.3e154, k_n=1.3e154)
         assert not any("square" in line for line in validate_mapping(doc))
 
