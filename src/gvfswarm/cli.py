@@ -12,9 +12,9 @@ Exit codes: 0 on success, 1 on runtime failures (unreadable files,
 I/O), 2 on usage or validation errors: a verb raises ValueError for a
 rejected argument, and ``main`` prints it as one stderr line (a
 rejected scenario: one line per violation; a speed, wind component or
-gain whose square overflows is one). A scenario that validates but
-whose run overflows, say under a wind whose squared norm does, is a
-rejected argument too: ``run`` checks the summary before it writes it.
+gain whose square overflows is one). A run whose summary still holds
+a NaN or an infinity is a rejected argument too: ``run`` checks the
+summary before it writes it.
 """
 
 from __future__ import annotations

@@ -175,10 +175,8 @@ class WindowAverager:
       which no fold extends, so each tick reduces its window afresh.
 
     m = min(k, _SUMMARY_BLOCK // (2 size)), at least 2, so the block of
-    folds and the store slab added to it fit a core's L1 cache together:
-    at N = 512 a block of 4 took 0.26 ns per add and one of 8, 0.39 ns;
-    at N = 4096 a block of 2 took 0.51 ns and single windows 0.67 ns
-    (2 vCPUs, numpy 2.4.6). The block pass also writes the m slivers,
+    folds and the store slab added to it fit a core's L1 cache together
+    (README has the per-add costs). The block pass also writes the m slivers,
     from samples already pushed, over the block's oldest m terms, which
     no later window reads. When a block would overrun the store, the
     k - 1 terms the newest window shares move to the front. Sample s
@@ -326,23 +324,19 @@ def neighbor_disagreement(x, table: NeighborTable, own=None):
     whatever the batch shape, so a row equals its batch bitwise. A node
     without neighbors gets +0.0.
 
-    How the sum runs depends on x.ndim alone, and each way won where it
-    runs (2 vCPUs, numpy 2.4.6):
+    How the sum runs depends on x.ndim alone, and each way was the
+    faster where it runs (README has the costs):
 
     - a 1-D row (one call per tick at delay 0, where eta is the lead;
       two with a delay) is one np.bincount over the owners, in table
-      order: about 6 us at N = 512 (D_max 11), where slot blocks take
-      17 us and make O(D_max) calls on a hub;
+      order, where slot blocks make O(D_max) calls on a hub;
     - a batch adds each slot's block of whole rows onto the prefix of
       places that have that slot. When every node has a neighbor, slot
       0's block, plus +0.0 in place, starts the sums; otherwise they
       start from zeros. The sums, in place order, go back to node order
       with one row gather, which a table in its own order
       (``table.ordered``, see ``NeighborTable.relabelled``) skips, so
-      it gets the leading rows of the term array: on consensus-200's
-      (8, 200) batch one such sum takes about 6.4 us, where it took
-      8.7 us with the gather; an RK4 step with one bincount over
-      (node, column) bins took 155 us, against 95 us with slot blocks.
+      it gets the leading rows of the term array.
 
     An infinite ``own`` reaches only its own node's sum, and a zero sum
     is always +0.0, even when every term is -0.0.
@@ -443,14 +437,8 @@ def integrate_consensus(
     final input, and leaves the batch. The live runs are gathered with
     take into fresh C-ordered buffers and the V block is resized to
     them: a boolean mask returns F-ordered columns, which put every
-    later op off numpy's contiguous loops (the RK4 arithmetic of a step
-    at 181 runs took 67-77 us on a masked batch, 48-50 us on a taken
-    one). The loop ends once no run is left. A step
-    costs about 31 us plus 0.17 us per live run (66 us at 200 runs, 54
-    at 128, 35 at 22); on consensus-200 (200 starts on the demo tree,
-    15 000 steps) the first run settles near step 3 900 and the mean
-    live count is about 126, so a job's mean step went from about 65 to
-    56 us (2 vCPUs, numpy 2.4.6).
+    later op off numpy's contiguous loops. The loop ends once no run is
+    left.
     """
     check = graph.check_spanning_tree()
     if not check.is_tree:

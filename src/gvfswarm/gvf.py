@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._box import ZERO, box
+from ._box import ZERO, box, fixed
 
 __all__ = ["FieldOperands", "field_operands", "field_core"]
 
@@ -32,18 +32,12 @@ __all__ = ["FieldOperands", "field_operands", "field_core"]
 # formula, and the scale of the boundary layer where alpha_dot is
 # deliberately saturated instead of diverging
 ALPHA_FLOOR_REL = 1e-6
-
-
-# rows (y, x, x, y) of a (2, ...) pair: with (alpha, alpha, alpha_dot,
-# alpha_dot) against the tangents' and (u, u, u_dot, u_dot) against the
-# normals', one product each gives (f_y, f_x, f_dot_x, f_dot_y)
-_ROWS = np.array([1, 0, 0, 1])
 # (u, u_dot) -> (u, u, u_dot, u_dot)
 _TWICE = np.array([0, 0, 1, 1])
 
 
 class FieldOperands(NamedTuple):
-    """The run constants of :func:`field_core`: boxed scalars (see ``_box``) and line arrays."""
+    """The run constants of :func:`field_core`, boxed or in full shape (see ``_box``)."""
 
     speed: np.ndarray  # v
     speed_sq: np.ndarray  # v^2
@@ -54,48 +48,29 @@ class FieldOperands(NamedTuple):
     tangent_rows: np.ndarray  # (t_y, t_x, t_x, t_y), (4, ...)
 
 
-def _fixed(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
 def field_operands(speed: float, normal, tangent, k_e=1.0) -> FieldOperands:
     """field_core's operands for ground speed v, (2, ...) unit normals and tangents and gain k_e."""
-    v = float(speed)
+    v, rows = float(speed), [1, 0, 0, 1]
     normal, tangent = np.asarray(normal, dtype=float), np.asarray(tangent, dtype=float)
-    return FieldOperands(
-        box(v), box(v * v), box(ALPHA_FLOOR_REL * v),
-        _fixed(np.broadcast_to(k_e, normal.shape)), _fixed(normal),
-        _fixed(normal[_ROWS]), _fixed(tangent[_ROWS]),
-    )
+    return FieldOperands(box(v), box(v * v), box(ALPHA_FLOOR_REL * v), fixed(k_e, normal.shape),
+                         fixed(normal, normal.shape), fixed(normal[rows], (4,) + normal.shape[1:]),
+                         fixed(tangent[rows], (4,) + normal.shape[1:]))
 
 
 def field_core(phi, gammas, p_dot, ops: FieldOperands):
     """Vectorized field and field rate on stacked line geometry.
 
-    Parameters
-    ----------
-    phi : array (...)
-        Level values at the query points.
-    gammas : array (3, ...)
-        Offset reference and its first two rates, (gamma, gamma_dot,
-        gamma_ddot), as :func:`gvfswarm.oscillation.wave` returns them.
-    p_dot : array (2, ...)
-        Velocity along which the field rate is taken.
-    ops : FieldOperands
-        Ground speed v, the gain k_e and the lines' unit normals and
-        tangents, in the layouts the kernel multiplies.
-
-    Returns
-    -------
-    (f, f_dot, interior): the field and its time derivative, both
-    (2, ...), and the interior-branch flag (... bool).
+    Takes the level values phi (...) at the query points, the block
+    (gamma, gamma_dot, gamma_ddot) (3, ...) that
+    :func:`gvfswarm.oscillation.wave` returns and the (2, ...) velocity
+    p_dot along which the field rate is taken. Returns (f, f_dot,
+    interior): the field and its time derivative, both (2, ...), and the
+    interior-branch flag (... bool).
 
     u_phi and its rate come out of one pair (phi, phi_dot) - (gamma,
-    gamma_dot), and the interior field and its rate out of one (4, ...)
-    block (f_y, f_x, f_dot_x, f_dot_y): f is its first two rows reversed,
-    so the heading law's f[::-1] reads them in memory order. When every
+    gamma_dot), and the interior field and its rate out of one block
+    (f_y, f_x, f_dot_x, f_dot_y): f is its first two rows reversed, so
+    the heading law's f[::-1] reads them in memory order. When every
     point is interior, the exterior arrays and the ``where`` selects are
     skipped and the interior arrays are returned as they are: the values
     ``where`` would pick, so the bits are the same.
@@ -111,26 +86,24 @@ def field_core(phi, gammas, p_dot, ops: FieldOperands):
     levels *= ops.gain
     u = gammas[1:] - levels
     # unit gradient: zeta = grad/||grad||^2 = normal, so beta = u_phi * normal
-    twice = u.take(_TWICE, axis=0)
     beta_norm = np.abs(u[0])
     interior = beta_norm <= speed
     # a count, not a logical_and reduction: a third of the cost on 8 points
     all_interior = np.count_nonzero(interior) == interior.size
     # interior: f = alpha t_hat + beta, f_dot = alpha_dot t_hat + beta_dot,
-    # with alpha_dot = -(beta . beta_dot)/alpha floored near the boundary
-    u_u, u_dot_u_dot = twice[:2], twice[2:]
-    rates = np.empty(twice.shape)
+    # with alpha_dot = -(beta . beta_dot)/alpha floored near the boundary;
+    # each scalar twice, against the rows (y, x, x, y) of t_hat and normal
+    twice = u.take(_TWICE, axis=0)
+    u_u, rates = twice[:2], np.empty(twice.shape)
     alpha = np.sqrt(np.maximum(ops.speed_sq - u_u * u_u, ZERO), out=rates[:2])
-    alpha_safe = np.maximum(alpha, ops.alpha_floor)
-    lead = u_u * u_dot_u_dot
+    lead = u_u * twice[2:]
     np.negative(lead, out=lead)
-    np.divide(lead, alpha_safe, out=rates[2:])
+    np.divide(lead, np.maximum(alpha, ops.alpha_floor), out=rates[2:])
     block = rates * ops.tangent_rows
     block += twice * ops.normal_rows
     f, f_dot = block[1::-1], block[2:]
     if not all_interior:
-        normal = ops.normal
-        beta, beta_dot = u[0] * normal, u[1] * normal
+        beta, beta_dot = u[0] * ops.normal, u[1] * ops.normal
         safe_norm = np.where(interior, 1.0, beta_norm)
         f = np.where(interior, f, speed * beta / safe_norm)
         # exterior: f_dot = v (I/||b|| - b b^T/||b||^3) beta_dot, the

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._box import ZERO, box
+from ._box import ZERO, box, fixed
 
 __all__ = [
     "OscillationConfig",
@@ -98,39 +98,30 @@ class OscillationConfig:
 
 
 class WaveOperands(NamedTuple):
-    """The run constants of :func:`wave`: w^2 (boxed for a scalar w) and the pair (w, 2w)."""
+    """The run constants of :func:`wave`: w^2 and the (2, ...) pair (w, 2w)."""
 
     w_sq: np.ndarray
-    rate_gains: np.ndarray  # (w, 2w), (2, ...): the cos gains of A and Adot
+    rate_gains: np.ndarray
 
 
 def wave_operands(w_gamma, shape=()) -> WaveOperands:
     """wave's operands for one angular frequency w, or an array of them, and waves of ``shape``."""
-    if getattr(w_gamma, "ndim", 0):
-        w_sq = w_gamma**2
-    else:
-        # w^2 is Python's float **: a 0-d array's ** squares, which differs
-        # from pow(w, 2) in the last bit for some w
-        w_gamma = float(w_gamma)
-        w_sq = box(w_gamma**2)
-    rate_gains = np.empty((2,) + tuple(shape))
-    rate_gains[0], rate_gains[1] = w_gamma, 2.0 * w_gamma
-    rate_gains.flags.writeable = False
-    return WaveOperands(w_sq, rate_gains)
+    # w^2 is Python's float **: a 0-d array's ** squares, which differs
+    # from pow(w, 2) in the last bit for some w
+    w = w_gamma if getattr(w_gamma, "ndim", 0) else float(w_gamma)
+    pair = np.moveaxis(np.broadcast_to(np.multiply.outer(w, (1.0, 2.0)), (*shape, 2)), -1, 0)
+    return WaveOperands(w**2 if np.ndim(w) else box(w**2), fixed(pair, pair.shape))
 
 
 def wave(sin_wt, cos_wt, block, ops: WaveOperands):
-    """(gamma, gamma_dot, gamma_ddot), one (3, ...) array, from sin(w t) and cos(w t).
+    """(gamma, gamma_dot, gamma_ddot) as one (3, ...) array, from sin(w t) and cos(w t).
 
-    ``block`` holds (A, Adot, Addot - A w^2) in its first three rows, the
-    layout :func:`relaxation_step` returns, so that
-
-        gamma = A sin, gamma_dot = Adot sin + (A w) cos,
-        gamma_ddot = (Addot - A w^2) sin + (Adot 2w) cos
-
-    take one product with sin, one with (w, 2w), one with cos and one
-    sum. Adot (2w) is (2 Adot) w to the bit: doubling is exact. The
-    simulator calls it once per tick with the phase evaluated once.
+    ``block`` starts with the rows (A, Adot, Addot - A w^2) that
+    :func:`relaxation_step` returns: gamma = A sin, gamma_dot = Adot sin
+    + (A w) cos and gamma_ddot = (Addot - A w^2) sin + (Adot 2w) cos, in
+    four operations; Adot (2w) is (2 Adot) w to the bit, as doubling is
+    exact. The simulator calls it once per tick with the phase evaluated
+    once.
     """
     out = block[:3] * sin_wt
     rates = block[:2] * ops.rate_gains
@@ -140,14 +131,11 @@ def wave(sin_wt, cos_wt, block, ops: WaveOperands):
 
 
 def _waves(t, amplitude, amplitude_rate, amplitude_accel, w_gamma):
-    """wave() at times t: the kernel behind the three public waves."""
     wt = w_gamma * np.asarray(t, dtype=float)
-    shape = np.broadcast_shapes(wt.shape, *map(np.shape, (amplitude, amplitude_rate, amplitude_accel)))
-    ops = wave_operands(w_gamma, shape)
-    block = np.empty((3,) + shape)
-    block[0], block[1] = amplitude, amplitude_rate
-    block[2] = amplitude_accel - amplitude * ops.w_sq
-    return wave(np.sin(wt), np.cos(wt), block, ops)
+    block = np.array(np.broadcast_arrays(wt, amplitude, amplitude_rate, amplitude_accel))
+    ops = wave_operands(w_gamma, block.shape[1:])
+    block[3] -= block[1] * ops.w_sq
+    return wave(np.sin(wt), np.cos(wt), block[1:], ops)
 
 
 def gamma(t, amplitude, w_gamma):
@@ -327,26 +315,21 @@ def relaxation_step(value, target, ops: RelaxationOperands, out=None):
     """One exact step of tau * xdot = target - x under a held target.
 
     Returns the (4, ...) block (value, rate, accel - value w^2, accel)
-    after the operands' dt, the layout :func:`wave` reads. ``out`` may be
-    the four rows of such a block, written and returned in its place;
-    ``value`` may be its first row. Array-capable; with target in
-    [lo, hi] the new value is a convex combination and stays inside the
-    same interval, so no clamping is needed downstream. The accel
-    -rate/tau is rate/(-tau) to the bit.
+    after the operands' dt, the layout :func:`wave` reads, into ``out``
+    if given: such a block or a tuple of its rows, whose first row may be
+    ``value``. With target in [lo, hi] the new value is a convex
+    combination and stays inside the same interval, so no clamping is
+    needed downstream. -rate/tau is rate/(-tau) to the bit.
     """
     if out is None:
-        block = np.empty((4,) + np.broadcast_shapes(np.shape(value), np.shape(target)))
-        out = block
-        rows = [block[i, ...] for i in range(4)]
-    else:
-        rows = out
-    new_value, new_rate, shifted, new_accel = rows
+        out = np.empty((4,) + np.broadcast_shapes(np.shape(value), np.shape(target)))
+    value_out, rate, shifted, accel = out if type(out) is tuple else [out[i, ...] for i in range(4)]
     step = value - target
     step *= ops.decay
-    np.add(target, step, out=new_value)
-    np.subtract(target, new_value, out=new_rate)
-    new_rate /= ops.tau
-    np.divide(new_rate, ops.neg_tau, out=new_accel)
-    np.multiply(new_value, ops.w_sq, out=shifted)
-    np.subtract(new_accel, shifted, out=shifted)
+    np.add(target, step, out=value_out)
+    np.subtract(target, value_out, out=rate)
+    rate /= ops.tau
+    np.divide(rate, ops.neg_tau, out=accel)
+    np.multiply(value_out, ops.w_sq, out=shifted)
+    np.subtract(accel, shifted, out=shifted)
     return out

@@ -1,40 +1,10 @@
 """Scenario documents: load, override, validate, build.
 
-A scenario is a single YAML mapping with unit-suffixed keys:
-
-    name: eight-drones
-    speed_mps: 8.0
-    dt_s: 0.02
-    t_end_s: 600.0
-    seed: 11
-    wind_mps: [0.0, 0.0]
-    convergence_threshold_m: 1.0
-    graph:
-      n_drones: 8
-      edges: [[1, 2], [2, 3], ...]        # 1-based
-    paths:
-      alpha_rad: 0.0
-      origin_m: [0.0, 0.0]
-      spacing_m: 30.0                     # or explicit origins_m
-    gvf:
-      k_e: 1.0                            # scalar or one value per drone
-      k_n: 1.0
-    oscillation:
-      w_gamma_rad_s: 0.6
-      k_a: 1.35
-      amplitude_cap_m: 12.0               # or "auto" = v/w
-      tau_a_s: auto                       # auto = 5/w
-      fixed_amplitude_m: null             # set to bypass the consensus schedule
-    consensus:
-      k_u: 0.16
-      r_m: 30.0
-      tau_l: 0.0
-      tau_h: auto                         # auto = (v - eps)/k_u; a number must match it
-      comm_delay_ticks: 0
-    initial:
-      parameter_span_m: [-15.0, 15.0]     # sampled with seed, or explicit parameters_m
-      offsets_m: 0.0                      # initial lateral offsets
-      headings_rad: auto                  # auto = path direction
+A scenario is a single YAML mapping with unit-suffixed keys: the
+top-level run settings (name, speed_mps, dt_s, t_end_s, seed, wind_mps,
+convergence_threshold_m) and the sections graph, paths, gvf,
+oscillation, consensus and initial. README ("Scenario files") shows
+every key with its default, and scenarios/ holds the bundled files.
 
 One parse checks each key once, keeps the parsed value and records
 every violation; it constructs the typed Scenario only when nothing was
@@ -488,9 +458,8 @@ def _parse(mapping) -> tuple[Scenario | None, list[str]]:
         convergence_threshold=float(threshold),
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        start = scenario.initial_positions()
-        if not np.isfinite(start * start).all():
-            return None, ["initial: a drone starts where the square of a coordinate "
+        if not np.isfinite(scenario.initial_positions() ** 2).all():
+            return None, ["initial: a drone starts where a coordinate's square "
                           "is not a finite number"]
     return scenario, []
 

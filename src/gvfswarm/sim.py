@@ -5,12 +5,8 @@ drones:
 
 1. publish: each drone's path parameter x, projected on its line
    together with the level value phi that control reads, is pushed
-   into its sliding-window averager, whose average xbar the tick publishes and
-   the telemetry stage stores. The averager keeps a running sum in
-   warm-up; over the full window it sums a block of the coming ticks'
-   windows in one pass every few ticks, and each push completes one of
-   them, so each tick gets np.trapezoid's bits without re-reading the
-   whole window (see WindowAverager).
+   into its sliding-window averager, whose average xbar the tick
+   publishes with np.trapezoid's bits (see WindowAverager).
 2. control: each drone weighs its own xbar against its neighbors' from
    tick max(k - d, 0), d the communication delay in ticks, read back
    from the history store (a delay past the run shows tick 0
@@ -23,27 +19,20 @@ drones:
    with three departures, so its agreement guarantee does not carry
    over as it stands: xbar lags x by about half a wave period, the
    amplitude follows its command through a first-order filter (tau_a),
-   and the k_A schedule only models the slowdown curve. From their first
-   full window the bundled eight drones agree 16.8 m behind the protocol.
-   The model velocity v (cos theta, sin theta) that the field and the
+   and the k_A schedule only models the slowdown curve (README has the
+   measured gap). The model velocity v (cos theta, sin theta) that the field and the
    heading law read is the one the previous tick's advance returned;
    control takes no cos or sin.
-3. telemetry: the tick's history rows. When a block of ticks closes,
-   and at the last tick, one observer pass computes what no control
-   reads: branch codes, edge gaps z, the Lyapunov value V, the
-   summary's running extremes and, with telemetry on, one float64 row
-   per tick. The rows go to a helper process, forked at the first
-   block close, as raw bytes over a pipe; the loop does not wait for
-   it. The helper owns the byte stream: a header line, then one CSV
-   line per tick, every cell ``%.9g`` of a float, comma-separated with
-   no quoting and ended by CR LF. It formats each block once, feeds
-   the same bytes to the SHA-256 and the file, so the file grows one
-   block at a time, and returns the hexdigest at the end. The helper
-   may run on every CPU this process may use except the one the tick
-   is on, so the pipe's wakeups do not pull it onto the tick's CPU;
-   with one allowed CPU, or where affinity or /proc is unavailable, it
-   is left where the kernel puts it. Where no helper can start, the
-   same writer runs in-process.
+3. telemetry: the tick's history cells that no kernel wrote. When a
+   block of ticks closes, and at the last tick, one observer pass
+   computes what no control reads: branch codes, edge gaps z, the
+   Lyapunov value V, the summary's running extremes and, with telemetry
+   on, one float64 row per tick. The rows go as raw bytes over a pipe
+   to a helper process (_Helper), which owns the byte stream: a header
+   line, then one CSV line per tick, every cell ``%.9g`` of a float,
+   comma-separated with no quoting and ended by CR LF, formatted once
+   for the SHA-256 and the file (_RowWriter). The loop does not wait for
+   it; where no helper can start, the same writer runs in-process.
 4. advance: RK4 on the unicycle under the held heading rate plus
    wind, and the exact exponential amplitude filter. The RK4 step
    starts from the tick's velocity and hands its end-of-step velocity,
@@ -52,28 +41,25 @@ drones:
 
 Every run constant a kernel combines with an array is built once per
 run by the kernel's own helper (``vehicle_operands``, ``field_operands``,
-``wave_operands``, ``schedule_operands``, ``relaxation_operands``): the
-scalars boxed as read-only 0-d float64 arrays (see ``_box``), with what
-a kernel derives from them (v^2, w^2, h/2 and h/6, the field's alpha
-floor, the decay exp(-dt/tau_a)) and the wind shaped for the stage
-arrays. So a tick spends its numpy calls on arithmetic: the same bits,
-with no per-call conversion, boxing or reshaping. At N = 8 that, with
-the tick's one product for x and phi, saves about 5.9 us of an 80 us
-tick (README, "Boxed scalars and run-built operands", has the cost of
-each kernel before and after). The tick calls each kernel a tracer
-may replace through this module's globals (relaxation_step through
-``gvfswarm.oscillation``, the averager's methods on its class), once
-per tick or step; ``TestKernelCalls`` counts the calls.
+``wave_operands``, ``schedule_operands``, ``relaxation_operands``):
+scalars boxed as read-only 0-d float64 arrays (see ``_box``), per-drone
+constants in the full shape of the array they meet. So every array
+operation of a steady tick takes C-contiguous operands of one shape, or
+boxes, numpy's cheapest path, with the same bits. The tick calls each
+kernel a tracer may replace through this module's globals
+(relaxation_step through ``gvfswarm.oscillation``, the averager's
+methods on its class), once per tick or step; ``TestKernelCalls``
+counts the calls.
 
 Planar vectors are component-first, (2, N), inside the tick. The
-per-drone history is one (ticks, 12, N) float64 store whose middle axis
-runs in the telemetry's per-drone cell order (``_DRONE_CELLS``); the
-per-drone result fields are views of it, and a block of telemetry rows
-takes its drone cells in one copy. Neighbor sums run over one
-slot-major table of the graph's 2M (owner, neighbor) pairs, in O(N + M)
-whatever the degrees, each node adding its terms in a fixed order, so
-a run is bitwise reproducible; the test suite compares telemetry
-digests to enforce that. numpy picks its SIMD loops by CPU at run
+per-drone history is one (ticks, 12, N) float64 store in
+``_STORE_CELLS`` order; the kernels write the tick's cells through
+``out=``, the per-drone result fields are views of it, and a block of
+telemetry rows takes its drone cells in telemetry order in one gather.
+Neighbor sums run over one slot-major table of the graph's 2M (owner,
+neighbor) pairs, in O(N + M) whatever the degrees, each node adding its
+terms in a fixed order, so a run is bitwise reproducible; the test suite
+compares telemetry digests to enforce that. numpy picks its SIMD loops by CPU at run
 time, and the bits of np.exp follow that choice; the tick calls no
 np.exp (the amplitude decay uses math.exp), and CI checks a pinned
 digest with AVX2 and AVX-512 dispatch off.
@@ -119,15 +105,13 @@ _DRONE_CELLS = (
     ("A_d{i}_m", "commanded_amplitudes"), ("omega{i}_rad_s", "omegas"), ("branch{i}", "branches"),
 )
 # the float cells of the history store: the telemetry's order with x
-# moved next to phi, so one sum writes both (positions two cells)
-_STORE_CELLS = (
-    "positions", "positions", "headings", "phis", "path_parameters", "gammas",
-    "averaged_parameters", "inputs", "desired_velocities", "amplitudes",
-    "commanded_amplitudes", "omegas",
-)
-_CELL = {name: _STORE_CELLS.index(name) for name in _STORE_CELLS}
+# moved next to phi, so one sum writes both
+_STORE_CELLS = ("positions", "positions", "headings", "phis", "path_parameters", "gammas",
+                "averaged_parameters", "inputs", "desired_velocities", "amplitudes",
+                "commanded_amplitudes", "omegas")
+_HEADING, _PHI, _X, _GAMMA, _XBAR, _U, _XDOT_D, _AMP, _A_CMD, _OMEGA = range(2, 12)
 # the store cell of each float telemetry cell
-_TELEMETRY_ORDER = [_STORE_CELLS.index(name) + (stem == "p{i}_y_m") for stem, name in _DRONE_CELLS[:-1]]
+_TELEMETRY_ORDER = [0, 1] + [_STORE_CELLS.index(name) for _, name in _DRONE_CELLS[2:-1]]
 
 
 @dataclass
@@ -419,22 +403,17 @@ def run(
     times = np.arange(n_ticks + 1) * dt
     hist = SimulationResult(
         scenario=sc, times=times, positions=store[:, 0:2].transpose(0, 2, 1),
-        **{name: store[:, c] for name, c in _CELL.items() if name != "positions"},
+        **{name: store[:, c] for c, name in enumerate(_STORE_CELLS[2:], start=2)},
         branches=np.empty((n_ticks + 1, n), dtype=np.int8),
         edge_diffs=np.empty((n_ticks + 1, m)), lyapunov=np.empty(n_ticks + 1),
     )
-    HEADING, PHI, X, GAMMA, XBAR, U, XDOT_D, AMP, A_CMD, OMEGA = (
-        _CELL[name] for name in _STORE_CELLS[2:])
 
     # mutable state: position and heading in the tick's store row, which
     # the advance writes for the next tick
     store[0, 0:2] = sc.initial_positions().T
-    store[0, HEADING] = sc.initial_headings
+    store[0, _HEADING] = sc.initial_headings
     # the model velocity v (cos theta, sin theta); advance returns the next one
-    velocity = np.empty((2, n))
-    np.cos(sc.initial_headings, out=velocity[0])
-    np.sin(sc.initial_headings, out=velocity[1])
-    velocity *= speed
+    velocity = speed * np.array([np.cos(sc.initial_headings), np.sin(sc.initial_headings)])
     # (A, A_dot, A_ddot - A w^2, A_ddot), all zero at rest
     waves = np.zeros((4, n))
     wave_rows = tuple(waves)
@@ -469,9 +448,9 @@ def run(
             np.subtract(row[0:2], origins, out=offsets[0])
             offsets[1] = offsets[0]
             offsets *= frames
-            np.add.reduce(offsets, axis=1, out=row[PHI:X + 1])
-            averager.push(row[X])
-            xbar = row[XBAR] = averager.average()
+            np.add.reduce(offsets, axis=1, out=row[_PHI:_X + 1])
+            averager.push(row[_X])
+            xbar = row[_XBAR] = averager.average()
             t1 = clock()
             # control: own average against the neighbors' from tick seen's history row
             eta = neighbor_disagreement(xbar, table)
@@ -480,23 +459,22 @@ def run(
                 lead = -eta
             else:
                 lead = -neighbor_disagreement(hist.averaged_parameters[seen], table, own=xbar)
-            u = row[U] = sat(lead, sat_p)
-            xdot_d = np.subtract(speed_b, k_u_b * u, out=row[XDOT_D])
+            u = row[_U] = sat(lead, sat_p)
+            xdot_d = np.subtract(speed_b, k_u_b * u, out=row[_XDOT_D])
             if fixed_cmd is None:
-                a_cmd = osc.amplitude_schedule(xdot_d, schedule_ops, out=row[A_CMD])[0]
+                a_cmd = osc.amplitude_schedule(xdot_d, schedule_ops, out=row[_A_CMD])[0]
             else:
-                a_cmd = row[A_CMD] = fixed_cmd
+                a_cmd = row[_A_CMD] = fixed_cmd
             # k dt is times[k] to the bit: np.arange's k is exact
             wt = w * (k * dt)
             sin_wt[()], cos_wt[()] = math.sin(wt), math.cos(wt)
             gammas = osc.wave(sin_wt, cos_wt, waves, wave_ops)
-            f, f_dot, interior = field_core(row[PHI], gammas, velocity, field_ops)
-            omega = heading_rate_core(f, f_dot, velocity, kin, row[OMEGA])
+            f, f_dot, interior = field_core(row[_PHI], gammas, velocity, field_ops)
+            omega = heading_rate_core(f, f_dot, velocity, kin, row[_OMEGA])
             t2 = clock()
-            # telemetry: the history cells the kernels did not write, then
-            # the observers once per block
-            row[GAMMA] = gammas[0]
-            row[AMP] = wave_rows[0]
+            # telemetry: the cells no kernel wrote, then the observers once per block
+            row[_GAMMA] = gammas[0]
+            row[_AMP] = wave_rows[0]
             hist.branches[k] = interior
             eta_rows[j] = eta
             p_dot_rows[j] = velocity
@@ -538,8 +516,8 @@ def run(
             # advance
             if k < n_ticks:
                 ahead = store[k + 1]
-                velocity = unicycle_step(row[0:2], row[HEADING], velocity, omega, kin,
-                                         out=(ahead[0:2], ahead[HEADING]))[2]
+                velocity = unicycle_step(row[0:2], row[_HEADING], velocity, omega, kin,
+                                         out=(ahead[0:2], ahead[_HEADING]))[2]
                 osc.relaxation_step(wave_rows[0], a_cmd, relax_ops, out=wave_rows)
             t4 = clock()
             ns_publish += t1 - t0

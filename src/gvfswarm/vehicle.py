@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._box import FOUR, box
+from ._box import FOUR, box, fixed
 
 __all__ = [
     "VehicleOperands", "vehicle_operands", "heading_rate_core", "wrap_angle", "unicycle_step",
@@ -32,9 +32,8 @@ __all__ = [
 class VehicleOperands(NamedTuple):
     """The run constants of :func:`heading_rate_core` and :func:`unicycle_step`.
 
-    Scalars are boxed (see ``_box``); the arrays are read-only and of the
-    full shape of the (2, ...) velocities and (2, 2, ...) stage
-    velocities they meet, for headings of the ``shape`` they were built for.
+    Scalars are boxed; the arrays are read-only and of the full shape of
+    the velocities they meet (see ``_box``).
     """
 
     speed: np.ndarray  # v
@@ -47,23 +46,13 @@ class VehicleOperands(NamedTuple):
     stage_wind: np.ndarray  # (2 stages, 2, ...)
 
 
-def _fixed(values, shape) -> np.ndarray:
-    out = np.array(np.broadcast_to(values, shape), dtype=float)
-    out.flags.writeable = False
-    return out
-
-
-def vehicle_operands(speed: float, dt: float, wind=(0.0, 0.0), k_n=1.0, shape=(1,)) -> VehicleOperands:
-    """The vehicle kernels' operands for speed v, step h, a (2,) wind, gain k_n and headings of ``shape``.
-
-    The default shape (1,) broadcasts against headings along one axis.
-    """
-    v, h = float(speed), float(dt)
-    pair = (2,) + tuple(shape)
-    wind = _fixed(np.reshape(wind, (2,) + (1,) * len(shape)), pair)
+def vehicle_operands(speed, dt, wind=(0.0, 0.0), k_n=1.0, shape=(1,)) -> VehicleOperands:
+    """The kernels' operands: speed v, step h, a (2,) wind, gain k_n, headings of ``shape``."""
+    v, h, pair = float(speed), float(dt), (2,) + tuple(shape)
+    wind = fixed(np.reshape(wind, (2,) + (1,) * len(shape)), pair)
     return VehicleOperands(
         speed=box(v), speed_sq=box(v * v), half_dt=box(0.5 * h), dt=box(h), sixth_dt=box(h / 6.0),
-        gain=_fixed(k_n, pair), wind=wind, stage_wind=_fixed(wind, (2,) + pair),
+        gain=fixed(k_n, pair), wind=wind, stage_wind=fixed(wind, (2,) + pair),
     )
 
 
@@ -122,16 +111,16 @@ def unicycle_step(position, heading, velocity, omega, ops: VehicleOperands, out=
 
     ``velocity`` is the model velocity v (cos theta, sin theta) of
     ``heading``, the first RK4 stage, which the caller already holds.
-    The stage velocities are laid out stage-major, (2 stages, 2, ...),
-    so each Simpson term and the last stage, the new heading's velocity
-    returned as the next step's ``velocity``, is one contiguous (2, ...)
-    block. Where a new heading leaves (-pi, pi), ``wrap_angle`` wraps it
-    and only there is the velocity recomputed from the wrapped angle, so
-    it is always v (cos, sin) of the returned heading, to the bit.
+    The stage velocities are stage-major, (2 stages, 2, ...), so each
+    Simpson term and the last stage, returned as the next step's
+    ``velocity``, is one contiguous (2, ...) block. Where a new heading
+    leaves (-pi, pi), ``wrap_angle`` wraps it and only there is the
+    velocity recomputed, so it is always v (cos, sin) of the returned
+    heading, to the bit.
 
-    Returns (position, heading, velocity) after dt; the heading is a
-    float for 0-d input, as ``wrap_angle`` returns it. ``out``, if
-    given, is a (position, heading) pair of arrays that receive them.
+    Returns (position, heading, velocity) after dt, position and heading
+    into the arrays of the pair ``out`` if given; the heading is a float
+    for 0-d input, as ``wrap_angle`` returns it.
     """
     new_position, new_heading = (None, None) if out is None else out
     mid = ops.half_dt * omega

@@ -225,7 +225,8 @@ def test_one_tick_of_kernels_is_todays_formulas(rng):
     """The tick's kernel chain on the simulator's operands: a crosswind,
     interior and exterior drones and headings that wrap."""
     normal, tangent = _lines(rng)
-    k_e, k_n, w, dt, wind = rng.uniform(0.5, 1.5, N), rng.uniform(0.5, 1.5, N), 0.6, 0.5, (0.7, -1.2)
+    k_e, k_n = rng.uniform(0.5, 1.5, (2, N))
+    w, dt, wind = 0.6, 0.5, (0.7, -1.2)
     kin = vehicle_operands(V, dt, wind, k_n, (N,))
     field_ops = field_operands(V, normal, tangent, k_e)
     wave_ops, relax_ops = osc.wave_operands(w, (N,)), osc.relaxation_operands(dt, 5.0 / w, w)

@@ -299,7 +299,7 @@ class TestRun:
             ("wind_mps=[1.3e154,1.3e154]",
              "wind_mps: the squared norm of [1.3e+154, 1.3e+154] is not a finite number"),
             ("initial.offsets_m=1e308",
-             "initial: a drone starts where the square of a coordinate is not a finite number"),
+             "initial: a drone starts where a coordinate's square is not a finite number"),
         ],
         ids=["gain", "wind", "speed", "wind-norm", "offset"],
     )
