@@ -104,11 +104,12 @@ class WaveOperands(NamedTuple):
     rate_gains: np.ndarray
 
 
-def wave_operands(w_gamma, shape=()) -> WaveOperands:
-    """wave's operands for one angular frequency w, or an array of them, and waves of ``shape``."""
+def wave_operands(w_gamma, shape=None) -> WaveOperands:
+    """wave's operands for a frequency w, or an array of them, and waves of ``shape`` (w's)."""
     # w^2 is Python's float **: a 0-d array's ** squares, which differs
     # from pow(w, 2) in the last bit for some w
     w = w_gamma if getattr(w_gamma, "ndim", 0) else float(w_gamma)
+    shape = np.shape(w) if shape is None else tuple(shape)
     pair = np.moveaxis(np.broadcast_to(np.multiply.outer(w, (1.0, 2.0)), (*shape, 2)), -1, 0)
     return WaveOperands(w**2 if np.ndim(w) else box(w**2), fixed(pair, pair.shape))
 
@@ -315,9 +316,9 @@ def relaxation_step(value, target, ops: RelaxationOperands, out=None):
     """One exact step of tau * xdot = target - x under a held target.
 
     Returns the (4, ...) block (value, rate, accel - value w^2, accel)
-    after the operands' dt, the layout :func:`wave` reads, into ``out``
-    if given: such a block or a tuple of its rows, whose first row may be
-    ``value``. With target in [lo, hi] the new value is a convex
+    after the operands' dt, the layout :func:`wave` reads; given ``out``,
+    a tuple of such a block's four rows (the first may be ``value``), it
+    writes them in place and returns ``out``. With target in [lo, hi] the new value is a convex
     combination and stays inside the same interval, so no clamping is
     needed downstream. -rate/tau is rate/(-tau) to the bit.
     """

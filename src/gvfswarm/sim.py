@@ -20,8 +20,8 @@ drones:
    over as it stands: xbar lags x by about half a wave period, the
    amplitude follows its command through a first-order filter (tau_a),
    and the k_A schedule only models the slowdown curve (README has the
-   measured gap). The model velocity v (cos theta, sin theta) that the field and the
-   heading law read is the one the previous tick's advance returned;
+   measured gap). The model velocity v (cos theta, sin theta) that the
+   field and the heading law read is the one the previous tick's advance returned;
    control takes no cos or sin.
 3. telemetry: the tick's history cells that no kernel wrote. When a
    block of ticks closes, and at the last tick, one observer pass
@@ -59,10 +59,10 @@ telemetry rows takes its drone cells in telemetry order in one gather.
 Neighbor sums run over one slot-major table of the graph's 2M (owner,
 neighbor) pairs, in O(N + M) whatever the degrees, each node adding its
 terms in a fixed order, so a run is bitwise reproducible; the test suite
-compares telemetry digests to enforce that. numpy picks its SIMD loops by CPU at run
-time, and the bits of np.exp follow that choice; the tick calls no
-np.exp (the amplitude decay uses math.exp), and CI checks a pinned
-digest with AVX2 and AVX-512 dispatch off.
+compares telemetry digests to enforce that. numpy picks its SIMD loops
+by CPU at run time, and the bits of np.exp follow that choice; the tick
+calls no np.exp (the amplitude decay uses math.exp), and CI checks a
+pinned digest with AVX2 and AVX-512 dispatch off.
 """
 
 from __future__ import annotations
