@@ -53,6 +53,19 @@ class TestHeadingRate:
         assert w < 0.0
         assert w == pytest.approx(-math.sin(theta), abs=1e-12)
 
+    def test_swarm_operands_keep_the_formula_bits(self):
+        # (k_n, k_n) in the operands and f as field_core returns it, a
+        # reversed view of (f_y, f_x), or as a plain array: the bits of
+        # (f_y m_x - f_x m_y) / v^2 with m = k_n pdot - fdot
+        rng = np.random.default_rng(8)
+        f, f_dot, vel = rng.normal(0.0, V, (3, 2, 8))
+        k_n = rng.uniform(0.5, 2.0, 8)
+        m = k_n * vel - f_dot
+        want = (f[1] * m[0] - f[0] * m[1]) / (V * V)
+        ops = gain(k_n, (8,))
+        for f_in in (f, np.ascontiguousarray(f[::-1])[::-1]):
+            assert heading_rate_core(f_in, f_dot, vel, ops).tobytes() == want.tobytes()
+
     def test_batched_and_gain_array(self):
         # two drones, component-first: both f (V, 0), both velocities (0, V)
         f = np.array([[V, V], [0.0, 0.0]])
