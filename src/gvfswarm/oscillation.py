@@ -316,11 +316,11 @@ def relaxation_step(value, target, ops: RelaxationOperands, out=None):
     """One exact step of tau * xdot = target - x under a held target.
 
     Returns the (4, ...) block (value, rate, accel - value w^2, accel)
-    after the operands' dt, the layout :func:`wave` reads; given ``out``,
-    a tuple of such a block's four rows (the first may be ``value``), it
-    writes them in place and returns ``out``. With target in [lo, hi] the new value is a convex
-    combination and stays inside the same interval, so no clamping is
-    needed downstream. -rate/tau is rate/(-tau) to the bit.
+    after the operands' dt, the layout :func:`wave` reads, or writes and
+    returns ``out``, a tuple of such a block's rows (the first may be
+    ``value``). With target in [lo, hi] the new value is a convex
+    combination inside the same interval, so nothing downstream clamps
+    it; -rate/tau is rate/(-tau) to the bit.
     """
     if out is None:
         out = np.empty((4,) + np.broadcast_shapes(np.shape(value), np.shape(target)))
