@@ -311,13 +311,10 @@ class WindowAverager:
         return float(out) if out.ndim == 0 else out
 
 
-def neighbor_disagreement(x, table: NeighborTable, own=None):
-    """sum_j (x_j - own_i) for every node i; x is node-first, (N, ...).
+def neighbor_disagreement(x, table: NeighborTable):
+    """sum_j (x_j - x_i) for every node i; x is node-first, (N, ...).
 
-    ``own`` defaults to x itself; the simulator passes each drone's
-    current average as ``own`` and the neighbors' delayed history row as x.
-
-    The terms t = x_j - own_i are formed once, one per table entry, and
+    The terms t = x_j - x_i are formed once, one per table entry, and
     every node sums its own as ((+0.0 + t_0) + t_1) + ... in slot
     order, which is its neighbors' id order in the graph's table (a
     relabelled table keeps that order), whatever its degree and
@@ -327,8 +324,8 @@ def neighbor_disagreement(x, table: NeighborTable, own=None):
     How the sum runs depends on x.ndim alone, and each way was the
     faster where it runs (README has the costs):
 
-    - a 1-D row (one call per tick at delay 0, where eta is the lead;
-      two with a delay) is one np.bincount over the owners, in table
+    - a 1-D row (the simulator's one call per tick, whose eta is the
+      lead d ticks later) is one np.bincount over the owners, in table
       order, where slot blocks make O(D_max) calls on a hub;
     - a batch adds each slot's block of whole rows onto the prefix of
       places that have that slot. When every node has a neighbor, slot
@@ -338,19 +335,17 @@ def neighbor_disagreement(x, table: NeighborTable, own=None):
       (``table.ordered``, see ``NeighborTable.relabelled``) skips, so
       it gets the leading rows of the term array.
 
-    An infinite ``own`` reaches only its own node's sum, and a zero sum
-    is always +0.0, even when every term is -0.0.
+    A zero sum is always +0.0, even when every term is -0.0.
     """
     x = np.asarray(x, dtype=float)
-    own = x if own is None else np.asarray(own, dtype=float)
     # fresh gathers, so the in-place ops touch no caller's array; take
     # copies the rows of a batch several times faster than indexing
     if x.ndim == 1:
         terms = x[table.neighbors]
-        terms -= own[table.owners]
+        terms -= x[table.owners]
         return np.bincount(table.owners, weights=terms, minlength=len(table.inverse))
     terms = x.take(table.neighbors, axis=0)
-    terms -= own.take(table.owners, axis=0)
+    terms -= x.take(table.owners, axis=0)
     n = len(table.inverse)
     slots = table.slots
     if slots and slots[0][1].stop == n:

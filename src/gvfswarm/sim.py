@@ -7,16 +7,17 @@ drones:
    together with the level value phi that control reads, is pushed
    into its sliding-window averager, whose average xbar the tick
    publishes with np.trapezoid's bits (see WindowAverager).
-2. control: each drone weighs its own xbar against its neighbors' from
-   tick max(k - d, 0), d the communication delay in ticks, read back
-   from the history store (a delay past the run shows tick 0
+2. control: the tick's neighbor disagreement eta of xbar; the lead is
+   -eta of tick max(k - d, 0), d the communication delay in ticks, so
+   own and neighbor averages come from the same tick, as in the
+   symmetric-delay protocol (a delay past the run shows tick 0
    throughout). It converts the saturated lead u to a progress budget
    xdot_d = v - k_u u, schedules the oscillation amplitude, evaluates
-   the guiding field and commands a heading rate. A drone
-   that is ahead commands a large amplitude and waits; one that is
-   behind flies straight. In shortfall coordinates delta = v t - xbar
-   this is the saturated consensus protocol of :mod:`gvfswarm.consensus`
-   with three departures, so its agreement guarantee does not carry
+   the guiding field and commands a heading rate. A drone that is
+   ahead commands a large amplitude and waits; one that is behind flies
+   straight. In shortfall coordinates delta = v t - xbar this is the
+   saturated consensus protocol of :mod:`gvfswarm.consensus` with
+   three departures, so its agreement guarantee does not carry
    over as it stands: xbar lags x by about half a wave period, the
    amplitude follows its command through a first-order filter (tau_a),
    and the k_A schedule only models the slowdown curve (README has the
@@ -418,6 +419,8 @@ def run(
     waves = np.zeros((4, n))
     wave_rows = tuple(waves)
     averager = WindowAverager(window=cfg.period, dt=dt, shape=(n,))
+    # the last min(d, n_ticks) + 1 ticks' eta, tick k's in slot k mod its length
+    etas = [None] * (min(delay, n_ticks) + 1)
 
     # the telemetry columns, None when no rows are formatted
     columns = _telemetry_header(n, m) if compute_digest or telemetry_path is not None else None
@@ -452,13 +455,9 @@ def run(
             averager.push(row[_X])
             xbar = row[_XBAR] = averager.average()
             t1 = clock()
-            # control: own average against the neighbors' from tick seen's history row
-            eta = neighbor_disagreement(xbar, table)
-            seen = max(k - delay, 0)
-            if seen == k:
-                lead = -eta
-            else:
-                lead = -neighbor_disagreement(hist.averaged_parameters[seen], table, own=xbar)
+            # control: the lead is -eta of tick max(k - d, 0)
+            eta = etas[k % len(etas)] = neighbor_disagreement(xbar, table)
+            lead = -etas[max(k - delay, 0) % len(etas)]
             u = row[_U] = sat(lead, sat_p)
             xdot_d = np.subtract(speed_b, k_u_b * u, out=row[_XDOT_D])
             if fixed_cmd is None:

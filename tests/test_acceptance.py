@@ -358,8 +358,28 @@ def test_bundled_digests_are_pinned(report, formation_run, scenario_dir):
     )
 
 
+def test_delayed_formation_converges(report, scenario_dir):
+    # the lead weighs own and neighbour averages of one tick, d ticks
+    # old, so the bundled formation still meets its threshold in 600 s
+    details, ok = [], True
+    for d in (2, 10, 50):
+        doc = apply_overrides(load_mapping(scenario_dir / "eight_drones.scn"),
+                              [f"consensus.comm_delay_ticks={d}"])
+        sc = build_scenario(doc)
+        summary = run(sc).summary
+        conv, edge = summary["time_to_convergence_s"], summary["final_max_edge_diff_m"]
+        ok = ok and conv is not None and edge < sc.convergence_threshold
+        at = "never" if conv is None else f"at {conv:.2f} s"
+        details.append(f"d={d}: converged {at}, final max edge diff {edge:.3g} m")
+    report(
+        "delayed-formation-convergence",
+        ok,
+        "; ".join(details) + f" (600 s, tol {sc.convergence_threshold:g} m)",
+    )
+
+
 # telemetry SHA-256 of the westbound_eight run, whose headings wrap across +-pi
-WESTBOUND_DIGEST = "d869cd4946eebdf8f3e7c11f510805d5200f60f1a5fb712e509f084fb6a19f07"
+WESTBOUND_DIGEST = "375eb7cb1e6ebbb4799d32e600a2eb4611426e522734cc1c472886b2a0551507"
 
 
 def test_westbound_digest_is_pinned(report, westbound_eight):

@@ -33,11 +33,10 @@ STAR40 = Graph(40, tuple((0, i) for i in range(1, 40)))  # hub of degree 39
 STAR40_HUB_LAST = Graph(40, tuple((39, i) for i in range(39)))
 
 
-def disagreement_last_axis(x, table, own=None):
+def disagreement_last_axis(x, table):
     """The node-first kernel on (..., N) arrays: node axis in, result back."""
     x = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
-    own = None if own is None else np.moveaxis(np.asarray(own, dtype=float), -1, 0)
-    return np.moveaxis(neighbor_disagreement(x, table, own=own), 0, -1)
+    return np.moveaxis(neighbor_disagreement(x, table), 0, -1)
 
 
 def sorted_neighbors(graph):
@@ -49,24 +48,23 @@ def sorted_neighbors(graph):
     return [sorted(row) for row in nbrs]
 
 
-def disagreement_loop(graph, x, own=None):
+def disagreement_loop(graph, x):
     """Reference sums on (..., N) arrays, batches on the leading axes: a
     Python loop over each node's sorted neighbors j that computes
-    0.0 + t_0 + t_1 + ..., t = x_j - own_i, elementwise over the batch.
+    0.0 + t_0 + t_1 + ..., t = x_j - x_i, elementwise over the batch.
 
     A row runs as a batch of one, so every add is an array add with the
     running total first, as in the kernel: which NaN an add of two NaNs
     returns depends on the operand order, and numpy's scalar adds may
     take the other one."""
     x = np.asarray(x, dtype=float)
-    own = x if own is None else np.asarray(own, dtype=float)
     shape = x.shape
-    x, own = x.reshape(-1, shape[-1]), own.reshape(-1, shape[-1])
+    x = x.reshape(-1, shape[-1])
     out = np.empty(x.shape)
     for i, row in enumerate(sorted_neighbors(graph)):
         total = np.zeros(len(x))
         for j in row:
-            total = total + (x[:, j] - own[:, i])
+            total = total + (x[:, j] - x[:, i])
         out[:, i] = total
     return out.reshape(shape)
 
@@ -534,16 +532,14 @@ class TestNeighborOps:
         assert np.array_equal(neighbor_disagreement(batch, table), -lap @ batch)
 
     def test_batched(self):
-        # a batch row by row is each row alone, bit for bit, with and
-        # without ``own`` (the simulator's lead passes it)
+        # a batch row by row is each row alone, bit for bit
         table = CHAIN5.neighbor_table
         rng = np.random.default_rng(2)
-        x, own = rng.uniform(-10, 10, (2, 6, 5))
-        for o in (None, own):
-            out = disagreement_last_axis(x, table, own=o)
-            assert out.shape == (6, 5)
-            rows = [neighbor_disagreement(r, table, own=None if o is None else o[b]) for b, r in enumerate(x)]
-            assert out.tobytes() == np.stack(rows).tobytes()
+        x, _ = rng.uniform(-10, 10, (2, 6, 5))
+        out = disagreement_last_axis(x, table)
+        assert out.shape == (6, 5)
+        rows = [neighbor_disagreement(r, table) for r in x]
+        assert out.tobytes() == np.stack(rows).tobytes()
 
     @graphs("star40", "rrt512")
     def test_row_equals_its_batch(self, graph):
@@ -552,16 +548,14 @@ class TestNeighborOps:
         # at every degree (the hubs here have 39 and 10 neighbours)
         table = graph.neighbor_table
         rng = np.random.default_rng(3)
-        for x, own in (
+        for x, _ in (
             rng.uniform(-10.0, 10.0, (2, 32, graph.n_nodes)),
             rng.choice(SPECIAL, (2, 32, graph.n_nodes)),
         ):
-            for o in (None, own):
-                with np.errstate(invalid="ignore"):  # inf - inf
-                    batched = disagreement_last_axis(x, table, own=o)
-                    rows = [neighbor_disagreement(r, table, own=None if o is None else o[b])
-                            for b, r in enumerate(x)]
-                assert batched.tobytes() == np.stack(rows).tobytes()
+            with np.errstate(invalid="ignore"):  # inf - inf
+                batched = disagreement_last_axis(x, table)
+                rows = [neighbor_disagreement(r, table) for r in x]
+            assert batched.tobytes() == np.stack(rows).tobytes()
 
     @graphs("tree8", "chain5", "star8")
     def test_bitwise_equal_to_node_major_below_eight_slots(self, graph):
@@ -569,16 +563,10 @@ class TestNeighborOps:
         assert len(table.bounds) - 1 < 8
         rng = np.random.default_rng(11)
         batch = rng.uniform(-100.0, 100.0, (64, graph.n_nodes))
-        others = rng.uniform(-100.0, 100.0, batch.shape)
-        for x, own in (
-            (batch, others),
-            (batch[0], others[0]),
-            (batch.reshape(4, 16, graph.n_nodes), others.reshape(4, 16, graph.n_nodes)),
-        ):
-            for o in (None, own):
-                got = disagreement_last_axis(x, table, own=o)
-                want = disagreement_loop(graph, x, own=o)
-                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+        for x in (batch, batch[0], batch.reshape(4, 16, graph.n_nodes)):
+            got = disagreement_last_axis(x, table)
+            want = disagreement_loop(graph, x)
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
     def test_bitwise_equal_to_node_major_from_eight_slots(self):
         # a hub of 9 and a random tail: numpy would sum 8 or more
@@ -590,10 +578,9 @@ class TestNeighborOps:
         graph = Graph(n, tuple(edges))
         table = graph.neighbor_table
         assert len(table.bounds) - 1 >= 8
-        x, own = rng.uniform(-10.0, 10.0, (2, 32, n))
-        for o in (None, own):
-            got = disagreement_last_axis(x, table, own=o)
-            assert got.tobytes() == disagreement_loop(graph, x, own=o).tobytes()
+        x, _ = rng.uniform(-10.0, 10.0, (2, 32, n))
+        got = disagreement_last_axis(x, table)
+        assert got.tobytes() == disagreement_loop(graph, x).tobytes()
 
     @graphs("tree8", "chain5", "star8", "star40", "rrt512", "rrt4096", "triangle", "single", "isolated")
     def test_bitwise_equal_to_slot_major_formula(self, graph):
@@ -605,13 +592,13 @@ class TestNeighborOps:
         rng = np.random.default_rng(14)
         for shape in ((n,), (16, n), (4, 8, n)):
             rows = [rng.uniform(-100.0, 100.0, shape), rng.choice(SPECIAL, shape)]
-            for x, own in ((x, own) for x in rows for own in (None, *rows)):
+            for x in rows:
                 with np.errstate(invalid="ignore"):  # inf - inf
-                    want = disagreement_loop(graph, x, own=own)
+                    want = disagreement_loop(graph, x)
                     if x.ndim == 1:
-                        got = neighbor_disagreement(x, table, own=own)
+                        got = neighbor_disagreement(x, table)
                     else:
-                        got = disagreement_last_axis(x, table, own=own)
+                        got = disagreement_last_axis(x, table)
                 assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
     @graphs("tree8", "chain5", "star8", "triangle", "single", "isolated", "rrt4096")
@@ -644,24 +631,26 @@ class TestNeighborOps:
 
     @pytest.mark.parametrize("relabelled", [False, True], ids=["node-order", "table-order"])
     @graphs("star8", "star40-hub-last")
-    def test_infinite_own_stays_in_its_node(self, graph, relabelled):
-        # no padded slot: an infinite own value reaches only its node's
-        # sum, and no node of lower degree turns NaN, in either order
+    def test_infinite_value_stays_in_its_neighbourhood(self, graph, relabelled):
+        # no padded slot: an infinite value reaches only its node's sum,
+        # as -inf, and its neighbours', as +inf; no other node turns
+        # infinite or NaN, in either order
         table = graph.neighbor_table
         n = graph.n_nodes
         # where each node's value sits in x
         where = table.inverse if relabelled else np.arange(n)
+        near = sorted_neighbors(graph)
         if relabelled:
             table = table.relabelled()
         for node in (0, 3, n - 1):
             x = np.arange(float(n))
-            own = x.copy()
-            own[where[node]] = np.inf
-            for got in (neighbor_disagreement(x, table, own=own),
-                        neighbor_disagreement(np.stack([x, x], axis=1), table,
-                                              own=np.stack([own, own], axis=1))[:, 0]):
+            x[where[node]] = np.inf
+            reached = where[near[node]]
+            for got in (neighbor_disagreement(x, table),
+                        neighbor_disagreement(np.stack([x, x], axis=1), table)[:, 0]):
                 assert got[where[node]] == -np.inf
-                assert np.isfinite(np.delete(got, where[node])).all()
+                assert np.all(got[reached] == np.inf)
+                assert np.isfinite(np.delete(got, [where[node], *reached])).all()
 
     @graphs("tree8", "star40-hub-last", "rrt64-shuffled", "rrt512-shuffled", "isolated-first", "single")
     def test_table_in_its_own_order_sums_bitwise(self, graph):
@@ -681,12 +670,12 @@ class TestNeighborOps:
         for shape in ((n,), (n, 3), (n, 2, 5)):
             zeros = rng.choice([0.0, -0.0], shape)
             rows = [rng.uniform(-100.0, 100.0, shape), rng.choice(SPECIAL, shape), zeros]
-            for x, own in ((x, own) for x in rows for own in (None, *rows)):
+            for x in rows:
                 with np.errstate(invalid="ignore"):  # inf - inf
-                    want = neighbor_disagreement(x, table, own=own)[order]
-                    got = neighbor_disagreement(x[order], placed, own=None if own is None else own[order])
+                    want = neighbor_disagreement(x, table)[order]
+                    got = neighbor_disagreement(x[order], placed)
                 assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
-            got = neighbor_disagreement(zeros[order], placed, own=rng.choice([0.0, -0.0], shape))
+            got = neighbor_disagreement(zeros[order], placed)
             assert got.tobytes() == np.zeros(shape).tobytes()
 
     def test_memory_is_linear_in_nodes_and_edges(self):
@@ -734,16 +723,15 @@ class TestInputsUntouched:
             arrays = (table.owners, table.neighbors, table.inverse)
             assert not any(a.flags.writeable for a in arrays)
             for shape in ((graph.n_nodes,), (graph.n_nodes, 3)):
-                x, own = self._frozen(*rng.uniform(-10.0, 10.0, (2,) + shape))
-                before = [a.copy() for a in (x, own, *arrays)]
-                for o in (None, own):
-                    got = neighbor_disagreement(x, table, own=o)
-                    assert got.flags.writeable
-                    want = disagreement_loop(graph, x.T, None if o is None else o.T).T
-                    assert got.tobytes() == want.tobytes()
+                x, _ = self._frozen(*rng.uniform(-10.0, 10.0, (2,) + shape))
+                before = [a.copy() for a in (x, *arrays)]
+                got = neighbor_disagreement(x, table)
+                assert got.flags.writeable
+                want = disagreement_loop(graph, x.T).T
+                assert got.tobytes() == want.tobytes()
                 sat(x, self.PARAMS)
                 lyapunov_value(x, self.PARAMS)
-                for a, b in zip((x, own, *arrays), before):
+                for a, b in zip((x, *arrays), before):
                     assert a.tobytes() == b.tobytes()
 
     def test_scalar_results_are_python_floats(self):
