@@ -29,11 +29,15 @@ protocol on any connected graph.
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._box import TWO, ZERO, box
+from ._fork import Child
 from .graph import Graph, NeighborTable
 
 __all__ = [
@@ -52,6 +56,11 @@ __all__ = [
 # heap, not from fresh pages. WindowAverager's block of window folds
 # and the store slab it adds hold this many cells together
 _SUMMARY_BLOCK = 1 << 12
+
+# a WindowAverager of fewer values per sample folds every block itself:
+# below it the fold the helper takes off the tick barely pays for the
+# fork and a round trip per block
+_PREFETCH_SIZE = 128
 
 # integrate_consensus looks for runs at their fixed point at the first V
 # block boundary at least this many steps after its last look
@@ -148,6 +157,40 @@ def _lyapunov_terms(eta, params: SaturationParams) -> np.ndarray:
     )
 
 
+def _fold(terms, base: int, rows: int, out) -> None:
+    """Row j of out: the sum of ``rows`` store rows from base + j, oldest first.
+
+    One np.add.reduce over a strided (rows, m, ...) view of the store:
+    numpy folds whole rows, ((t_0 + t_1) + t_2) + ..., so each of the m
+    windows adds its terms in row order.
+    """
+    row = terms.strides[0]
+    windows = np.ndarray((rows,) + out.shape, buffer=terms, offset=base * row,
+                         strides=(row,) + terms.strides)
+    np.add.reduce(windows, axis=0, out=out)
+
+
+def _serve_folds(requests, replies, terms, rows, out) -> int:
+    """The fold helper: for each base row it is sent, _fold into out, then one reply byte."""
+    while request := os.read(requests, 8):
+        _fold(terms, int.from_bytes(request, "little"), rows, out)
+        os.write(replies, b"\0")
+    return 0
+
+
+def _prefetches(size: int, lead: int) -> bool:
+    """Whether an averager of ``size`` values folds each next block's first ``lead`` terms ahead.
+
+    That takes a size at which the fold outweighs a round trip to the
+    helper, at least one term to fold, os.fork and a second allowed CPU.
+    """
+    if size < _PREFETCH_SIZE or lead < 1 or not hasattr(os, "fork"):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
 class WindowAverager:
     """Sliding trapezoidal average over a fixed time window.
 
@@ -184,6 +227,31 @@ class WindowAverager:
     every slot; the block's slivers read their m + 1 ends in one
     wrapped gather, an (m + 1, ...) temporary.
 
+    When a block opens, each of the next block's m windows already has
+    its oldest L = k - 2m + 1 terms in the store. A forked helper
+    (``_fork.Child``) folds them with the same strided reduce, in the
+    same row order, into an (m, ...) buffer, while the ticks go on; at
+    the next open this process copies the buffer into its block and adds
+    the 2m - 1 - j terms window j has gained since, oldest first, one
+    row block per step. Each window so adds its terms in row order, and
+    the -0.0 rows it skips are identities, so every bit is kept. The
+    store and the buffer, its last m rows, lie in one anonymous shared
+    mapping. Three rules hold:
+
+    - the opening ``push`` waits for the helper's reply before the
+      compaction moves the rows the helper reads;
+    - the helper closes every inherited fd it does not own, so it holds
+      no other helper's pipe open;
+    - the helper runs only numpy's add reduce, which calls no BLAS, so
+      forking after OpenBLAS has started its threads is safe.
+
+    The averager folds every block itself below _PREFETCH_SIZE values,
+    where L < 1, with one allowed CPU, without os.fork, if the fork
+    fails or the helper dies, after ``close`` and for its first
+    full-window block, where the helper starts. ``close`` stops and
+    reaps the helper, and a finalizer does so when the averager is
+    collected unclosed.
+
     Values may be any fixed trailing shape (one slot per drone); the
     average is taken elementwise over time.
     """
@@ -210,22 +278,31 @@ class WindowAverager:
         self._lerp, self._sliver = box(1.0 - self._fr), box(self._fr * self.dt * 0.5)
         # k full intervals, one partial, one spare slot
         self._capacity = self._k + 3
+        size = math.prod(self.shape)
+        m = min(self._k, max(2, _SUMMARY_BLOCK // (2 * size))) if size > 1 else 1
+        self._size = size
         # the term of the interval ending at sample k sits at row k - 1
         # until the store's first compaction
-        self._terms = np.zeros(_addressable((2 * self._capacity,) + self.shape))
+        store = _addressable((2 * self._capacity,) + self.shape)
+        self._lead = self._k - 2 * m + 1  # the terms the helper folds per window
+        if size > 1 and _prefetches(size, self._lead):
+            shared = np.frombuffer(mmap.mmap(-1, 8 * math.prod(store))).reshape(store)
+            self._terms, self._ahead = shared[:-m], shared[-m:]
+        else:
+            self._terms, self._ahead = np.zeros(store), None
         self._end = 0  # one past the newest term's row
         # sample s sits in slot s mod capacity
         self._buffer = np.zeros((self._capacity,) + self.shape)
         self._count = 0  # total samples pushed
-        size = math.prod(self.shape)
-        m = min(self._k, max(2, _SUMMARY_BLOCK // (2 * size))) if size > 1 else 1
-        self._size = size
         # the block's m folds (in warm-up, row 0 is the running sum) and the
         # newest window's row j in it; over the full window, that window's
         # sliver sits in store row end - k, over its oldest term, which the
         # block pass has already folded
         self._prefix = np.zeros((m,) + self.shape)
         self._j = m - 1
+        # the fold helper, started at the first full-window block, and
+        # whether it owes this process the next block's folds
+        self._helper, self._stop, self._asked = None, None, False
 
     @property
     def count(self) -> int:
@@ -239,6 +316,8 @@ class WindowAverager:
             warm = self._count * self.dt < self.window
             m = len(self._prefix)
             opens = not warm and self._j == m - 1  # the newest window starts a block
+            # the helper's folds come in before a compaction moves its rows
+            ahead = opens and self._asked and self._collect()
             if opens and self._end + m > len(self._terms):
                 # the k - 1 terms the newest window shares move to the front,
                 # as one flat copy: numpy moves overlapping 1-d data in place
@@ -256,7 +335,7 @@ class WindowAverager:
             elif warm:
                 np.add.reduce(self._terms[:self._end], axis=0, keepdims=True, out=self._prefix)
             elif opens:
-                self._open_block()
+                self._open_block(ahead)
             else:
                 self._j += 1
                 pending = self._prefix[self._j:]
@@ -264,19 +343,58 @@ class WindowAverager:
         self._buffer[self._count % self._capacity] = value
         self._count += 1
 
-    def _open_block(self) -> None:
-        """Fold the newest window and the m - 1 after it over the terms so far."""
+    def _open_block(self, ahead: bool) -> None:
+        """Fold the newest window and the m - 1 after it over the terms so far.
+
+        With ``ahead``, the helper has folded each window's first L terms.
+        """
         m = len(self._prefix)
-        self._terms[self._end:self._end + m - 1] = -0.0
         base = self._end - self._k  # window j's terms start at row base + j
-        row = self._terms.strides[0]
-        windows = np.ndarray((self._k, m) + self.shape, buffer=self._terms, offset=base * row,
-                             strides=(row,) + self._terms.strides)
-        np.add.reduce(windows, axis=0, out=self._prefix)
+        if ahead:
+            # step r adds row r + j to window j, for every window that has it
+            self._prefix[...] = self._ahead
+            for r in range(base + self._lead, self._end):
+                rows = min(m, self._end - r)
+                self._prefix[:rows] += self._terms[r:r + rows]
+        else:
+            self._terms[self._end:self._end + m - 1] = -0.0
+            _fold(self._terms, base, self._k, self._prefix)
         if self._fr > 0.0:
             # window j's sliver lies between samples count - k - 1 + j and the next
             self._slivers(self._terms[base:base + m], self._count - self._k - 1)
         self._j = 0
+        if self._ahead is not None:
+            self._ask(base + m)
+
+    def _ask(self, base: int) -> None:
+        """Have the helper fold the next block, whose window j starts at row base + j."""
+        if self._helper is None:
+            try:
+                self._helper = Child(_serve_folds, self._terms, self._lead, self._ahead)
+            except OSError:
+                self._ahead = None
+                return
+            self._stop = weakref.finalize(self, self._helper.stop)
+        try:
+            os.write(self._helper.requests, base.to_bytes(8, "little"))
+        except BrokenPipeError:
+            self.close()
+            return
+        self._asked = True
+
+    def _collect(self) -> bool:
+        """Wait for the helper's folds; False, with the helper stopped, if it died."""
+        self._asked = False
+        if os.read(self._helper.replies, 1) == b"\0":
+            return True
+        self.close()
+        return False
+
+    def close(self) -> None:
+        """Stop and reap the fold helper, if one runs; every later block folds here."""
+        self._ahead, self._asked = None, False
+        if self._stop is not None:
+            self._stop()
 
     def _slivers(self, out, first: int) -> None:
         """Row j of out: the sliver whose ends are samples first + j and first + j + 1.

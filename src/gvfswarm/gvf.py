@@ -70,10 +70,9 @@ def field_core(phi, gammas, p_dot, ops: FieldOperands):
     u_phi and its rate come out of one pair (phi, phi_dot) - (gamma,
     gamma_dot), and the interior field and its rate out of one block
     (f_y, f_x, f_dot_x, f_dot_y): f is its first two rows reversed, so
-    the heading law's f[::-1] reads them in memory order. When every
-    point is interior, the exterior arrays and the ``where`` selects are
-    skipped and the interior arrays are returned as they are: the values
-    ``where`` would pick, so the bits are the same.
+    the heading law's f[::-1] reads them in memory order. The exterior
+    branch is computed on the exterior points alone and written over
+    their columns of that block.
     """
     speed = ops.speed
     levels = np.empty(ops.gain.shape)
@@ -103,13 +102,19 @@ def field_core(phi, gammas, p_dot, ops: FieldOperands):
     block += twice * ops.normal_rows
     f, f_dot = block[1::-1], block[2:]
     if not all_interior:
-        beta, beta_dot = u[0] * ops.normal, u[1] * ops.normal
-        safe_norm = np.where(interior, 1.0, beta_norm)
-        f = np.where(interior, f, speed * beta / safe_norm)
+        # the exterior points' columns of the block, flat over the point
+        # axes, overwritten: every formula is elementwise, so a gathered
+        # column has the bits of a full one
+        e = np.flatnonzero(~interior)
+        u_e = u.reshape(2, -1).take(e, axis=1)
+        normal = ops.normal.reshape(2, -1).take(e, axis=1)
+        norm = np.abs(u_e[0])
+        beta, beta_dot = u_e[0] * normal, u_e[1] * normal
+        columns = block.reshape(4, -1)  # a view: block is C-contiguous
+        columns[1::-1, e] = speed * beta / norm
         # exterior: f_dot = v (I/||b|| - b b^T/||b||^3) beta_dot, the
         # derivative of v beta/||beta|| (zero for lines, where beta_dot
         # stays parallel to beta)
         b_dot_b = np.add.reduce(beta * beta_dot, axis=0)
-        f_dot_exterior = speed * (beta_dot / safe_norm - beta * (b_dot_b / safe_norm**3))
-        f_dot = np.where(interior, f_dot, f_dot_exterior)
+        columns[2:, e] = speed * (beta_dot / norm - beta * (b_dot_b / norm**3))
     return f, f_dot, interior

@@ -6,7 +6,9 @@ drones:
 1. publish: each drone's path parameter x, projected on its line
    together with the level value phi that control reads, is pushed
    into its sliding-window averager, whose average xbar the tick
-   publishes with np.trapezoid's bits (see WindowAverager).
+   publishes with np.trapezoid's bits (see WindowAverager). From
+   N = 128 drones up, a forked helper folds the averager's next block of
+   windows while the ticks go on; ``run`` stops it on every way out.
 2. control: the tick's neighbor disagreement eta of xbar; the lead is
    -eta of tick max(k - d, 0), d the communication delay in ticks, so
    own and neighbor averages come from the same tick, as in the
@@ -78,6 +80,7 @@ import numpy as np
 
 from . import oscillation as osc
 from ._box import box
+from ._fork import Child
 from .consensus import (
     _SUMMARY_BLOCK,
     WindowAverager,
@@ -211,7 +214,7 @@ def write_table(fh, columns, table) -> None:
     writer.finish()
 
 
-class _Helper:
+class _Helper(Child):
     """A forked process running a _RowWriter on the blocks sent over a pipe.
 
     ``write`` returns once the bytes are in the pipe; ``finish`` closes
@@ -220,54 +223,26 @@ class _Helper:
     """
 
     def __init__(self, columns, rows: int, fh) -> None:
-        data_r, data_w = os.pipe()
-        reply_r, reply_w = os.pipe()
-        try:
-            if fh is not None:
-                fh.flush()  # the child must not inherit buffered bytes
-            pid = os.fork()
-        except BaseException:
-            for fd in (data_r, data_w, reply_r, reply_w):
-                os.close(fd)
-            raise
-        if pid == 0:
-            _serve(data_r, data_w, reply_r, reply_w, columns, rows, fh)
-        os.close(data_r)
-        os.close(reply_w)
-        self.pid, self.out, self.reply, self.status = pid, data_w, reply_r, None
-        _place_apart(pid)
+        if fh is not None:
+            fh.flush()  # the child must not inherit buffered bytes
+        super().__init__(_serve, columns, rows, fh, keep=() if fh is None else (fh.fileno(),))
 
     def write(self, data) -> None:
         view = memoryview(data)
         try:
             while view:
-                view = view[os.write(self.out, view):]
+                view = view[os.write(self.requests, view):]
         except BrokenPipeError:
-            raise self._error(self._stop()) from None
+            raise self._error(self.stop()) from None
 
     def finish(self) -> str:
-        reply = self._stop()
+        reply = self.stop()
         if self.status == 0 and len(reply) == 64:
             return reply.decode()
         raise self._error(reply)
 
     def close(self) -> None:
-        self._stop()
-
-    def _stop(self) -> bytes:
-        """Close the pipe, read the reply and reap the helper; once."""
-        pid, self.pid = self.pid, None
-        if pid is None:
-            return b""
-        os.close(self.out)
-        chunks = []
-        try:
-            while chunk := os.read(self.reply, 4096):
-                chunks.append(chunk)
-        finally:
-            os.close(self.reply)
-            self.status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        return b"".join(chunks)
+        self.stop()
 
     def _error(self, reply: bytes) -> TelemetryHelperError:
         if self.status < 0:
@@ -277,51 +252,15 @@ class _Helper:
         return TelemetryHelperError(f"telemetry helper failed: {detail}")
 
 
-def _tick_cpu() -> int:
-    """The CPU this process last ran on: field 39 of /proc/self/stat."""
-    with open("/proc/self/stat", "rb") as fh:
-        stat = fh.read()
-    # field 2, the command name, may hold spaces and parentheses
-    return int(stat.rsplit(b")", 1)[1].split()[36])
-
-
-def _place_apart(pid: int) -> None:
-    """Keep the helper off the CPU the tick runs on.
-
-    A pipe write wakes the reader as a sync wakeup, and when the writer
-    runs alone on its CPU, Linux puts the woken reader there unless it
-    finds another CPU idle; the helper then shares the tick's CPU. So
-    the helper may run on every allowed CPU but that one, and this
-    process keeps its own affinity. With one allowed CPU, no affinity
-    call or no /proc, the helper stays where it is.
-    """
-    if not hasattr(os, "sched_setaffinity"):
-        return
-    try:
-        allowed = os.sched_getaffinity(0)
-        if len(allowed) > 1:
-            os.sched_setaffinity(pid, allowed - {_tick_cpu()})
-    except (OSError, ValueError, IndexError):
-        pass
-
-
-def _serve(data_r, data_w, reply_r, reply_w, columns, rows, fh) -> None:
+def _serve(data_r, reply_w, columns, rows, fh) -> int:
     """The helper process: rows from the pipe to a _RowWriter, then the reply.
 
     The reply is the hexdigest, or the error that stopped the helper.
-    Leaves only through os._exit: the parent's cleanup, atexit hooks
-    and stdio buffers are not the child's to run. The child runs no
-    numpy, so the parent's BLAS threads, which fork does not copy, are
-    never missed.
+    The child runs no numpy, so the parent's BLAS threads, which fork
+    does not copy, are never missed.
     """
     status, reply = 1, b""
     try:
-        import gc
-
-        # no cycles here; a full collection would copy the parent's heap pages
-        gc.disable()
-        os.close(data_w)
-        os.close(reply_r)
         writer = _RowWriter(columns, fh)
         with open(data_r, "rb") as src:
             for data in iter(lambda: src.read(rows * writer.cells * 8), b""):
@@ -329,11 +268,8 @@ def _serve(data_r, data_w, reply_r, reply_w, columns, rows, fh) -> None:
         reply, status = writer.finish().encode(), 0
     except Exception as exc:
         reply = f"{type(exc).__name__}: {exc}".encode()[:512]
-    finally:
-        try:
-            os.write(reply_w, reply)
-        finally:
-            os._exit(status)
+    os.write(reply_w, reply)
+    return status
 
 
 def _row_sink(columns, rows: int, fh):
@@ -524,6 +460,7 @@ def run(
             ns_telemetry += t3 - t2
             ns_advance += t4 - t3
     finally:
+        averager.close()
         if sink is not None:
             sink.close()
         if fh is not None:

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gvfswarm.scenario import apply_overrides, build_scenario, load_mapping
@@ -42,6 +43,27 @@ def westbound_eight(scenario_dir):
     return build_scenario(doc)
 
 
+def swarm_128_doc() -> dict:
+    """30 s of the bundled eight drones flown as 128 in a 1.5 m/s crosswind, delay 0.
+
+    The graph is a random recursive tree: node i's parent is drawn
+    uniformly from the nodes before it, seed 128. Its window averager
+    folds blocks of m = 16 windows, L = 492 terms of each ahead.
+    """
+    rng = np.random.default_rng(128)
+    edges = [[int(rng.integers(0, i)) + 1, i + 1] for i in range(1, 128)]
+    return apply_overrides(
+        load_mapping(SCENARIO_DIR / "eight_drones.scn"),
+        ["graph.n_drones=128", f"graph.edges={edges}", "t_end_s=30.0", "wind_mps=[0.0, 1.5]",
+         "consensus.comm_delay_ticks=0"],
+    )
+
+
+@pytest.fixture(scope="session")
+def swarm_128():
+    return build_scenario(swarm_128_doc())
+
+
 # Python run before the code of killed_helper_run: the helper is killed
 # at the third observer pass, and sim.run only sees it when it next
 # sends a block or waits for the digest
@@ -68,6 +90,7 @@ sim._Helper, sim.lyapunov_value = recording_start, killing_lyapunov
 """
 
 _CHECK_REAPED = """
+import os
 try:
     os.waitpid(-1, os.WNOHANG)
 except ChildProcessError:
@@ -76,21 +99,27 @@ except ChildProcessError:
 
 
 @pytest.fixture(scope="session")
-def killed_helper_run():
-    """Run code in a fresh interpreter whose telemetry helper gets killed.
+def fresh_python():
+    """Run code in a fresh interpreter that imports from src/ and tests/.
 
     A hang ends in a timeout, not a stuck suite. The last line of stdout
     is "no child left" when the interpreter ends with no child.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
+        p for p in (str(REPO_ROOT / "src"), str(REPO_ROOT / "tests"), env.get("PYTHONPATH")) if p
     )
 
     def go(code: str) -> subprocess.CompletedProcess:
         return subprocess.run(
-            [sys.executable, "-c", _KILL_HELPER + code + _CHECK_REAPED],
+            [sys.executable, "-c", code + _CHECK_REAPED],
             capture_output=True, text=True, timeout=60, env=env, cwd=REPO_ROOT,
         )
 
     return go
+
+
+@pytest.fixture(scope="session")
+def killed_helper_run(fresh_python):
+    """Run code in a fresh interpreter whose telemetry helper gets killed (see fresh_python)."""
+    return lambda code: fresh_python(_KILL_HELPER + code)

@@ -419,6 +419,24 @@ def test_star_digest_is_pinned(report, scenario_dir):
     )
 
 
+# telemetry SHA-256 of the 128-drone swarm (conftest.swarm_128_doc), the
+# smallest pinned run whose averager folds its blocks ahead in a helper
+# process beside the telemetry helper
+SWARM_128_DIGEST = "27909f43c2026e2c4ce5d11b77dbc6bc88a2c6ed3f0b7bc8d69bfcde3da423d0"
+
+
+def test_swarm_128_digest_is_pinned(report, swarm_128):
+    res = run(swarm_128, compute_digest=True)
+    exterior = int(np.count_nonzero(res.branches))
+    ok = res.telemetry_digest == SWARM_128_DIGEST and exterior == 2224
+    report(
+        "swarm-128-telemetry-digest",
+        ok,
+        f"sha256 {res.telemetry_digest[:16]}... (pinned {SWARM_128_DIGEST[:16]}...), "
+        f"{exterior} exterior cells (2224 at the pin)",
+    )
+
+
 # SHA-256 of the table that ``gvfswarm consensus-demo --t-end 150 --out``
 # writes: 15 002 lines through the telemetry row writer. fit-curve is not
 # pinned, since its quadrature bits follow the SciPy version

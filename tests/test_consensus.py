@@ -1,4 +1,7 @@
 import math
+import os
+import signal
+import time
 import tracemalloc
 import warnings
 
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from gvfswarm import consensus
+from gvfswarm import consensus, sim
 from gvfswarm.consensus import (
     _SUMMARY_BLOCK,
     ConsensusRun,
@@ -20,6 +23,8 @@ from gvfswarm.consensus import (
     sat,
 )
 from gvfswarm.graph import DEMO_TREE_EDGES, Graph
+from gvfswarm.gvf import field_core
+from gvfswarm.sim import run
 
 TREE8 = Graph.from_one_based(8, DEMO_TREE_EDGES)
 CHAIN5 = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
@@ -134,6 +139,31 @@ def trapezoid_window_average(samples, window, dt):
         integral = integral + fr * dt * 0.5 * (x_start + right)
     out = integral / window
     return float(out) if out.ndim == 0 else out
+
+
+# telemetry SHA-256 of the 128-drone swarm, as tests/test_acceptance.py pins it
+SWARM_128_DIGEST = "27909f43c2026e2c4ce5d11b77dbc6bc88a2c6ed3f0b7bc8d69bfcde3da423d0"
+
+
+@pytest.fixture
+def fold_helpers(monkeypatch):
+    """The pid of every fold helper an averager starts, in order."""
+    pids = []
+    start = consensus.Child
+
+    def recording_start(*args, **kwargs):
+        helper = start(*args, **kwargs)
+        pids.append(helper.pid)
+        return helper
+
+    monkeypatch.setattr(consensus, "Child", recording_start)
+    return pids
+
+
+def assert_reaped(pid: int) -> None:
+    # ChildProcessError: no such child, neither running nor a zombie
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
 
 
 class TestSaturation:
@@ -503,6 +533,180 @@ class TestWindowAverager:
             tracemalloc.stop()
         assert peak < 64 * 1024 < window_bytes
 
+
+    @staticmethod
+    def fold_ahead(monkeypatch, min_size=consensus._PREFETCH_SIZE) -> None:
+        """From here on, averagers of min_size values or more fold ahead wherever L >= 1, on any CPU count."""
+        monkeypatch.setattr(consensus, "_prefetches", lambda size, lead: size >= min_size and lead >= 1)
+
+    def averager(self, monkeypatch, window, dt, shape, ahead: bool) -> WindowAverager:
+        """An averager that folds ahead in a helper wherever L >= 1, whatever its size, or never."""
+        self.fold_ahead(monkeypatch, 1 if ahead else math.inf)
+        return WindowAverager(window, dt, shape=shape)
+
+    @pytest.mark.parametrize("shape", [(63,), (64,), (512,), (40, 3)], ids=["n63", "n64", "n512", "n40x3"])
+    @pytest.mark.parametrize("window", [2.0 * math.pi / 0.6, 10.46], ids=["fractional", "whole"])
+    def test_helper_folds_keep_every_bit(self, shape, window, monkeypatch, fold_helpers):
+        dt = 0.02
+        fold = consensus._fold
+
+        def slow_fold(*args):
+            # the helper is still folding when the next block opens
+            time.sleep(0.001)
+            fold(*args)
+
+        monkeypatch.setattr(consensus, "_fold", slow_fold)
+        inline = self.averager(monkeypatch, window, dt, shape, ahead=False)
+        ahead = self.averager(monkeypatch, window, dt, shape, ahead=True)
+        rng = np.random.default_rng(15)
+        stream = np.cumsum(rng.normal(0, 0.3, (1700,) + shape), axis=0)
+        stream[::7] = -0.0
+        averages, compactions, end = [], 0, 0
+        for value in stream:
+            ahead.push(value)
+            averages.append(ahead.average())
+            compactions += ahead._end < end
+            end = ahead._end
+        for k, value in enumerate(stream):
+            inline.push(value)
+            assert averages[k].tobytes() == inline.average().tobytes(), k
+        assert compactions >= 2 and (ahead._fr > 0.0) == (window != 10.46)
+        assert len(fold_helpers) == 1
+        ahead.close()
+        ahead.close()  # a no-op
+        assert_reaped(fold_helpers[0])
+
+    def test_a_dead_helper_leaves_the_folds_to_the_averager(self, monkeypatch, fold_helpers):
+        shape = (64,)
+        inline = self.averager(monkeypatch, self.W, self.DT, shape, ahead=False)
+        ahead = self.averager(monkeypatch, self.W, self.DT, shape, ahead=True)
+        stream = np.cumsum(np.random.default_rng(16).normal(0, 0.3, (1200,) + shape), axis=0)
+        for k, value in enumerate(stream):
+            if k == 800:
+                os.kill(fold_helpers[0], signal.SIGKILL)
+            inline.push(value)
+            ahead.push(value)
+            assert ahead.average().tobytes() == inline.average().tobytes(), k
+        assert ahead._ahead is None  # every later block folded here
+        assert_reaped(fold_helpers[0])
+
+    def test_prefetch_needs_size_terms_fork_and_a_second_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert consensus._prefetches(consensus._PREFETCH_SIZE, 1)
+        assert not consensus._prefetches(consensus._PREFETCH_SIZE - 1, 460)
+        assert not consensus._prefetches(512, 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert not consensus._prefetches(512, 516)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.delattr(os, "fork")
+        assert not consensus._prefetches(512, 516)
+
+    def test_a_small_averager_never_forks(self, fold_helpers):
+        # the eight drones' averager: m = 256 of k = 523, L = 12
+        av = WindowAverager(self.W, self.DT, shape=(8,))
+        for row in np.random.default_rng(6).uniform(-5, 5, (1200, 8)):
+            av.push(row)
+        assert av._ahead is None and fold_helpers == []
+
+    def test_no_helper_outlives_a_run(self, swarm_128, fold_helpers, monkeypatch):
+        self.fold_ahead(monkeypatch)
+        run(swarm_128)
+        assert len(fold_helpers) == 1
+        assert_reaped(fold_helpers[0])
+
+    def test_no_helper_outlives_a_run_that_raises(self, swarm_128, fold_helpers, monkeypatch):
+        self.fold_ahead(monkeypatch)
+        calls = []
+
+        def failing_field_core(*args):
+            calls.append(None)
+            if len(calls) == 700:  # some 170 ticks into the full window
+                raise RuntimeError("field failed")
+            return field_core(*args)
+
+        monkeypatch.setattr(sim, "field_core", failing_field_core)
+        # failure holds the run's frame, so its averager lives on: the
+        # helper is reaped by the run's own teardown, not by the collector
+        with pytest.raises(RuntimeError, match="field failed") as failure:
+            run(swarm_128)
+        assert failure.traceback[-1].name == "failing_field_core"
+        assert len(fold_helpers) == 1
+        assert_reaped(fold_helpers[0])
+
+    def test_a_run_without_fork_keeps_every_bit(self, swarm_128, fold_helpers, monkeypatch):
+        self.fold_ahead(monkeypatch)
+        helped = run(swarm_128, compute_digest=True)
+
+        def no_fork():
+            raise OSError("no fork here")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        res = run(swarm_128, compute_digest=True)
+        assert len(fold_helpers) == 1  # the first run's
+        assert res.telemetry_digest == helped.telemetry_digest
+        assert res.averaged_parameters.tobytes() == helped.averaged_parameters.tobytes()
+
+    @pytest.mark.parametrize("first", ["telemetry", "fold"])
+    def test_both_helpers_are_reaped_after_a_digest_run(self, first, fresh_python):
+        # the telemetry helper starts at the first observer block, the fold
+        # helper at the first full window; a stand-in holds the blocks back
+        # and starts the telemetry helper once the fold helper runs
+        proc = fresh_python(_BOTH_HELPERS.format(first=first))
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines == [f"{first} helper first", f"digest {SWARM_128_DIGEST}", "no child left"]
+
+
+# Python run in a fresh interpreter: the 128-drone swarm with its digest,
+# both helpers forked in the order {first!r} names
+_BOTH_HELPERS = """
+from conftest import swarm_128_doc
+from gvfswarm import consensus, sim
+from gvfswarm.scenario import build_scenario
+
+consensus._prefetches = lambda size, lead: size >= consensus._PREFETCH_SIZE and lead >= 1
+start_fold, start_telemetry, started = consensus.Child, sim._Helper, []
+
+
+def fold_helper(*args, **kwargs):
+    started.append("fold")
+    return start_fold(*args, **kwargs)
+
+
+class LateTelemetryHelper:
+    def __init__(self, *args):
+        self.args, self.held, self.helper = args, [], None
+
+    def write(self, data):
+        if self.helper is None and "fold" not in started:
+            self.held.append(bytes(data))
+            return
+        if self.helper is None:
+            self.helper = start_telemetry(*self.args)
+            started.append("telemetry")
+            for block in self.held:
+                self.helper.write(block)
+        self.helper.write(data)
+
+    def finish(self):
+        return self.helper.finish()
+
+    def close(self):
+        if self.helper is not None:
+            self.helper.close()
+
+
+def telemetry_helper(*args):
+    started.append("telemetry")
+    return start_telemetry(*args)
+
+
+consensus.Child = fold_helper
+sim._Helper = LateTelemetryHelper if {first!r} == "fold" else telemetry_helper
+res = sim.run(build_scenario(swarm_128_doc()), compute_digest=True)
+print(started[0], "helper first")
+print("digest", res.telemetry_digest)
+"""
 
 GRAPHS = {
     "tree8": TREE8, "chain5": CHAIN5, "star8": STAR8, "star40": STAR40,

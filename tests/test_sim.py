@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_consensus import disagreement_loop
 
+from gvfswarm import _fork
 from gvfswarm import oscillation as osc
 from gvfswarm import sim
 from gvfswarm.consensus import WindowAverager, lyapunov_value, neighbor_disagreement, sat
@@ -318,14 +319,14 @@ class TestTelemetryHelper:
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
     def test_tick_cpu_is_an_allowed_cpu(self):
-        assert sim._tick_cpu() in os.sched_getaffinity(0)
+        assert _fork.tick_cpu() in os.sched_getaffinity(0)
 
     @needs_two_cpus
     @pytest.mark.parametrize("pick", [min, max], ids=["lowest", "highest"])
     def test_helper_runs_off_the_tick_cpu(self, pick, helper_affinity, monkeypatch):
         allowed = os.sched_getaffinity(0)
         tick_cpu = pick(allowed)
-        monkeypatch.setattr(sim, "_tick_cpu", lambda: tick_cpu)
+        monkeypatch.setattr(_fork, "tick_cpu", lambda: tick_cpu)
         res = run(build_scenario(pair_doc()), compute_digest=True)
         [(pid, helper_cpus)] = helper_affinity
         assert helper_cpus == allowed - {tick_cpu}
@@ -358,7 +359,7 @@ class TestTelemetryHelper:
         if case == "one-cpu":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         if case == "no-proc":
-            monkeypatch.setattr(sim, "_tick_cpu", no_proc)
+            monkeypatch.setattr(_fork, "tick_cpu", no_proc)
         out = tmp_path / "telemetry.csv"
         res = run(sc, telemetry_path=out)
         data = out.read_bytes()
