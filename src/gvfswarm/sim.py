@@ -7,8 +7,11 @@ drones:
    together with the level value phi that control reads, is pushed
    into its sliding-window averager, whose average xbar the tick
    publishes with np.trapezoid's bits (see WindowAverager). From
-   N = 128 drones up, a forked helper folds the averager's next block of
-   windows while the ticks go on; ``run`` stops it on every way out.
+   N = 128 drones up, in a run that formats no telemetry rows, a forked
+   helper folds the averager's next block of windows while the ticks go
+   on; ``run`` stops it on every way out. A run that formats rows has
+   the telemetry helper off the tick's CPU, and its averager folds every
+   block itself.
 2. control: the tick's neighbor disagreement eta of xbar; the lead is
    -eta of tick max(k - d, 0), d the communication delay in ticks, so
    own and neighbor averages come from the same tick, as in the
@@ -360,6 +363,10 @@ def run(
 
     # the telemetry columns, None when no rows are formatted
     columns = _telemetry_header(n, m) if compute_digest or telemetry_path is not None else None
+    if columns is not None:
+        # the telemetry helper runs off the tick's CPU, where a fold helper
+        # would slow it: the averager folds every block itself (README)
+        averager.close()
     # the observers run once per block of about _SUMMARY_BLOCK cells, from
     # the history and each tick's eta and p_dot
     rows = max(1, _SUMMARY_BLOCK // (n if columns is None else len(columns)))

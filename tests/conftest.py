@@ -1,4 +1,5 @@
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -100,21 +101,31 @@ except ChildProcessError:
 
 @pytest.fixture(scope="session")
 def fresh_python():
-    """Run code in a fresh interpreter that imports from src/ and tests/.
+    """Run code in a fresh interpreter that imports from src/.
 
-    A hang ends in a timeout, not a stuck suite. The last line of stdout
+    A hang fails the test after 60 s, with the interpreter and every
+    process it forked killed, not a stuck suite. The last line of stdout
     is "no child left" when the interpreter ends with no child.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO_ROOT / "src"), str(REPO_ROOT / "tests"), env.get("PYTHONPATH")) if p
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
     )
 
     def go(code: str) -> subprocess.CompletedProcess:
-        return subprocess.run(
-            [sys.executable, "-c", code + _CHECK_REAPED],
-            capture_output=True, text=True, timeout=60, env=env, cwd=REPO_ROOT,
+        # in a session of its own, so that a timeout kills the interpreter
+        # and every helper it forked, which may hold its stdout open
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code + _CHECK_REAPED], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, env=env, cwd=REPO_ROOT, start_new_session=True,
         )
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            out, err = proc.communicate()
+            pytest.fail(f"no end within 60 s; stdout {out!r}, stderr {err!r}")
+        return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
 
     return go
 

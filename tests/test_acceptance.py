@@ -419,9 +419,9 @@ def test_star_digest_is_pinned(report, scenario_dir):
     )
 
 
-# telemetry SHA-256 of the 128-drone swarm (conftest.swarm_128_doc), the
-# smallest pinned run whose averager folds its blocks ahead in a helper
-# process beside the telemetry helper
+# telemetry SHA-256 of the 128-drone swarm (conftest.swarm_128_doc): blocks
+# of m = 16 windows, which a run without telemetry folds ahead in a helper
+# process and this digest-on run folds on the tick's path
 SWARM_128_DIGEST = "27909f43c2026e2c4ce5d11b77dbc6bc88a2c6ed3f0b7bc8d69bfcde3da423d0"
 
 

@@ -141,6 +141,22 @@ def test_field_core(rng, k_e):
         assert got[2].all() == (spread == 1.0)
 
 
+@pytest.mark.parametrize("n, exterior", [(512, 12), (256, 1), (512, 200)],
+                         ids=["few-of-512", "one-of-256", "many-of-512"])
+def test_field_core_exterior_ways(rng, n, exterior):
+    # few of many exterior drones take the gathered branch, more take the selects
+    angle = rng.uniform(-math.pi, math.pi, n)
+    normal, tangent = np.array([-np.sin(angle), np.cos(angle)]), np.array([np.cos(angle), np.sin(angle)])
+    p_dot = V * np.array([np.cos(angle + 0.3), np.sin(angle + 0.3)])
+    gammas = rng.normal(0.0, 1.0, (3, n))
+    phi = rng.normal(0.0, 1.0, n)
+    far = rng.choice(n, exterior, replace=False)
+    phi[far] = rng.choice([-1.0, 1.0], exterior) * rng.uniform(40.0, 60.0, exterior)
+    got = field_core(phi, gammas, p_dot, field_operands(V, normal, tangent, 0.7))
+    assert np.count_nonzero(~got[2]) == exterior
+    assert _same(got, _field_formula(phi, normal, tangent, V, 0.7, *gammas, p_dot))
+
+
 def test_heading_rate_core(rng):
     f, f_dot, vel = rng.normal(0.0, V, (3, 2, N))
     for k_n in (1.3, rng.uniform(0.5, 2.0, N)):

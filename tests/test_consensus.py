@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from test_acceptance import SWARM_128_DIGEST
 
 from gvfswarm import consensus, sim
 from gvfswarm.consensus import (
@@ -139,10 +140,6 @@ def trapezoid_window_average(samples, window, dt):
         integral = integral + fr * dt * 0.5 * (x_start + right)
     out = integral / window
     return float(out) if out.ndim == 0 else out
-
-
-# telemetry SHA-256 of the 128-drone swarm, as tests/test_acceptance.py pins it
-SWARM_128_DIGEST = "27909f43c2026e2c4ce5d11b77dbc6bc88a2c6ed3f0b7bc8d69bfcde3da423d0"
 
 
 @pytest.fixture
@@ -635,78 +632,24 @@ class TestWindowAverager:
 
     def test_a_run_without_fork_keeps_every_bit(self, swarm_128, fold_helpers, monkeypatch):
         self.fold_ahead(monkeypatch)
-        helped = run(swarm_128, compute_digest=True)
+        helped = run(swarm_128)
 
         def no_fork():
             raise OSError("no fork here")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        res = run(swarm_128, compute_digest=True)
+        res = run(swarm_128)
         assert len(fold_helpers) == 1  # the first run's
-        assert res.telemetry_digest == helped.telemetry_digest
-        assert res.averaged_parameters.tobytes() == helped.averaged_parameters.tobytes()
+        for name in ("averaged_parameters", "positions", "headings", "omegas", "lyapunov"):
+            assert getattr(res, name).tobytes() == getattr(helped, name).tobytes(), name
 
-    @pytest.mark.parametrize("first", ["telemetry", "fold"])
-    def test_both_helpers_are_reaped_after_a_digest_run(self, first, fresh_python):
-        # the telemetry helper starts at the first observer block, the fold
-        # helper at the first full window; a stand-in holds the blocks back
-        # and starts the telemetry helper once the fold helper runs
-        proc = fresh_python(_BOTH_HELPERS.format(first=first))
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.splitlines()
-        assert lines == [f"{first} helper first", f"digest {SWARM_128_DIGEST}", "no child left"]
+    def test_a_run_with_telemetry_folds_every_block_itself(self, swarm_128, fold_helpers, monkeypatch):
+        # the telemetry helper has the CPU a fold helper would run on
+        self.fold_ahead(monkeypatch)
+        res = run(swarm_128, compute_digest=True)
+        assert fold_helpers == []
+        assert res.telemetry_digest == SWARM_128_DIGEST
 
-
-# Python run in a fresh interpreter: the 128-drone swarm with its digest,
-# both helpers forked in the order {first!r} names
-_BOTH_HELPERS = """
-from conftest import swarm_128_doc
-from gvfswarm import consensus, sim
-from gvfswarm.scenario import build_scenario
-
-consensus._prefetches = lambda size, lead: size >= consensus._PREFETCH_SIZE and lead >= 1
-start_fold, start_telemetry, started = consensus.Child, sim._Helper, []
-
-
-def fold_helper(*args, **kwargs):
-    started.append("fold")
-    return start_fold(*args, **kwargs)
-
-
-class LateTelemetryHelper:
-    def __init__(self, *args):
-        self.args, self.held, self.helper = args, [], None
-
-    def write(self, data):
-        if self.helper is None and "fold" not in started:
-            self.held.append(bytes(data))
-            return
-        if self.helper is None:
-            self.helper = start_telemetry(*self.args)
-            started.append("telemetry")
-            for block in self.held:
-                self.helper.write(block)
-        self.helper.write(data)
-
-    def finish(self):
-        return self.helper.finish()
-
-    def close(self):
-        if self.helper is not None:
-            self.helper.close()
-
-
-def telemetry_helper(*args):
-    started.append("telemetry")
-    return start_telemetry(*args)
-
-
-consensus.Child = fold_helper
-sim._Helper = LateTelemetryHelper if {first!r} == "fold" else telemetry_helper
-res = sim.run(build_scenario(swarm_128_doc()), compute_digest=True)
-print(started[0], "helper first")
-print("digest", res.telemetry_digest)
-"""
 
 GRAPHS = {
     "tree8": TREE8, "chain5": CHAIN5, "star8": STAR8, "star40": STAR40,

@@ -434,6 +434,11 @@ class TestTelemetryHelper:
         assert len(helper_pids) == 1
         assert_reaped(helper_pids[0])
 
+    def test_a_helper_holds_no_other_helpers_pipe(self, fresh_python):
+        proc = fresh_python(_TWO_HELPERS)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["stopped 0 0", "no child left"]
+
     def test_dead_helper_raises_instead_of_hanging(self, killed_helper_run, scenario_dir):
         proc = killed_helper_run(
             f"""
@@ -450,6 +455,28 @@ except RuntimeError as exc:
             "TelemetryHelperError telemetry helper was killed by signal 9 before the run ended"
         )
         assert lines[1:] == ["no child left"]
+
+
+# Python run in a fresh interpreter: the first helper sees EOF, and
+# stops, only if the second, forked while it runs, closed its inherited
+# copy of the first one's request pipe
+_TWO_HELPERS = """
+import os
+from gvfswarm._fork import Child
+
+
+def drain(requests, replies):
+    while os.read(requests, 4096):
+        pass
+    return 0
+
+
+first = Child(drain)
+second = Child(drain)
+first.stop()
+second.stop()
+print("stopped", first.status, second.status)
+"""
 
 
 class TestTickSums:
