@@ -15,7 +15,9 @@ closed-loop motion pdot = f the tracking error phi - gamma contracts
 as exp(-k_e t). Vectors are component-first, (2, ...). The kernel takes
 its run constants ready-made, as one :class:`FieldOperands` from
 :func:`field_operands`, each array in the shape of the one it meets, so
-no operation of an all-interior call broadcasts or strides.
+no operation of an all-interior call broadcasts or strides. The
+exterior branch is computed on the exterior points alone, gathered
+flat, so the operands must be built for the points' shape.
 """
 
 from __future__ import annotations
@@ -34,11 +36,6 @@ __all__ = ["FieldOperands", "field_operands", "field_core"]
 ALPHA_FLOOR_REL = 1e-6
 # (u, u_dot) -> (u, u, u_dot, u_dot)
 _TWICE = np.array([0, 0, 1, 1])
-# field_core computes the exterior branch on the exterior points alone
-# when 3 e < N - 192 of N points are exterior: the gather pays a fixed
-# cost that the where selects over all N points outweigh only then
-# (README)
-_FEW_EXTERIOR, _FEW_EXTERIOR_FROM = 3, 192
 
 
 class FieldOperands(NamedTuple):
@@ -75,13 +72,13 @@ def field_core(phi, gammas, p_dot, ops: FieldOperands):
     u_phi and its rate come out of one pair (phi, phi_dot) - (gamma,
     gamma_dot), and the interior field and its rate out of one block
     (f_y, f_x, f_dot_x, f_dot_y): f is its first two rows reversed, so
-    the heading law's f[::-1] reads them in memory order. When every
-    point is interior, the exterior branch is skipped and the interior
-    arrays are returned as they are. When few of many points are
-    exterior (_FEW_EXTERIOR), the branch is computed on those points
-    alone and written over their columns of the block; otherwise on
-    every point, and ``where`` selects each point's branch. Every formula
-    is elementwise, so the three ways give the same bits.
+    the heading law's f[::-1] reads them in memory order. The block is
+    built for every point; when some points are exterior, the exterior
+    branch is computed on those points alone and written over their
+    columns of the block. Every formula is elementwise, so each point's
+    bits do not depend on the others. The gather flattens the operands
+    and the points alike, so ``ops`` must be built for the points' shape
+    (:func:`field_operands` with normals and tangents of that shape).
     """
     speed = ops.speed
     levels = np.empty(ops.gain.shape)
@@ -110,9 +107,12 @@ def field_core(phi, gammas, p_dot, ops: FieldOperands):
     block = rates * ops.tangent_rows
     block += twice * ops.normal_rows
     f, f_dot = block[1::-1], block[2:]
-    if exterior and _FEW_EXTERIOR * exterior < interior.size - _FEW_EXTERIOR_FROM:
+    if exterior:
         # the exterior points' columns of the block, flat over the point
-        # axes, overwritten with the exterior branch
+        # axes, overwritten with the exterior branch:
+        # f = v beta/||beta|| and f_dot = v (I/||b|| - b b^T/||b||^3)
+        # beta_dot, its derivative (zero for lines, where beta_dot stays
+        # parallel to beta)
         e = np.flatnonzero(~interior)
         u_e = u.reshape(2, -1).take(e, axis=1)
         normal = ops.normal.reshape(2, -1).take(e, axis=1)
@@ -122,14 +122,4 @@ def field_core(phi, gammas, p_dot, ops: FieldOperands):
         columns[1::-1, e] = speed * beta / norm
         b_dot_b = np.add.reduce(beta * beta_dot, axis=0)
         columns[2:, e] = speed * (beta_dot / norm - beta * (b_dot_b / norm**3))
-    elif exterior:
-        beta, beta_dot = u[0] * ops.normal, u[1] * ops.normal
-        safe_norm = np.where(interior, 1.0, beta_norm)
-        f = np.where(interior, f, speed * beta / safe_norm)
-        # exterior: f_dot = v (I/||b|| - b b^T/||b||^3) beta_dot, the
-        # derivative of v beta/||beta|| (zero for lines, where beta_dot
-        # stays parallel to beta)
-        b_dot_b = np.add.reduce(beta * beta_dot, axis=0)
-        f_dot_exterior = speed * (beta_dot / safe_norm - beta * (b_dot_b / safe_norm**3))
-        f_dot = np.where(interior, f_dot, f_dot_exterior)
     return f, f_dot, interior

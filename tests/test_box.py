@@ -141,10 +141,11 @@ def test_field_core(rng, k_e):
         assert got[2].all() == (spread == 1.0)
 
 
-@pytest.mark.parametrize("n, exterior", [(512, 12), (256, 1), (512, 200)],
-                         ids=["few-of-512", "one-of-256", "many-of-512"])
+@pytest.mark.parametrize("n, exterior",
+                         [(512, 12), (256, 1), (512, 200), (1, 1), (8, 1), (8, 8), (64, 64), (128, 32)],
+                         ids=["few-of-512", "one-of-256", "many-of-512", "one-of-1", "one-of-8",
+                              "all-of-8", "all-of-64", "quarter-of-128"])
 def test_field_core_exterior_ways(rng, n, exterior):
-    # few of many exterior drones take the gathered branch, more take the selects
     angle = rng.uniform(-math.pi, math.pi, n)
     normal, tangent = np.array([-np.sin(angle), np.cos(angle)]), np.array([np.cos(angle), np.sin(angle)])
     p_dot = V * np.array([np.cos(angle + 0.3), np.sin(angle + 0.3)])
