@@ -163,8 +163,6 @@ def complete_elliptic_e(m: float) -> float:
     """
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"parameter m must lie in [0, 1], got {m}")
-    if m == 0.0:
-        return math.pi / 2.0
     if m == 1.0:
         return 1.0
     a, b, c = 1.0, math.sqrt(1.0 - m), math.sqrt(m)

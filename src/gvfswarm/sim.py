@@ -58,10 +58,11 @@ methods on its class), once per tick or step; ``TestKernelCalls``
 counts the calls.
 
 Planar vectors are component-first, (2, N), inside the tick. The
-per-drone history is one (ticks, 12, N) float64 store in
-``_STORE_CELLS`` order; the kernels write the tick's cells through
-``out=``, the per-drone result fields are views of it, and a block of
-telemetry rows takes its drone cells in telemetry order in one gather.
+per-drone history is one (ticks, 12, N) float64 store whose cells
+follow the telemetry row's ``_DRONE_CELLS`` order; the kernels write
+the tick's cells through ``out=``, the per-drone result fields are
+views of it, and a block of telemetry rows takes its drone cells in one
+transposing copy of the block's store rows.
 Neighbor sums run over one slot-major table of the graph's 2M (owner,
 neighbor) pairs, in O(N + M) whatever the degrees, each node adding its
 terms in a fixed order, so a run is bitwise reproducible; the test suite
@@ -103,7 +104,8 @@ __all__ = [
 TELEMETRY_FLOAT_FORMAT = "%.9g"
 
 # the per-drone telemetry cells in row order: header stem and the
-# SimulationResult field that holds it
+# SimulationResult field that holds it. The float cells, all but the
+# branch code, are the history store's cells in the same order
 _DRONE_CELLS = (
     ("p{i}_x_m", "positions"), ("p{i}_y_m", "positions"), ("theta{i}_rad", "headings"),
     ("phi{i}_m", "phis"), ("gamma{i}_m", "gammas"), ("x{i}_m", "path_parameters"),
@@ -111,14 +113,7 @@ _DRONE_CELLS = (
     ("xdot_d{i}_mps", "desired_velocities"), ("A{i}_m", "amplitudes"),
     ("A_d{i}_m", "commanded_amplitudes"), ("omega{i}_rad_s", "omegas"), ("branch{i}", "branches"),
 )
-# the float cells of the history store: the telemetry's order with x
-# moved next to phi, so one sum writes both
-_STORE_CELLS = ("positions", "positions", "headings", "phis", "path_parameters", "gammas",
-                "averaged_parameters", "inputs", "desired_velocities", "amplitudes",
-                "commanded_amplitudes", "omegas")
-_HEADING, _PHI, _X, _GAMMA, _XBAR, _U, _XDOT_D, _AMP, _A_CMD, _OMEGA = range(2, 12)
-# the store cell of each float telemetry cell
-_TELEMETRY_ORDER = [0, 1] + [_STORE_CELLS.index(name) for _, name in _DRONE_CELLS[2:-1]]
+_HEADING, _PHI, _GAMMA, _X, _XBAR, _U, _XDOT_D, _AMP, _A_CMD, _OMEGA = range(2, 12)
 
 
 @dataclass
@@ -126,7 +121,7 @@ class SimulationResult:
     """Complete tick history of one run plus the summary document.
 
     ``positions`` through ``omegas`` are slices, strided views, of one
-    (ticks, 12, N) float64 array in _STORE_CELLS order.
+    (ticks, 12, N) float64 array in the telemetry's _DRONE_CELLS order.
     """
 
     scenario: Scenario
@@ -337,13 +332,13 @@ def run(
     # relaxation_step and the history only read a fixed command
     fixed_cmd = None if sc.fixed_amplitude is None else np.full(n, sc.fixed_amplitude)
 
-    # each tick's float drone cells in _STORE_CELLS order; the fields are
+    # each tick's float drone cells in _DRONE_CELLS order; the fields are
     # views. It is the largest history array, so numpy can address the others
-    store = np.empty(_addressable((n_ticks + 1, len(_STORE_CELLS), n)))
+    store = np.empty(_addressable((n_ticks + 1, len(_DRONE_CELLS) - 1, n)))
     times = np.arange(n_ticks + 1) * dt
     hist = SimulationResult(
         scenario=sc, times=times, positions=store[:, 0:2].transpose(0, 2, 1),
-        **{name: store[:, c] for c, name in enumerate(_STORE_CELLS[2:], start=2)},
+        **{name: store[:, c] for c, (_, name) in enumerate(_DRONE_CELLS[2:-1], start=2)},
         branches=np.empty((n_ticks + 1, n), dtype=np.int8),
         edge_diffs=np.empty((n_ticks + 1, m)), lyapunov=np.empty(n_ticks + 1),
     )
@@ -394,7 +389,7 @@ def run(
             np.subtract(row[0:2], origins, out=offsets[0])
             offsets[1] = offsets[0]
             offsets *= frames
-            np.add.reduce(offsets, axis=1, out=row[_PHI:_X + 1])
+            np.add.reduce(offsets, axis=1, out=row[_PHI:_X + 1:_X - _PHI])
             averager.push(row[_X])
             xbar = row[_XBAR] = averager.average()
             t1 = clock()
@@ -443,7 +438,7 @@ def run(
                 omega_max = np.maximum(omega_max, hist.omegas[ticks].max())
                 if columns is not None:
                     block[:b, 0] = times[ticks]
-                    drone_cells[:b, :, :-1] = store[ticks, _TELEMETRY_ORDER].transpose(0, 2, 1)
+                    drone_cells[:b, :, :-1] = store[ticks].transpose(0, 2, 1)
                     drone_cells[:b, :, -1] = hist.branches[ticks]
                     block[:b, -1 - m:-1] = z
                     block[:b, -1] = v

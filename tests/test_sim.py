@@ -866,6 +866,16 @@ class TestHistoryViews:
             for b, other in arrays.items():
                 if a != b:
                     assert not np.shares_memory(getattr(res, a), other), (a, b)
+        # the float fields are cells of one (ticks, 12, N) array, each at
+        # its column in the telemetry row
+        base, start = res.positions.base, res.positions.ctypes.data
+        assert base.shape[1:] == (12, n)
+        for c, (_, name) in enumerate(sim._DRONE_CELLS[2:-1], start=2):
+            value = getattr(res, name)
+            assert value.base is base, name
+            assert value.ctypes.data - start == c * n * 8, name
+            assert value.strides == (12 * n * 8, 8), name
+        assert res.positions.strides == (12 * n * 8, 8, n * 8)
 
 
 class TestWideGraph:
